@@ -156,20 +156,30 @@ pub struct AccessOutcome {
 ///
 /// # Tiered access paths
 ///
-/// [`HybridCache::access`] dispatches between two implementations
-/// with bit-identical counters:
+/// [`HybridCache::access`] is a small inlined dispatcher between two
+/// implementations with bit-identical counters:
 ///
 /// * the **fast path** engages while the cache is *fault-free* — no
 ///   stuck-at faults installed and no soft errors injected since the
 ///   last flush ([`HybridCache::is_fault_free`]). Every stored word
 ///   is then exactly the codeword the active code produced, so tag
 ///   decode is an identity check, payload verification can never
-///   fail, and both are skipped entirely: a lookup is a plain tag
-///   compare and a hit touches only the LRU stamp;
+///   fail, and both are skipped entirely: a lookup is a plain compare
+///   over the set's slice of tags, and a hit touches only the LRU
+///   stamp (plus the dirty bit on a store). A **same-line memo**
+///   remembers the line address and flat line index of the last
+///   fast-path hit or fill, so a repeat access to that line (most
+///   instruction fetches) skips the index math and the scan too. Only
+///   the hit is inlined into callers; a fast-path miss (victim choice
+///   and fill) is an out-of-line call;
 /// * the **slow path** runs the full EDC decode/verify machinery the
 ///   moment any fault or soft error is present (or when forced via
 ///   [`HybridCache::set_force_slow_path`], for equivalence tests and
-///   benchmarks).
+///   benchmarks). It sits behind one out-of-line call, so its stack
+///   frame is never paid on a fast hit, and every slow access clears
+///   the memo: a slow refill after a tag fault can leave two ways of
+///   a set holding the same plain tag, and only a scan knows which
+///   match is the last one. [`HybridCache::set_mode`] clears it too.
 ///
 /// Storage stays fully materialized in both tiers (fills and the
 /// fault-free write path keep every word a real codeword), so the
@@ -179,18 +189,24 @@ pub struct AccessOutcome {
 ///
 /// # Storage layout
 ///
-/// Line state is struct-of-arrays: `valid`/`dirty`/`tags`/
-/// `tag_words`/`lru_stamps` are flat vectors indexed by `(way, set)`
-/// through the private `line_index` helper (set-major, so the ways of
-/// one set are contiguous and a lookup or victim scan walks a
-/// cache-friendly slice), and all data codewords live in one flat
-/// `words` arena at `line_index * words_per_line + slot`. There is no
-/// per-line heap allocation. A per-line `fault_masks` bitmask (bit
-/// `s` = word slot `s` has a stuck-at entry, saturating at bit 63)
-/// lets the read path skip the fault probe for the common pristine
-/// word; the faults themselves live in short per-line `(slot, bits)`
-/// lists rather than a hash map, so even a faulty word costs a
-/// one-or-two entry linear scan instead of a hash.
+/// Line state is struct-of-arrays: `dirty`/`tags`/`tag_words`/
+/// `lru_stamps` are flat vectors indexed by `(way, set)` through the
+/// private `line_index` helper (set-major, so the ways of one set are
+/// contiguous and a lookup or victim scan walks a cache-friendly
+/// slice), and all data codewords live in one flat `words` arena at
+/// `line_index * words_per_line + slot`. There is no per-line heap
+/// allocation and no valid bit: an invalid line holds the sentinel
+/// plain tag `u64::MAX`, which no tag masked to at most 63 bits (the
+/// limit [`CacheConfig::validate`] enforces) can equal, so the fast
+/// lookup reads one vector. A valid line always sits in a way enabled
+/// in the current mode — a mode switch invalidates every line and
+/// fills go only to enabled ways — so lookups skip the enable test as
+/// well. A per-line `fault_masks` bitmask (bit `s` = word slot `s`
+/// has a stuck-at entry, saturating at bit 63) lets the read path
+/// skip the fault probe for the common pristine word; the faults
+/// themselves live in short per-line `(slot, bits)` lists rather than
+/// a hash map, so even a faulty word costs a one-or-two entry linear
+/// scan instead of a hash.
 #[derive(Debug)]
 pub struct HybridCache {
     config: CacheConfig,
@@ -211,11 +227,11 @@ pub struct HybridCache {
     /// common case); `None` falls back to division.
     word_shift: Option<u32>,
     /// SoA line state; see the type docs for the layout.
-    valid: Vec<bool>,
     dirty: Vec<bool>,
-    /// Plain (unencoded) tags, compared directly by the fast path; in
-    /// a fault-free cache the stored codeword decodes back to exactly
-    /// this value.
+    /// Plain (unencoded) tags, compared directly by the fast path, or
+    /// [`INVALID_TAG`] for an invalid line; in a fault-free cache the
+    /// stored codeword of a valid line decodes back to exactly this
+    /// value.
     tags: Vec<u64>,
     /// Stored tag codewords (as written, before faults).
     tag_words: Vec<u64>,
@@ -225,7 +241,7 @@ pub struct HybridCache {
     /// Per-line bitmask of word slots with stuck-at entries.
     fault_masks: Vec<u64>,
     /// Which ways participate in the current mode (recomputed on mode
-    /// switches, so the hot loop is one slice load per way).
+    /// switches); only victim choice needs it.
     enabled_now: Vec<bool>,
     /// Per-way: the active tag codec is [`Protection::None`]
     /// (recomputed on mode switches). A plain way's tag decode is a
@@ -255,7 +271,15 @@ pub struct HybridCache {
     /// Diagnostic override: route every access through the slow path
     /// even when fault-free.
     force_slow: bool,
+    /// The same-line memo: line address (`addr >> line_shift`) and
+    /// flat line index of the last fast-path hit or fill. Cleared by
+    /// every slow access and by [`HybridCache::set_mode`].
+    memo: Option<(u64, usize)>,
 }
+
+/// The plain tag of an invalid line. [`CacheConfig::validate`] caps
+/// `tag_bits` at 63, so no masked tag can equal it.
+const INVALID_TAG: u64 = u64::MAX;
 
 /// Process-global default for [`HybridCache::set_force_slow_path`],
 /// applied to every cache built afterwards. This is how
@@ -346,6 +370,8 @@ impl HybridCache {
         let line_shift = config.line_bytes.trailing_zeros();
         let set_shift = config.sets().trailing_zeros();
         let set_mask = config.sets() - 1;
+        // `validate()` caps `tag_bits` at 63, so the shift cannot
+        // overflow and the mask leaves `INVALID_TAG` unreachable.
         let tag_mask = (1u64 << config.tag_bits) - 1;
         let word_bytes = u64::from(config.word_bits) / 8;
         let word_shift = word_bytes
@@ -361,9 +387,8 @@ impl HybridCache {
             set_mask,
             tag_mask,
             word_shift,
-            valid: vec![false; lines],
             dirty: vec![false; lines],
-            tags: vec![0; lines],
+            tags: vec![INVALID_TAG; lines],
             tag_words: vec![0; lines],
             lru_stamps: vec![0; lines],
             words: vec![0; lines * words_per_line],
@@ -379,6 +404,7 @@ impl HybridCache {
             stats: CacheStats::default(),
             soft_flips: false,
             force_slow: global_force_slow_path(),
+            memo: None,
         })
     }
 
@@ -407,6 +433,12 @@ impl HybridCache {
     #[inline]
     fn line_index(&self, way: usize, set: u64) -> usize {
         set as usize * self.num_ways + way
+    }
+
+    /// Whether flat line `li` holds a line (see [`INVALID_TAG`]).
+    #[inline]
+    fn is_valid(&self, li: usize) -> bool {
+        self.tags[li] != INVALID_TAG
     }
 
     /// The bit `slot` occupies in a line's fault mask. Slots past 63
@@ -505,13 +537,14 @@ impl HybridCache {
     /// Returns the number of lines written back.
     pub fn set_mode(&mut self, mode: Mode) -> u64 {
         let mut writebacks = 0;
-        for (valid, dirty) in self.valid.iter_mut().zip(self.dirty.iter_mut()) {
-            if *valid && *dirty {
+        for (tag, dirty) in self.tags.iter_mut().zip(self.dirty.iter_mut()) {
+            if *tag != INVALID_TAG && *dirty {
                 writebacks += 1;
             }
-            *valid = false;
+            *tag = INVALID_TAG;
             *dirty = false;
         }
+        self.memo = None;
         self.stats.writebacks += writebacks;
         self.mode = mode;
         for (enabled, way) in self.enabled_now.iter_mut().zip(&self.ways) {
@@ -594,7 +627,8 @@ impl HybridCache {
     }
 
     /// Looks up `addr`, returning the hit way if any, and counts tag
-    /// EDC activity.
+    /// EDC activity. Valid lines all sit in enabled ways (see the type
+    /// docs), so only invalid lines are skipped.
     fn lookup(&self, set: u64, tag: u64) -> (Option<usize>, u32, u32) {
         let mode = self.mode;
         let tag_slot = self.words_per_line as u64;
@@ -603,7 +637,7 @@ impl HybridCache {
         let mut detected = 0;
         let mut hit_way = None;
         for w in 0..self.num_ways {
-            if !self.enabled_now[w] || !self.valid[base + w] {
+            if !self.is_valid(base + w) {
                 continue;
             }
             let stored = self.apply_faults(base + w, tag_slot, self.tag_words[base + w]);
@@ -642,21 +676,20 @@ impl HybridCache {
     /// Dispatches between the fault-free fast path and the full EDC
     /// slow path (see the type docs); the two produce bit-identical
     /// counters and outcomes whenever both are applicable.
+    // `always`, not a hint: the engine calls this from three sites per
+    // instruction, and under a plain `#[inline]` LLVM kept one
+    // out-of-line copy, which put a call back on every hit.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        let (set, tag) = self.index(addr);
         self.lru_clock += 1;
         self.stats.accesses += 1;
         if is_write {
             self.stats.writes += 1;
         }
         if self.fast_path_ready() {
-            self.access_fast(addr, is_write, set, tag)
+            self.access_fast(addr, is_write)
         } else {
-            // Both the word slot and the verified payload address
-            // derive from the configured word width (the same slot the
-            // fill wrote with `value_for`).
-            let (word_idx, word_addr) = self.word_slot_and_addr(addr);
-            self.access_slow(addr, is_write, set, tag, word_idx, word_addr)
+            self.access_slow(addr, is_write)
         }
     }
 
@@ -664,53 +697,75 @@ impl HybridCache {
     /// but the value written, so tag matching is a plain compare and
     /// payload verification is skipped. Counters move exactly as in
     /// [`HybridCache::access_slow`]: a fault-free slow access always
-    /// yields `corrected == detected == silent == 0`.
-    fn access_fast(&mut self, addr: u64, is_write: bool, set: u64, tag: u64) -> AccessOutcome {
-        let mut outcome = AccessOutcome::default();
-        let base = set as usize * self.num_ways;
-        // Last match wins, mirroring the slow lookup's scan order. The
-        // set's ways are one contiguous slice of each SoA vector.
-        let mut hit_way = None;
-        for w in 0..self.num_ways {
-            if self.enabled_now[w] && self.valid[base + w] && self.tags[base + w] == tag {
-                hit_way = Some(w);
-            }
-        }
-        let way = match hit_way {
-            Some(w) => {
-                self.stats.hits += 1;
-                outcome.hit = true;
-                w
-            }
-            None => {
-                self.stats.misses += 1;
-                let victim = self.choose_victim(set);
-                outcome.writeback = self.fill(victim, set, tag, addr);
-                victim
+    /// yields `corrected == detected == silent == 0`. Inlined into
+    /// [`HybridCache::access`], and from there into every caller.
+    #[inline(always)]
+    fn access_fast(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        let line_addr = addr >> self.line_shift;
+        let li = match self.memo {
+            Some((line, li)) if line == line_addr => li,
+            _ => {
+                let set = line_addr & self.set_mask;
+                let tag = (line_addr >> self.set_shift) & self.tag_mask;
+                let base = set as usize * self.num_ways;
+                // Last match wins, mirroring the slow lookup's scan
+                // order: a slow refill can leave duplicate plain tags.
+                let ways = &self.tags[base..base + self.num_ways];
+                let li = match ways.iter().rposition(|&t| t == tag) {
+                    Some(w) => base + w,
+                    None => return self.miss_fast(addr, is_write),
+                };
+                self.memo = Some((line_addr, li));
+                li
             }
         };
+        self.stats.hits += 1;
         if is_write {
             // The stored word already holds the encoded deterministic
             // payload (the fill materialized it, and a fault-free
             // store would rewrite the identical codeword), so only
             // the dirty bit moves.
-            self.dirty[base + way] = true;
+            self.dirty[li] = true;
         }
-        self.lru_stamps[base + way] = self.lru_clock;
-        outcome
+        self.lru_stamps[li] = self.lru_clock;
+        AccessOutcome {
+            hit: true,
+            ..AccessOutcome::default()
+        }
+    }
+
+    /// The fast path's miss: victim choice and fill, kept out of line
+    /// so callers inline only the hit.
+    #[inline(never)]
+    fn miss_fast(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        let (set, tag) = self.index(addr);
+        self.stats.misses += 1;
+        let way = self.choose_victim(set);
+        let writeback = self.fill(way, set, tag, addr);
+        let li = self.line_index(way, set);
+        if is_write {
+            self.dirty[li] = true;
+        }
+        self.memo = Some((addr >> self.line_shift, li));
+        AccessOutcome {
+            writeback,
+            ..AccessOutcome::default()
+        }
     }
 
     /// The full EDC path: decode every candidate tag, decode and
-    /// verify loaded payloads, re-encode stores.
-    fn access_slow(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        set: u64,
-        tag: u64,
-        word_idx: u64,
-        word_addr: u64,
-    ) -> AccessOutcome {
+    /// verify loaded payloads, re-encode stores. Out of line, so its
+    /// stack frame stays off the fast hit.
+    #[inline(never)]
+    fn access_slow(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        // Only a scan knows which of a set's duplicate plain tags (a
+        // slow refill after a tag fault leaves them) is the last match.
+        self.memo = None;
+        let (set, tag) = self.index(addr);
+        // Both the word slot and the verified payload address derive
+        // from the configured word width (the same slot the fill wrote
+        // with `value_for`).
+        let (word_idx, word_addr) = self.word_slot_and_addr(addr);
         let mode = self.mode;
         let (hit_way, mut corrected, mut detected) = self.lookup(set, tag);
         let mut outcome = AccessOutcome::default();
@@ -798,7 +853,7 @@ impl HybridCache {
             if !self.enabled_now[w] {
                 continue;
             }
-            if !self.valid[base + w] {
+            if !self.is_valid(base + w) {
                 return w;
             }
             let stamp = self.lru_stamps[base + w];
@@ -832,10 +887,9 @@ impl HybridCache {
             let word_addr = line_base + i as u64 * word_bytes;
             *word = data_code.encode(value_for(word_addr));
         }
-        let writeback = self.valid[li] && self.dirty[li];
+        let writeback = self.is_valid(li) && self.dirty[li];
         self.tags[li] = tag;
         self.tag_words[li] = self.ways[way].tag_code(mode).encode(tag);
-        self.valid[li] = true;
         self.dirty[li] = false;
         self.lru_stamps[li] = self.lru_clock;
         self.stats.fills += 1;
@@ -1091,7 +1145,7 @@ mod tests {
         };
         // Find which way holds the line.
         let way = (0..8)
-            .find(|&w| c.valid[c.line_index(w, 0)])
+            .find(|&w| c.is_valid(c.line_index(w, 0)))
             .expect("line filled");
         let tag_slot = WordSlot { way, ..tag_slot };
         let stored = c.read_stored(tag_slot);
@@ -1167,15 +1221,15 @@ mod tests {
         // HP ways that are gated off at ULE.
         c.access(0, false);
         assert!(
-            c.valid[c.line_index(2, 0)],
+            c.is_valid(c.line_index(2, 0)),
             "lowest enabled way fills first"
         );
         assert!(
-            !c.valid[c.line_index(0, 0)],
+            !c.is_valid(c.line_index(0, 0)),
             "disabled ways must be skipped"
         );
         c.access(sets * line, false);
-        assert!(c.valid[c.line_index(3, 0)]);
+        assert!(c.is_valid(c.line_index(3, 0)));
         // Stage an exact LRU tie between the two valid lines: the
         // documented tie-break evicts the lowest-index enabled way.
         let (li2, li3) = (c.line_index(2, 0), c.line_index(3, 0));
@@ -1187,12 +1241,12 @@ mod tests {
             c.tags[li3], survivor_tag,
             "higher-index way must survive the tie"
         );
-        assert_ne!(c.tags[li2], 0, "way 2 holds the new line");
+        assert_eq!(c.tags[li2], 2, "way 2 holds the new line");
         // At HP every way participates again: a fresh cache fills
         // way 0 first.
         let mut c = two_ule_ways_cache(Mode::Hp);
         c.access(0, false);
-        assert!(c.valid[c.line_index(0, 0)]);
+        assert!(c.is_valid(c.line_index(0, 0)));
     }
 
     #[test]
@@ -1243,7 +1297,7 @@ mod tests {
         // A soft error disarms the fast path and is actually seen by
         // the unprotected slow path...
         let way = (0..8)
-            .find(|&w| c.valid[c.line_index(w, 0)])
+            .find(|&w| c.is_valid(c.line_index(w, 0)))
             .expect("line filled");
         let hit_slot = WordSlot {
             way,
@@ -1258,5 +1312,84 @@ mod tests {
         // ...and the flush on a mode switch restores the fast path.
         c.set_mode(Mode::Hp);
         assert!(c.is_fault_free());
+    }
+
+    #[test]
+    fn sixty_four_bit_tags_are_rejected() {
+        // Regression: `Protection::None` supports 64-bit words, so a
+        // 64-bit tag used to pass validation; the tag mask shift then
+        // overflowed (a panic in debug, a zero mask in release, where
+        // every line of a set aliased).
+        let mut cfg = SystemConfig::uniform_6t().il1;
+        cfg.tag_bits = 64;
+        let err = crate::config::ConfigError::TagTooWide { tag_bits: 64 };
+        assert_eq!(cfg.validate(), Err(err));
+        assert_eq!(
+            HybridCache::try_new(cfg.clone(), Mode::Hp).unwrap_err(),
+            err
+        );
+        // 63 bits is the widest tag, and conflicting lines still miss.
+        cfg.tag_bits = 63;
+        let mut c = HybridCache::try_new(cfg, Mode::Hp).expect("63-bit tags are valid");
+        let stride = c.config().sets() * c.config().line_bytes;
+        c.access(0, false);
+        assert!(!c.access(stride, false).hit, "a conflicting line must miss");
+        assert!(c.access(0, false).hit);
+        assert!(c.access(stride, false).hit);
+    }
+
+    #[test]
+    fn slow_refill_duplicates_a_tag_and_the_fast_path_agrees() {
+        // A stuck bit on a resident line's tag makes the slow lookup
+        // miss, so the line is refilled into a second way: two ways of
+        // set 0 now hold the same plain tag. Once the fault is gone the
+        // fast path (scan and memo alike) must pick the same way as
+        // the slow path, access for access.
+        let mut fast = cache();
+        let mut slow = cache();
+        slow.set_force_slow_path(true);
+        let tag_slot = WordSlot {
+            way: 0,
+            set: 0,
+            slot: fast.config().words_per_line(),
+        };
+        let both = |fast: &mut HybridCache, slow: &mut HybridCache, addr, write| {
+            let a = fast.access(addr, write);
+            assert_eq!(a, slow.access(addr, write), "diverged at {addr:#x}");
+            a
+        };
+        both(&mut fast, &mut slow, 0, false);
+        for c in [&mut fast, &mut slow] {
+            let stored = c.read_stored(tag_slot);
+            c.set_stuck_bits(
+                tag_slot,
+                StuckBits {
+                    mask: 1,
+                    value: !stored & 1,
+                },
+            );
+        }
+        assert!(
+            !both(&mut fast, &mut slow, 4, true).hit,
+            "tag fault refills"
+        );
+        let (li0, li1) = (fast.line_index(0, 0), fast.line_index(1, 0));
+        assert_eq!(fast.tags[li0], fast.tags[li1], "duplicate plain tags");
+        for c in [&mut fast, &mut slow] {
+            c.set_stuck_bits(tag_slot, StuckBits::default());
+        }
+        assert!(fast.is_fault_free());
+        let stride = fast.config().sets() * fast.config().line_bytes;
+        for (addr, write) in [
+            (8, false),
+            (12, true),
+            (stride, false),
+            (0, false),
+            (16, true),
+        ] {
+            both(&mut fast, &mut slow, addr, write);
+        }
+        assert_eq!(fast.stats(), slow.stats());
+        assert_eq!(fast.set_mode(Mode::Hp), slow.set_mode(Mode::Hp));
     }
 }

@@ -39,6 +39,13 @@ pub enum ConfigError {
         /// Configured protected-word width.
         word_bits: u32,
     },
+    /// The tag is 64 bits or wider. Tags are compared masked to
+    /// `tag_bits`, and a full 64-bit mask would leave no value free to
+    /// mark an invalid line.
+    TagTooWide {
+        /// The offending tag width in bits.
+        tag_bits: u32,
+    },
     /// No way is ULE-enabled, so the cache cannot operate at ULE mode.
     NoUleWay,
     /// A [`SystemBuilder`](crate::engine::SystemBuilder) was asked to
@@ -89,6 +96,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "line must hold whole words ({line_bits} line bits, {word_bits}-bit words)"
             ),
+            ConfigError::TagTooWide { tag_bits } => {
+                write!(f, "tags must be at most 63 bits (got {tag_bits})")
+            }
             ConfigError::NoUleWay => {
                 write!(f, "at least one ULE way required for hybrid operation")
             }
@@ -278,6 +288,13 @@ impl CacheConfig {
             return Err(ConfigError::LineNotWholeWords {
                 line_bits: self.line_bytes * 8,
                 word_bits: self.word_bits,
+            });
+        }
+        // `Protection::None` alone would accept 64, but the cache
+        // reserves the all-ones plain tag for invalid lines.
+        if self.tag_bits >= 64 {
+            return Err(ConfigError::TagTooWide {
+                tag_bits: self.tag_bits,
             });
         }
         if !self.ways.iter().any(|w| w.ule_enabled) {

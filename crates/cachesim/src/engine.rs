@@ -90,7 +90,8 @@ pub(crate) fn split_at_line_boundaries(addr: u64, size: u8, line_bytes: u64) -> 
     let mut addr = addr;
     let mut remaining = u64::from(size);
     loop {
-        let room = line_bytes - (addr % line_bytes);
+        // `CacheConfig::validate` guarantees power-of-two lines.
+        let room = line_bytes - (addr & (line_bytes - 1));
         let take = remaining.min(room);
         out.pieces[out.len] = (addr, take as u8);
         out.len += 1;
@@ -163,9 +164,10 @@ pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
     }
 
     if let Some(access) = entry.access {
-        for (addr, size) in
-            split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
-        {
+        // One DL1 piece: its lookup, fill stall and bubbles, returned
+        // as the cycles it adds.
+        let mut piece = |addr: u64, size: u8| {
+            let mut extra = 0;
             let data = dl1.access(addr, access.is_write);
             if !data.hit {
                 let fill = below.access(AccessRequest {
@@ -179,23 +181,42 @@ pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
                 let stall = u64::from(fill.latency_cycles + timing.dl1_edc_latency);
                 stats.dl1_stall_cycles += stall;
                 stats.edc_stall_cycles += u64::from(timing.dl1_edc_latency);
-                cycles += stall;
+                extra += stall;
             }
             if data.corrected > 0 {
                 stats.edc_stall_cycles += 1;
-                cycles += 1;
+                extra += 1;
             }
             // Sub-word stores into an EDC-protected word need a
             // read-modify-write to regenerate the check bits: one
             // extra cycle.
             if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
                 stats.edc_stall_cycles += 1;
-                cycles += 1;
+                extra += 1;
+            }
+            extra
+        };
+        if within_one_line(access.addr, access.size, timing.dl1_line_bytes) {
+            cycles += piece(access.addr, access.size);
+        } else {
+            for (addr, size) in
+                split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
+            {
+                cycles += piece(addr, size);
             }
         }
     }
 
     cycles
+}
+
+/// Whether `size` bytes at `addr` stay within one line — true of every
+/// access the synthetic generators emit, which then skips building
+/// [`AccessPieces`]: [`split_at_line_boundaries`] would return exactly
+/// `(addr, size)`.
+#[inline]
+fn within_one_line(addr: u64, size: u8, line_bytes: u64) -> bool {
+    (addr & (line_bytes - 1)) + u64::from(size) <= line_bytes
 }
 
 /// Which L1 a chain-bound fill request belongs to (decides the EDC
@@ -260,9 +281,10 @@ pub(crate) fn front_entry(
     }
 
     if let Some(access) = entry.access {
-        for (addr, size) in
-            split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
-        {
+        // One DL1 piece: its lookup, chain request and bubbles,
+        // returned as the cycles it adds.
+        let mut piece = |addr: u64, size: u8| {
+            let mut extra = 0;
             let data = dl1.access(addr, access.is_write);
             if !data.hit {
                 requests.push(ChainRequest {
@@ -273,11 +295,21 @@ pub(crate) fn front_entry(
             }
             if data.corrected > 0 {
                 stats.edc_stall_cycles += 1;
-                cycles += 1;
+                extra += 1;
             }
             if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
                 stats.edc_stall_cycles += 1;
-                cycles += 1;
+                extra += 1;
+            }
+            extra
+        };
+        if within_one_line(access.addr, access.size, timing.dl1_line_bytes) {
+            cycles += piece(access.addr, access.size);
+        } else {
+            for (addr, size) in
+                split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
+            {
+                cycles += piece(addr, size);
             }
         }
     }
@@ -1038,6 +1070,24 @@ mod tests {
         // ...and degenerate tiny lines still terminate.
         let pieces: Vec<_> = split_at_line_boundaries(3, 8, 4).collect();
         assert_eq!(pieces, [(3, 1), (4, 4), (8, 3)]);
+    }
+
+    #[test]
+    fn single_line_shortcut_matches_the_splitter() {
+        // The engine skips the splitter exactly when it would hand back
+        // the access unchanged as its only piece.
+        for line in [1u64, 4, 32] {
+            for addr in 0..3 * line {
+                for size in 1u8..=8 {
+                    let pieces: Vec<_> = split_at_line_boundaries(addr, size, line).collect();
+                    assert_eq!(
+                        within_one_line(addr, size, line),
+                        pieces == [(addr, size)],
+                        "line {line}, addr {addr}, size {size}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

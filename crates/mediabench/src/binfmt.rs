@@ -354,6 +354,9 @@ pub fn encode_entries(
 #[derive(Debug)]
 pub struct BinaryReplay<R: Read> {
     source: R,
+    /// The current chunk's payload bytes, one buffer reused for every
+    /// chunk.
+    payload: Vec<u8>,
     chunk: Vec<TraceEntry>,
     pos: usize,
     next_chunk: u64,
@@ -404,7 +407,9 @@ impl<R: Read> BinaryReplay<R> {
     /// validated.
     pub fn from_reader(mut source: R) -> Result<BinaryReplay<R>, BinfmtError> {
         let mut header = [0u8; 8];
-        read_exact_or(&mut source, &mut header, BinfmtError::TruncatedHeader)?;
+        if read_full(&mut source, &mut header)? < header.len() {
+            return Err(BinfmtError::TruncatedHeader);
+        }
         let magic = [header[0], header[1], header[2], header[3]];
         if magic != MAGIC {
             return Err(BinfmtError::BadMagic { found: magic });
@@ -415,6 +420,7 @@ impl<R: Read> BinaryReplay<R> {
         }
         Ok(BinaryReplay {
             source,
+            payload: Vec::new(),
             chunk: Vec::new(),
             pos: 0,
             next_chunk: 0,
@@ -460,17 +466,17 @@ impl<R: Read> BinaryReplay<R> {
     fn load_chunk(&mut self) -> Result<bool, BinfmtError> {
         let chunk = self.next_chunk;
         let mut frame = [0u8; 8];
-        match read_chunk_frame(&mut self.source, &mut frame) {
-            FrameRead::Eof => return Ok(false),
-            FrameRead::Partial(got) => {
+        // No byte at all is a clean end at the chunk boundary.
+        match read_full(&mut self.source, &mut frame)? {
+            0 => return Ok(false),
+            8 => {}
+            got => {
                 return Err(BinfmtError::TruncatedChunk {
                     chunk,
                     expected: 8,
                     got,
                 })
             }
-            FrameRead::Err(e) => return Err(BinfmtError::Io(e.to_string())),
-            FrameRead::Full => {}
         }
         self.bytes_read += 8;
         let entry_count = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
@@ -495,24 +501,19 @@ impl<R: Read> BinaryReplay<R> {
                 ),
             });
         }
-        let mut payload = vec![0u8; payload_len];
-        read_exact_or(&mut self.source, &mut payload, {
-            BinfmtError::TruncatedChunk {
+        self.payload.clear();
+        self.payload.resize(payload_len, 0);
+        let got = read_full(&mut self.source, &mut self.payload)?;
+        if got < payload_len {
+            return Err(BinfmtError::TruncatedChunk {
                 chunk,
                 expected: payload_len,
-                got: 0, // patched below when the short read is counted
-            }
-        })
-        .map_err(|e| match e {
-            BinfmtError::TruncatedChunk { expected, .. } => BinfmtError::TruncatedChunk {
-                chunk,
-                expected,
-                got: 0,
-            },
-            other => other,
-        })?;
+                got,
+            });
+        }
         self.bytes_read += payload_len as u64;
 
+        let payload: &[u8] = &self.payload;
         self.chunk.clear();
         self.chunk.reserve(entry_count);
         let (mut last_pc, mut last_addr) = (0u64, 0u64);
@@ -530,14 +531,14 @@ impl<R: Read> BinaryReplay<R> {
                 });
             }
             let delta =
-                read_varint(&payload, &mut pos).ok_or_else(|| BinfmtError::CorruptChunk {
+                read_varint(payload, &mut pos).ok_or_else(|| BinfmtError::CorruptChunk {
                     chunk,
                     reason: "bad pc varint".to_string(),
                 })?;
             last_pc = last_pc.wrapping_add(zigzag_decode(delta) as u64);
             let access = if flags & 0x01 != 0 {
                 let delta =
-                    read_varint(&payload, &mut pos).ok_or_else(|| BinfmtError::CorruptChunk {
+                    read_varint(payload, &mut pos).ok_or_else(|| BinfmtError::CorruptChunk {
                         chunk,
                         reason: "bad address varint".to_string(),
                     })?;
@@ -596,44 +597,20 @@ impl<R: Read> Iterator for BinaryReplay<R> {
     }
 }
 
-enum FrameRead {
-    Full,
-    Eof,
-    Partial(usize),
-    Err(io::Error),
-}
-
-/// Reads exactly 8 frame bytes, distinguishing a clean EOF at the
-/// frame boundary (end of trace) from a mid-frame one (truncation).
-fn read_chunk_frame<R: Read>(source: &mut R, frame: &mut [u8; 8]) -> FrameRead {
-    let mut got = 0usize;
-    while got < frame.len() {
-        match source.read(&mut frame[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    FrameRead::Eof
-                } else {
-                    FrameRead::Partial(got)
-                }
-            }
+/// Reads until `buf` is full or the source ends, returning how many
+/// bytes arrived; the caller types a short count as the truncation it
+/// is (header, chunk frame or payload).
+fn read_full<R: Read>(source: &mut R, buf: &mut [u8]) -> Result<usize, BinfmtError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match source.read(&mut buf[got..]) {
+            Ok(0) => break,
             Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return FrameRead::Err(e),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(BinfmtError::Io(e.to_string())),
         }
     }
-    FrameRead::Full
-}
-
-fn read_exact_or<R: Read>(
-    source: &mut R,
-    buf: &mut [u8],
-    truncated: BinfmtError,
-) -> Result<(), BinfmtError> {
-    match source.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(truncated),
-        Err(e) => Err(BinfmtError::Io(e.to_string())),
-    }
+    Ok(got)
 }
 
 /// A streaming scan's summary of one binary trace, as printed by
@@ -843,18 +820,30 @@ mod tests {
         assert_eq!(decoded.len() % 100, 0, "partial chunks must not leak");
         assert_eq!(&entries[..decoded.len()], &decoded[..]);
         match reader.take_error() {
-            Some(BinfmtError::TruncatedChunk { chunk, .. }) => {
+            Some(BinfmtError::TruncatedChunk {
+                chunk,
+                expected,
+                got,
+            }) => {
                 assert_eq!(chunk, decoded.len() as u64 / 100);
+                // The cut lands inside the last chunk's payload, and
+                // every byte before it is counted.
+                assert!(got > 0, "got {got} of {expected}");
+                assert_eq!(expected - got, 37, "got {got} of {expected}");
             }
             other => panic!("expected TruncatedChunk, got {other:?}"),
         }
-        // Cut mid-frame, too.
+        // Cut mid-frame, too: 4 of the frame's 8 bytes are present.
         let mut reader = BinaryReplay::from_bytes(bytes[..12].to_vec()).unwrap();
         assert_eq!(reader.by_ref().count(), 0);
-        assert!(matches!(
+        assert_eq!(
             reader.error(),
-            Some(BinfmtError::TruncatedChunk { chunk: 0, .. })
-        ));
+            Some(&BinfmtError::TruncatedChunk {
+                chunk: 0,
+                expected: 8,
+                got: 4,
+            })
+        );
     }
 
     #[test]
