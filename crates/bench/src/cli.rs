@@ -1,21 +1,18 @@
-//! Shared command-line plumbing for the `hyvec` front-end and the
-//! per-artifact binaries.
+//! Command-line plumbing of the `hyvec` front-end.
 //!
-//! Every binary in `src/bin/` is a thin shell over the same pipeline:
-//! parse the common flags, select experiments from the standard
+//! Every experiment command runs the same pipeline: parse the common
+//! flags, select experiments from the standard
 //! [`Registry`](hyvec_core::registry::Registry) with a
 //! [`SweepBuilder`], run, and hand the typed report to the requested
 //! [`Format`] backend. A job's output is therefore byte-identical
-//! whether it is produced by its standalone binary, by a `hyvec`
-//! subcommand, or by `hyvec run-all`, serially or in parallel.
-
-use std::process::ExitCode;
+//! whether it is produced by a single-artifact `hyvec` command or by
+//! `hyvec run-all`, serially or in parallel.
 
 use hyvec_core::experiments::ExperimentParams;
-use hyvec_core::render::{render, Format};
+use hyvec_core::render::Format;
 use hyvec_core::sweep::{default_jobs, SweepBuilder};
 
-/// Options shared by every front-end binary.
+/// Options shared by every experiment command.
 #[derive(Debug, Clone)]
 pub struct CliOptions {
     /// Run parameters (instruction budget + base seed).
@@ -130,29 +127,6 @@ pub fn sweep_for(options: &CliOptions, artifacts: &[&str]) -> SweepBuilder {
 /// Writes the per-job wall-time artifact of `outcome` to `path`.
 pub fn write_bench(outcome: &hyvec_core::sweep::SweepOutcome, path: &str) -> Result<(), String> {
     std::fs::write(path, outcome.bench_json()).map_err(|e| format!("could not write {path}: {e}"))
-}
-
-/// The whole body of a per-artifact binary: parse flags from the
-/// process arguments, run the sweep restricted to `artifacts`, print
-/// the rendered report (and honor `--bench-out`).
-pub fn artifact_main(name: &str, artifacts: &[&str]) -> ExitCode {
-    // hyvec-lint: allow(determinism, "CLI argument intake for artifact binaries; parsed flags are the only ambient input")
-    let options = match parse_flags(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}\nusage: {name} {FLAGS_USAGE} [--bench-out PATH]");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = sweep_for(&options, artifacts).run();
-    print!("{}", render(&outcome.report, options.format));
-    if let Some(path) = &options.bench_out {
-        if let Err(e) = write_bench(&outcome, path) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -1,26 +1,12 @@
 //! # hyvec-bench — figure/table regeneration and micro-benchmarks
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see the experiment index in `DESIGN.md`):
-//!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig3_hp_epi` | Figure 3 — normalized average EPI at HP mode |
-//! | `fig4_ule_epi` | Figure 4 — normalized EPI breakdowns at ULE mode |
-//! | `table_methodology` | Sec. III-C sizing/yield table |
-//! | `table_performance` | Sec. IV-B.2 execution-time overhead |
-//! | `table_area` | area comparison |
-//! | `table_reliability` | reliability equivalence (yields + fault injection) |
-//! | `table_soft_errors` | hard faults + soft errors, DECTED vs SECDED |
-//! | `ablation_ways` | 7+1 vs 6+2 way split |
-//! | `ablation_memlat` | memory-latency sweep |
-//! | `ablation_voltage` | ULE-voltage sweep |
-//! | `ablation_granularity` | protection-granularity analysis |
-//!
-//! Every binary — including the unified `hyvec` front-end — is a thin
-//! shell over the [`cli`] module: experiments are selected from the
-//! standard registry, run by the core sweep engine, and rendered by
-//! the shared text/JSON/CSV backends (`--format`). The `benches/`
+//! The `hyvec` binary (`src/bin/hyvec.rs`) regenerates every artifact
+//! of the paper's evaluation, one command per artifact family
+//! (`hyvec fig3`, `hyvec soft-errors`, `hyvec ablations`, ...) or all
+//! of them at once (`hyvec run-all`). Its experiment commands are
+//! thin shells over the [`cli`] module: experiments are selected from
+//! the standard registry, run by the core sweep engine, and rendered
+//! by the shared text/JSON/CSV backends (`--format`). The `benches/`
 //! directory holds Criterion micro-benchmarks of the substrates (EDC
 //! throughput, simulator speed, yield math, trace generation).
 //!

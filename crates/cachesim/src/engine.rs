@@ -18,7 +18,7 @@ use crate::config::{
     CacheConfig, ConfigError, L2Config, MemoryConfig, Mode, SystemConfig, Topology,
 };
 use crate::hierarchy::{
-    AccessOutcome, AccessRequest, Hierarchy, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
+    AccessOutcome, AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
 };
 use crate::multicore::{MultiChain, MultiCoreSystem};
 use crate::power::{EnergyBreakdown, PowerModel};
@@ -44,6 +44,17 @@ pub(crate) struct CoreTiming {
     pub dl1_edc_latency: u32,
     /// DL1 line size, for splitting line-crossing data accesses.
     pub dl1_line_bytes: u64,
+}
+
+impl CoreTiming {
+    /// The constants of a core at `mode` whose data L1 is `dl1`.
+    pub(crate) fn new(power: &PowerModel, mode: Mode, dl1: &CacheConfig) -> Self {
+        CoreTiming {
+            il1_edc_latency: power.il1.edc_latency_cycles(mode),
+            dl1_edc_latency: power.dl1.edc_latency_cycles(mode),
+            dl1_line_bytes: dl1.line_bytes,
+        }
+    }
 }
 
 /// The byte pieces of one data access split at cache-line boundaries.
@@ -111,52 +122,70 @@ pub(crate) fn split_at_line_boundaries(addr: u64, size: u8, line_bytes: u64) -> 
     }
 }
 
-/// Executes one trace entry against a core front end (IL1 + DL1) over
-/// the shared hierarchy below, returning the cycles it consumed.
+/// Whether `size` bytes at `addr` stay within one line — true of every
+/// access the synthetic generators emit, which then skips building
+/// [`AccessPieces`]: [`split_at_line_boundaries`] would return exactly
+/// `(addr, size)`.
+#[inline]
+fn within_one_line(addr: u64, size: u8, line_bytes: u64) -> bool {
+    (addr & (line_bytes - 1)) + u64::from(size) <= line_bytes
+}
+
+/// Which L1 a chain-bound fill request belongs to (decides the EDC
+/// latency charged on top of the composed fill latency and which
+/// stall counter absorbs it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReqKind {
+    /// An IL1 fetch miss.
+    Il1,
+    /// A DL1 piece miss.
+    Dl1,
+}
+
+/// One chain-bound fill request issued by the L1 front phase.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChainRequest {
+    /// The request as the chain below sees it (a store miss
+    /// write-allocates).
+    pub access: AccessRequest,
+    /// Which L1 missed.
+    pub kind: ReqKind,
+}
+
+/// The timing model of *one* in-order core, L1 side: counts the
+/// instruction, drives IL1/DL1, and charges one base cycle, one
+/// recovery bubble per correction and one read-modify-write bubble
+/// per sub-word store into a protected word. Data accesses that cross
+/// a DL1 line boundary are split and charged once per touched line.
 ///
-/// This is the timing model of *one* in-order core, shared verbatim by
-/// [`System::run_at`] and the multi-core engine
-/// ([`MultiCoreSystem`]): one base cycle, miss
-/// stalls for the composed fill latency plus the EDC pipeline, one
-/// recovery bubble per correction, one read-modify-write bubble for
-/// sub-word stores into protected words. Data accesses that cross a
-/// DL1 line boundary are split and charged once per touched line.
+/// Every L1 miss goes to `miss` in program order (IL1 fetch first,
+/// then DL1 pieces). Returns the entry's *core-local* cycles: the base
+/// cycle plus every bubble, excluding fill stalls, which
+/// [`apply_fill`] charges once the chain outcome is known.
 ///
-/// `stats.memory_accesses` is incremented for every fill satisfied at
-/// [`HitDepth::Memory`] — the core's *demand* memory traffic. The
-/// single-core engine overwrites the field afterwards with the chain's
-/// own count (which additionally includes buffered writebacks); the
-/// multi-core engine keeps the per-core demand figure, since the
-/// shared chain cannot attribute writebacks to cores.
-///
-/// Generic over the chain below: the engines match the [`Hierarchy`]
-/// variant once per run and call this with the concrete stock type
-/// ([`crate::hierarchy::L1OverMemory`] /
-/// [`crate::hierarchy::L1OverL2`]), so the miss path compiles to
-/// static calls; `dyn MemoryLevel` (`?Sized`) covers custom chains.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
+/// The L1s never observe the chain and the chain never observes the
+/// L1s, so *when* a miss is resolved moves only when a counter is
+/// incremented, never by how much. The serial loops of both engines
+/// resolve each miss on the spot ([`step`]); the epoch workers of
+/// [`MultiCoreSystem`] log them, and the coordinator replays the logs
+/// against the shared chain at the epoch barrier.
+#[inline]
+pub(crate) fn front_entry(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
-    below: &mut B,
     timing: CoreTiming,
     stats: &mut RunStats,
-    below_pj: &mut f64,
     entry: TraceEntry,
+    mut miss: impl FnMut(&mut RunStats, ChainRequest),
 ) -> u64 {
+    stats.instructions += 1;
     let mut cycles = 1u64;
 
     let fetch = il1.access(entry.pc, false);
     if !fetch.hit {
-        let fill = below.access(AccessRequest::read(entry.pc));
-        *below_pj += fill.energy_pj;
-        stats.below_corrected += u64::from(fill.corrected);
-        stats.below_detected += u64::from(fill.detected);
-        stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
-        let stall = u64::from(fill.latency_cycles + timing.il1_edc_latency);
-        stats.il1_stall_cycles += stall;
-        stats.edc_stall_cycles += u64::from(timing.il1_edc_latency);
-        cycles += stall;
+        let access = AccessRequest::read(entry.pc);
+        let kind = ReqKind::Il1;
+        miss(stats, ChainRequest { access, kind });
     }
     if fetch.corrected > 0 {
         stats.edc_stall_cycles += 1;
@@ -164,24 +193,18 @@ pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
     }
 
     if let Some(access) = entry.access {
-        // One DL1 piece: its lookup, fill stall and bubbles, returned
-        // as the cycles it adds.
+        // One DL1 piece: its lookup, miss and bubbles, returned as the
+        // cycles it adds.
         let mut piece = |addr: u64, size: u8| {
             let mut extra = 0;
             let data = dl1.access(addr, access.is_write);
             if !data.hit {
-                let fill = below.access(AccessRequest {
+                let access = AccessRequest {
                     addr,
                     is_write: access.is_write,
-                });
-                *below_pj += fill.energy_pj;
-                stats.below_corrected += u64::from(fill.corrected);
-                stats.below_detected += u64::from(fill.detected);
-                stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
-                let stall = u64::from(fill.latency_cycles + timing.dl1_edc_latency);
-                stats.dl1_stall_cycles += stall;
-                stats.edc_stall_cycles += u64::from(timing.dl1_edc_latency);
-                extra += stall;
+                };
+                let kind = ReqKind::Dl1;
+                miss(stats, ChainRequest { access, kind });
             }
             if data.corrected > 0 {
                 stats.edc_stall_cycles += 1;
@@ -210,117 +233,16 @@ pub(crate) fn execute_entry<B: MemoryLevel + ?Sized>(
     cycles
 }
 
-/// Whether `size` bytes at `addr` stay within one line — true of every
-/// access the synthetic generators emit, which then skips building
-/// [`AccessPieces`]: [`split_at_line_boundaries`] would return exactly
-/// `(addr, size)`.
-#[inline]
-fn within_one_line(addr: u64, size: u8, line_bytes: u64) -> bool {
-    (addr & (line_bytes - 1)) + u64::from(size) <= line_bytes
-}
-
-/// Which L1 a chain-bound fill request belongs to (decides the EDC
-/// latency charged on top of the composed fill latency and which
-/// stall counter absorbs it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReqKind {
-    /// An IL1 fetch miss.
-    Il1,
-    /// A DL1 piece miss.
-    Dl1,
-}
-
-/// One chain-bound request recorded by the L1 front phase, to be
-/// replayed against the shared chain at the merge.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChainRequest {
-    /// Byte address of the fill.
-    pub addr: u64,
-    /// `true` when the missing access was a store (write-allocate).
-    pub is_write: bool,
-    /// Which L1 missed.
-    pub kind: ReqKind,
-}
-
-/// The L1-front phase of one entry: drives IL1/DL1, charges the
-/// chain-independent stats (correction and RMW bubbles), and appends
-/// the entry's chain-bound fill requests to `requests` in program
-/// order (IL1 fetch first, then DL1 pieces). Returns the entry's
-/// *core-local* cycles: the base cycle plus every bubble, excluding
-/// fill stalls, which [`apply_fill`] charges when the chain outcome
-/// is known.
+/// The chain phase of one request: charges the composed fill outcome
+/// to the issuing core's stats and energy, returning the stall cycles
+/// the core pays (composed fill latency + the missing L1's EDC
+/// pipeline). Counterpart of [`front_entry`]; see there.
 ///
-/// `execute_entry` == `front_entry` + one [`apply_fill`] per recorded
-/// request, by construction: the L1s never observe the chain, and the
-/// chain never observes the L1s, so splitting the two phases moves
-/// only *when* each counter is incremented, never by how much. The
-/// epoch-parallel multi-core engine runs the front phase on worker
-/// threads and replays the logs serially at the epoch barrier; its
-/// serial reference path uses the same two helpers back-to-back.
-pub(crate) fn front_entry(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    timing: CoreTiming,
-    stats: &mut RunStats,
-    entry: TraceEntry,
-    requests: &mut Vec<ChainRequest>,
-) -> u64 {
-    let mut cycles = 1u64;
-
-    let fetch = il1.access(entry.pc, false);
-    if !fetch.hit {
-        requests.push(ChainRequest {
-            addr: entry.pc,
-            is_write: false,
-            kind: ReqKind::Il1,
-        });
-    }
-    if fetch.corrected > 0 {
-        stats.edc_stall_cycles += 1;
-        cycles += 1;
-    }
-
-    if let Some(access) = entry.access {
-        // One DL1 piece: its lookup, chain request and bubbles,
-        // returned as the cycles it adds.
-        let mut piece = |addr: u64, size: u8| {
-            let mut extra = 0;
-            let data = dl1.access(addr, access.is_write);
-            if !data.hit {
-                requests.push(ChainRequest {
-                    addr,
-                    is_write: access.is_write,
-                    kind: ReqKind::Dl1,
-                });
-            }
-            if data.corrected > 0 {
-                stats.edc_stall_cycles += 1;
-                extra += 1;
-            }
-            if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
-                stats.edc_stall_cycles += 1;
-                extra += 1;
-            }
-            extra
-        };
-        if within_one_line(access.addr, access.size, timing.dl1_line_bytes) {
-            cycles += piece(access.addr, access.size);
-        } else {
-            for (addr, size) in
-                split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
-            {
-                cycles += piece(addr, size);
-            }
-        }
-    }
-
-    cycles
-}
-
-/// The chain phase of one recorded request: charges the composed fill
-/// outcome to the issuing core's stats and energy, returning the
-/// stall cycles the core pays (composed fill latency + the missing
-/// L1's EDC pipeline). Counterpart of [`front_entry`]; see there.
+/// `stats.memory_accesses` counts every fill satisfied at
+/// [`HitDepth::Memory`]: the core's *demand* memory traffic. The
+/// multi-core engine reports that figure per core, since the shared
+/// chain cannot attribute writebacks to cores; [`System`] replaces it
+/// with the chain's own count, which also includes writebacks.
 pub(crate) fn apply_fill(
     timing: CoreTiming,
     kind: ReqKind,
@@ -345,40 +267,109 @@ pub(crate) fn apply_fill(
     stall
 }
 
-/// The single-core instruction loop, generic over the chain below so
-/// each stock [`Hierarchy`] shape compiles its own copy with static
-/// dispatch (custom chains instantiate it with `dyn MemoryLevel`).
-#[allow(clippy::too_many_arguments)]
-fn run_loop<T: TraceSource, B: MemoryLevel + ?Sized>(
-    trace: &mut T,
+/// One instruction of one core through the whole machine: the
+/// [`front_entry`] phase, with each miss sent down `chain` and charged
+/// by [`apply_fill`] on the spot. Adds the instruction's cycles to
+/// `stats` and returns them as `(local, total)`: the core-local cycles
+/// and the total including fill stalls.
+#[inline]
+pub(crate) fn step(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
-    below: &mut B,
     timing: CoreTiming,
-    seu_rate: f64,
-    ule_bits: u64,
-    seu_rng: &mut SmallRng,
     stats: &mut RunStats,
     below_pj: &mut f64,
-) {
-    let seu_active = seu_rate > 0.0;
-    while let Some(entry) = trace.next_entry() {
-        stats.instructions += 1;
-        let cycles = execute_entry(il1, dl1, below, timing, stats, below_pj, entry);
-        stats.cycles += cycles;
+    entry: TraceEntry,
+    mut chain: impl FnMut(AccessRequest) -> AccessOutcome,
+) -> (u64, u64) {
+    let mut stalls = 0;
+    let local = front_entry(il1, dl1, timing, stats, entry, |stats, req| {
+        let fill = chain(req.access);
+        stalls += apply_fill(timing, req.kind, fill, stats, below_pj);
+    });
+    let total = local + stalls;
+    stats.cycles += total;
+    (local, total)
+}
 
-        // Soft errors arrive at rate * bits per cycle.
-        if seu_active {
-            let expected = seu_rate * ule_bits as f64 * cycles as f64;
-            if seu_rng.gen::<f64>() < expected {
-                if seu_rng.gen::<bool>() {
-                    System::inject_random_seu(il1, seu_rng);
-                } else {
-                    System::inject_random_seu(dl1, seu_rng);
-                }
-            }
+/// Stored bits of one core exposed to soft errors: every bit (data and
+/// tag, payload and check) of the ULE ways of its IL1 and DL1.
+pub(crate) fn ule_exposure_bits(il1: &CacheConfig, dl1: &CacheConfig) -> u64 {
+    [il1, dl1]
+        .iter()
+        .map(|c| {
+            c.ways
+                .iter()
+                .filter(|w| w.ule_enabled)
+                .map(|w| {
+                    c.sets()
+                        * (c.words_per_line()
+                            * (u64::from(c.word_bits) + w.stored_check_bits() as u64)
+                            + u64::from(c.tag_bits)
+                            + w.stored_check_bits() as u64)
+                })
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// One soft-error draw for one instruction: `cycles` of exposure over
+/// `ule_bits` at `seu_rate` upsets per bit per cycle. An upset flips
+/// one random ULE bit of `il1` or `dl1`. Draws nothing when injection
+/// is off, so fault-free runs stay free of RNG work.
+///
+/// The two engines differ on purpose, each in one argument: [`System`]
+/// passes the instruction's total cycles (fill stalls included) and
+/// its one stream, which persists across runs; the multi-core engine
+/// passes core-local cycles and per-core streams re-derived every run,
+/// which keeps its serial and threaded schedules bit-identical.
+#[inline]
+pub(crate) fn maybe_inject_seu(
+    il1: &mut HybridCache,
+    dl1: &mut HybridCache,
+    rng: &mut SmallRng,
+    seu_rate: f64,
+    ule_bits: u64,
+    cycles: u64,
+) {
+    if seu_rate <= 0.0 {
+        return;
+    }
+    let expected = seu_rate * ule_bits as f64 * cycles as f64;
+    if rng.gen::<f64>() < expected {
+        if rng.gen::<bool>() {
+            inject_random_seu(il1, rng);
+        } else {
+            inject_random_seu(dl1, rng);
         }
     }
+}
+
+/// Flips one uniformly random stored bit among the ULE-way words of
+/// one cache (data and tag, payload and check bits alike).
+fn inject_random_seu(cache: &mut HybridCache, rng: &mut SmallRng) {
+    let config = cache.config().clone();
+    let ule_ways: Vec<usize> = config
+        .ways
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| w.ule_enabled)
+        .map(|(i, _)| i)
+        .collect();
+    if ule_ways.is_empty() {
+        return;
+    }
+    let way = ule_ways[rng.gen_range(0..ule_ways.len())];
+    let set = rng.gen_range(0..config.sets());
+    let slot = rng.gen_range(0..=config.words_per_line());
+    let spec = config.ways[way];
+    let bits = if slot == config.words_per_line() {
+        config.tag_bits as usize + spec.stored_check_bits()
+    } else {
+        config.word_bits as usize + spec.stored_check_bits()
+    };
+    let bit = rng.gen_range(0..bits) as u32;
+    cache.inject_soft_error(WordSlot { way, set, slot }, bit);
 }
 
 /// Result of one simulation run.
@@ -407,10 +398,8 @@ impl RunReport {
 pub struct System {
     il1: HybridCache,
     dl1: HybridCache,
-    /// The memory hierarchy beneath both L1s: one of the two
-    /// monomorphized stock shapes picked by the builder, or a custom
-    /// boxed [`MemoryLevel`] chain.
-    below: Hierarchy,
+    /// The memory hierarchy beneath both L1s, called once per L1 miss.
+    below: Box<dyn MemoryLevel>,
     power: PowerModel,
     /// Soft-error injection: expected upsets per stored bit per cycle
     /// (0 disables). Real rates are ~1e-17/bit/s; experiments
@@ -571,11 +560,9 @@ impl SystemBuilder {
         let dl1 = HybridCache::try_new(config.dl1.clone(), Mode::Hp)?;
         let power = PowerModel::new(&config);
         let memory = MainMemory::new(self.memory);
-        // Select the concrete stock driver for the configured shape:
-        // the run loop monomorphizes over it.
-        let below = match self.l2 {
-            Some(l2) => Hierarchy::L2(L2Cache::new(l2, memory)),
-            None => Hierarchy::Memory(memory),
+        let below: Box<dyn MemoryLevel> = match self.l2 {
+            Some(l2) => Box::new(L2Cache::new(l2, memory)),
+            None => Box::new(memory),
         };
         let (rate, seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
         Ok(System {
@@ -632,12 +619,12 @@ impl SystemBuilder {
             Topology::SharedL2 => MultiChain::Shared(below),
             Topology::PrivateL2 { coherence } => {
                 let l2 = l2_cfg.ok_or(ConfigError::MissingCache { cache: "l2" })?;
-                MultiChain::Private(PrivateL2s::new(
+                MultiChain::Private(Box::new(PrivateL2s::new(
                     l2,
                     cores,
                     coherence,
                     MainMemory::new(memory_cfg),
-                ))
+                )))
             }
         };
         let mut fronts = vec![(il1, dl1)];
@@ -697,34 +684,6 @@ impl System {
         self.seu_rng = SmallRng::seed_from_u64(seed);
     }
 
-    /// Flips one uniformly random stored bit among the ULE-way words
-    /// of one cache (data and tag, payload and check bits alike).
-    /// Shared with the multi-core engine.
-    pub(crate) fn inject_random_seu(cache: &mut HybridCache, rng: &mut SmallRng) {
-        let config = cache.config().clone();
-        let ule_ways: Vec<usize> = config
-            .ways
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.ule_enabled)
-            .map(|(i, _)| i)
-            .collect();
-        if ule_ways.is_empty() {
-            return;
-        }
-        let way = ule_ways[rng.gen_range(0..ule_ways.len())];
-        let set = rng.gen_range(0..config.sets());
-        let slot = rng.gen_range(0..=config.words_per_line());
-        let spec = config.ways[way];
-        let bits = if slot == config.words_per_line() {
-            config.tag_bits as usize + spec.stored_check_bits()
-        } else {
-            config.word_bits as usize + spec.stored_check_bits()
-        };
-        let bit = rng.gen_range(0..bits) as u32;
-        cache.inject_soft_error(WordSlot { way, set, slot }, bit);
-    }
-
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
         &mut self.il1
@@ -737,17 +696,15 @@ impl System {
 
     /// The memory hierarchy beneath the L1s.
     pub fn below(&self) -> &dyn MemoryLevel {
-        self.below.as_dyn()
+        self.below.as_ref()
     }
 
     /// Replaces the memory hierarchy beneath the L1s with a custom
     /// [`MemoryLevel`] chain (a prefetcher, an ECC memory model, a
     /// NUMA stack, ...). The engine charges whatever composed
     /// latency/energy/EDC events the chain reports on each L1 miss.
-    /// Custom chains run through `dyn` dispatch (only the two stock
-    /// builder shapes are monomorphized).
     pub fn set_hierarchy(&mut self, below: Box<dyn MemoryLevel>) {
-        self.below = Hierarchy::Custom(below);
+        self.below = below;
     }
 
     /// The power model.
@@ -782,37 +739,9 @@ impl System {
         self.below.flush();
         self.below.reset_stats();
 
-        let timing = CoreTiming {
-            il1_edc_latency: self.power.il1.edc_latency_cycles(mode),
-            dl1_edc_latency: self.power.dl1.edc_latency_cycles(mode),
-            dl1_line_bytes: self.dl1.config().line_bytes,
-        };
-
-        // Soft-error bookkeeping: bits exposed in the powered ULE ways
-        // of both caches. The exposure count (and the whole SEU branch
-        // in the loop) is skipped entirely for the default fault-free
-        // runs, keeping the sweep hot path free of RNG work.
-        let seu_active = self.seu_rate_per_bit_cycle > 0.0;
-        let ule_bits: u64 = if seu_active {
-            [self.il1.config(), self.dl1.config()]
-                .iter()
-                .map(|c| {
-                    c.ways
-                        .iter()
-                        .filter(|w| w.ule_enabled)
-                        .map(|w| {
-                            c.sets()
-                                * (c.words_per_line()
-                                    * (u64::from(c.word_bits) + w.stored_check_bits() as u64)
-                                    + u64::from(c.tag_bits)
-                                    + w.stored_check_bits() as u64)
-                        })
-                        .sum::<u64>()
-                })
-                .sum()
-        } else {
-            0
-        };
+        let timing = CoreTiming::new(&self.power, mode, self.dl1.config());
+        let ule_bits = ule_exposure_bits(self.il1.config(), self.dl1.config());
+        let rate = self.seu_rate_per_bit_cycle;
 
         // Dynamic energy spent below the L1s (zero for the default
         // energy-free flat memory; folded into the `other` component
@@ -820,55 +749,20 @@ impl System {
         let mut below_pj = 0.0f64;
 
         let mut stats = RunStats::default();
-        {
-            // Dispatch on the chain shape once, outside the loop: the
-            // whole instruction loop monomorphizes per stock shape.
-            let rate = self.seu_rate_per_bit_cycle;
-            let System {
-                il1,
-                dl1,
-                below,
-                seu_rng,
-                ..
-            } = self;
-            match below {
-                Hierarchy::Memory(m) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    m,
-                    timing,
-                    rate,
-                    ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
-                Hierarchy::L2(l2) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    l2,
-                    timing,
-                    rate,
-                    ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
-                Hierarchy::Custom(b) => run_loop(
-                    &mut trace,
-                    il1,
-                    dl1,
-                    b.as_mut(),
-                    timing,
-                    rate,
-                    ule_bits,
-                    seu_rng,
-                    &mut stats,
-                    &mut below_pj,
-                ),
-            }
+        let System {
+            il1,
+            dl1,
+            below,
+            seu_rng,
+            ..
+        } = self;
+        while let Some(entry) = trace.next_entry() {
+            let (_, total) = step(il1, dl1, timing, &mut stats, &mut below_pj, entry, |req| {
+                below.access(req)
+            });
+            // Exposure integrates total cycles, fill stalls included,
+            // from the one stream that persists across runs.
+            maybe_inject_seu(il1, dl1, seu_rng, rate, ule_bits, total);
         }
 
         stats.il1 = *self.il1.stats();
@@ -1040,6 +934,30 @@ mod tests {
             b.stats.silent_corruptions() > 0,
             "the unprotected baseline must corrupt under the same rate"
         );
+    }
+
+    #[test]
+    fn single_core_seu_draws_are_pinned_across_runs() {
+        // The single-core engine integrates each instruction's total
+        // cycles, fill stalls included, and draws from one stream that
+        // persists across runs: the second run continues where the
+        // first one's draws left off. Exact figures of both runs.
+        let mut sys = System::new(proposal_a());
+        sys.set_soft_error_rate(2e-8, 77);
+        let runs = [
+            (Benchmark::AdpcmC, 7, (8810, 0, 0, 73_138)),
+            (Benchmark::EpicC, 8, (2527, 0, 0, 79_659)),
+        ];
+        for (bench, seed, expected) in runs {
+            let s = sys.run(bench.trace(50_000, seed), Mode::Ule).stats;
+            let got = (
+                s.corrected(),
+                s.detected(),
+                s.silent_corruptions(),
+                s.cycles,
+            );
+            assert_eq!(got, expected, "{bench} seed {seed}");
+        }
     }
 
     #[test]

@@ -80,11 +80,10 @@ pub struct AccessOutcome {
 ///
 /// Implementations: [`HybridCache`] (the bit-accurate L1),
 /// [`L2Cache`], and the terminal [`MainMemory`]. Custom levels
-/// (prefetchers, scratchpads, NUMA models, ...) plug in the same way.
-/// The engine drives the two stock chain shapes ([`L1OverMemory`] and
-/// [`L1OverL2`]) through monomorphized code with static dispatch, and
-/// falls back to `dyn MemoryLevel` only for custom chains installed
+/// (prefetchers, scratchpads, NUMA models, ...) plug in the same way,
 /// via [`System::set_hierarchy`](crate::engine::System::set_hierarchy).
+/// The engines hold every chain below the L1s as a
+/// `Box<dyn MemoryLevel>` and call it once per L1 miss.
 pub trait MemoryLevel: fmt::Debug {
     /// Performs one access, descending the chain on a miss.
     fn access(&mut self, req: AccessRequest) -> AccessOutcome;
@@ -107,9 +106,8 @@ pub trait MemoryLevel: fmt::Debug {
     fn chain_stats(&self) -> Vec<(&'static str, CacheStats)>;
 }
 
-/// Boxed levels (concrete or `dyn`) are levels themselves, so generic
-/// code can drive a custom `dyn` chain and a monomorphized stock chain
-/// through the same bound.
+/// Boxed levels (concrete or `dyn`) are levels themselves, so an
+/// [`L2Cache`] can own a boxed custom chain as its next level.
 impl<M: MemoryLevel + ?Sized> MemoryLevel for Box<M> {
     fn access(&mut self, req: AccessRequest) -> AccessOutcome {
         self.as_mut().access(req)
@@ -230,10 +228,10 @@ struct L2Line {
 /// so the writeback is charged to the next level's counters and
 /// energy but not to the demand access's latency.
 ///
-/// The level below is a type parameter so stock chains monomorphize
-/// (`L2Cache<MainMemory>` — the [`L1OverL2`] shape — descends with
-/// static calls); the default `Box<dyn MemoryLevel>` keeps custom
-/// chains and the historical constructor signature working unchanged.
+/// The level below is a type parameter: the builder's stock chain is
+/// an `L2Cache<MainMemory>`, which descends to memory with static
+/// calls, while the default `Box<dyn MemoryLevel>` takes any custom
+/// level.
 #[derive(Debug)]
 pub struct L2Cache<N: MemoryLevel = Box<dyn MemoryLevel>> {
     config: L2Config,
@@ -700,86 +698,6 @@ impl MemoryLevel for PrivateL2s {
         let mut chain = vec![("l2", self.stats)];
         chain.extend(self.memory.chain_stats());
         chain
-    }
-}
-
-/// The stock flat chain: the L1s miss straight into [`MainMemory`].
-///
-/// One of the two concrete driver shapes
-/// [`SystemBuilder::build`](crate::engine::SystemBuilder::build)
-/// selects; the engine's run loop monomorphizes over it, so every
-/// miss descends with static calls (no `dyn` dispatch on the hot
-/// path).
-pub type L1OverMemory = MainMemory;
-
-/// The stock two-level chain: the L1s miss into a unified
-/// [`L2Cache`] backed directly by [`MainMemory`].
-///
-/// The other concrete driver shape selected by
-/// [`SystemBuilder::build`](crate::engine::SystemBuilder::build);
-/// fully monomorphized, so an L1 miss walks L2 tags and falls through
-/// to memory with static calls.
-pub type L1OverL2 = L2Cache<MainMemory>;
-
-/// The memory hierarchy below the L1s, as the engine stores it: one
-/// of the two monomorphized stock shapes, or a custom boxed chain.
-///
-/// [`SystemBuilder::build`](crate::engine::SystemBuilder::build)
-/// always selects a stock variant;
-/// [`System::set_hierarchy`](crate::engine::System::set_hierarchy)
-/// installs [`Hierarchy::Custom`]. The engine matches on the variant
-/// **once per run**, outside the instruction loop, so the loop body is
-/// compiled separately for each shape and custom chains pay the
-/// virtual call they always did.
-#[derive(Debug)]
-pub enum Hierarchy {
-    /// The flat stock shape ([`L1OverMemory`]).
-    Memory(L1OverMemory),
-    /// The two-level stock shape ([`L1OverL2`]).
-    L2(L1OverL2),
-    /// A user-supplied chain, driven through `dyn MemoryLevel`.
-    Custom(Box<dyn MemoryLevel>),
-}
-
-impl Hierarchy {
-    /// The chain as a trait object (for inspection; the run loop uses
-    /// the matched concrete variants instead).
-    pub fn as_dyn(&self) -> &dyn MemoryLevel {
-        match self {
-            Hierarchy::Memory(m) => m,
-            Hierarchy::L2(l2) => l2,
-            Hierarchy::Custom(b) => b.as_ref(),
-        }
-    }
-}
-
-impl MemoryLevel for Hierarchy {
-    fn access(&mut self, req: AccessRequest) -> AccessOutcome {
-        match self {
-            Hierarchy::Memory(m) => m.access(req),
-            Hierarchy::L2(l2) => l2.access(req),
-            Hierarchy::Custom(b) => b.access(req),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            Hierarchy::Memory(m) => MemoryLevel::flush(m),
-            Hierarchy::L2(l2) => MemoryLevel::flush(l2),
-            Hierarchy::Custom(b) => b.flush(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            Hierarchy::Memory(m) => MemoryLevel::reset_stats(m),
-            Hierarchy::L2(l2) => MemoryLevel::reset_stats(l2),
-            Hierarchy::Custom(b) => b.reset_stats(),
-        }
-    }
-
-    fn chain_stats(&self) -> Vec<(&'static str, CacheStats)> {
-        self.as_dyn().chain_stats()
     }
 }
 

@@ -67,10 +67,7 @@ pub use config::{
     CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology, WaySpec,
 };
 pub use engine::{RunReport, System, SystemBuilder};
-pub use hierarchy::{
-    AccessRequest, Hierarchy, HitDepth, L1OverL2, L1OverMemory, L2Cache, MainMemory, MemoryLevel,
-    PrivateL2s,
-};
+pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s};
 pub use multicore::{
     global_sim_threads, set_global_sim_threads, MultiCoreReport, MultiCoreSystem,
     EPOCH_INSTRUCTIONS,

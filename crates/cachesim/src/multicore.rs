@@ -88,14 +88,17 @@
 
 use crate::cache::HybridCache;
 use crate::config::{CacheConfig, Mode};
-use crate::engine::{apply_fill, front_entry, ChainRequest, CoreTiming, RunReport, System};
-use crate::hierarchy::{AccessOutcome, AccessRequest, Hierarchy, MemoryLevel, PrivateL2s};
+use crate::engine::{
+    apply_fill, front_entry, maybe_inject_seu, step, ule_exposure_bits, ChainRequest, CoreTiming,
+    RunReport,
+};
+use crate::hierarchy::{AccessOutcome, AccessRequest, MemoryLevel, PrivateL2s};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
 use hyvec_mediabench::{per_core_seed, EpochSource, Interleave, TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
@@ -126,41 +129,39 @@ pub fn global_sim_threads() -> usize {
     GLOBAL_SIM_THREADS.load(Ordering::Relaxed)
 }
 
-/// The chain below the L1s of a multi-core machine: one shared
-/// [`Hierarchy`] (the default topology), or a private L2 per core.
+/// The chain below the L1s of a multi-core machine: one shared chain
+/// (the default topology), or a private L2 per core.
 #[derive(Debug)]
 pub(crate) enum MultiChain {
     /// One L2/memory chain shared by every core.
-    Shared(Hierarchy),
+    Shared(Box<dyn MemoryLevel>),
     /// A private L2 per core over one shared memory
     /// ([`crate::config::Topology::PrivateL2`]).
-    Private(PrivateL2s),
+    Private(Box<PrivateL2s>),
 }
 
 impl MultiChain {
+    /// One request from `core`'s L1s: the one place a request is
+    /// routed by topology.
+    fn access_from(&mut self, core: usize, req: AccessRequest) -> AccessOutcome {
+        match self {
+            MultiChain::Shared(chain) => chain.access(req),
+            MultiChain::Private(l2s) => l2s.access_from(core, req),
+        }
+    }
+
     fn as_dyn(&self) -> &dyn MemoryLevel {
         match self {
-            MultiChain::Shared(h) => h.as_dyn(),
-            MultiChain::Private(p) => p,
+            MultiChain::Shared(chain) => chain.as_ref(),
+            MultiChain::Private(l2s) => l2s.as_ref(),
         }
     }
 
-    fn flush(&mut self) {
+    fn as_dyn_mut(&mut self) -> &mut dyn MemoryLevel {
         match self {
-            MultiChain::Shared(h) => MemoryLevel::flush(h),
-            MultiChain::Private(p) => MemoryLevel::flush(p),
+            MultiChain::Shared(chain) => chain.as_mut(),
+            MultiChain::Private(l2s) => l2s.as_mut(),
         }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            MultiChain::Shared(h) => MemoryLevel::reset_stats(h),
-            MultiChain::Private(p) => MemoryLevel::reset_stats(p),
-        }
-    }
-
-    fn chain_stats(&self) -> Vec<(&'static str, CacheStats)> {
-        self.as_dyn().chain_stats()
     }
 }
 
@@ -268,56 +269,30 @@ impl<T: TraceSource> CoreWork<T> {
         self.instrs.clear();
         self.requests.clear();
         self.source.next_epoch(EPOCH_INSTRUCTIONS, &mut self.slice);
-        let seu_active = seu_rate > 0.0;
         for i in 0..self.slice.len() {
             let entry = self.slice[i];
             let before = self.requests.len();
-            self.stats.instructions += 1;
+            let requests = &mut self.requests;
             let local = front_entry(
                 &mut self.il1,
                 &mut self.dl1,
                 timing,
                 &mut self.stats,
                 entry,
-                &mut self.requests,
+                |_, req| requests.push(req),
             );
             self.instrs.push(InstrRecord {
                 local_cycles: local,
                 requests: (self.requests.len() - before) as u32,
             });
-            if seu_active {
-                maybe_inject_seu(
-                    &mut self.il1,
-                    &mut self.dl1,
-                    &mut self.rng,
-                    seu_rate,
-                    ule_bits,
-                    local,
-                );
-            }
-        }
-    }
-}
-
-/// One soft-error draw for one instruction: `local_cycles` of
-/// exposure over the core's powered ULE bits, from the core's own RNG
-/// stream. Used identically by the serial reference loop and the
-/// epoch workers, which is what makes SEU-active runs thread-count
-/// invariant.
-fn maybe_inject_seu(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    rng: &mut SmallRng,
-    seu_rate: f64,
-    ule_bits: u64,
-    local_cycles: u64,
-) {
-    let expected = seu_rate * ule_bits as f64 * local_cycles as f64;
-    if rng.gen::<f64>() < expected {
-        if rng.gen::<bool>() {
-            System::inject_random_seu(il1, rng);
-        } else {
-            System::inject_random_seu(dl1, rng);
+            maybe_inject_seu(
+                &mut self.il1,
+                &mut self.dl1,
+                &mut self.rng,
+                seu_rate,
+                ule_bits,
+                local,
+            );
         }
     }
 }
@@ -326,7 +301,7 @@ fn maybe_inject_seu(
 /// over one shared [`MemoryLevel`] chain or per-core private L2s.
 ///
 /// Built by [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi);
-/// a 1-core instance reproduces [`System`] runs
+/// a 1-core instance reproduces [`System`](crate::engine::System) runs
 /// counter-for-counter (asserted in the test suite).
 #[derive(Debug)]
 pub struct MultiCoreSystem {
@@ -336,9 +311,9 @@ pub struct MultiCoreSystem {
     below: MultiChain,
     /// One power model (all cores share a configuration).
     power: PowerModel,
-    /// Soft-error injection, as in [`System`]; an upset lands in the
-    /// caches of the core whose entry triggered it (the one accruing
-    /// the exposure cycles).
+    /// Soft-error injection, as in [`System`](crate::engine::System);
+    /// an upset lands in the caches of the core whose entry triggered
+    /// it (the one accruing the exposure cycles).
     seu_rate_per_bit_cycle: f64,
     /// Base seed of the per-core SEU streams (see [`per_core_seed`]);
     /// streams are re-derived at the start of every run, so warm
@@ -418,42 +393,6 @@ impl MultiCoreSystem {
         (il1.config(), dl1.config())
     }
 
-    /// Timing constants shared by every core this run.
-    fn core_timing(&self, mode: Mode) -> CoreTiming {
-        let (_, dl1) = self.shared_core_config();
-        CoreTiming {
-            il1_edc_latency: self.power.il1.edc_latency_cycles(mode),
-            dl1_edc_latency: self.power.dl1.edc_latency_cycles(mode),
-            dl1_line_bytes: dl1.line_bytes,
-        }
-    }
-
-    /// Soft-error exposure of one core's powered ULE bits (all cores
-    /// share a configuration); 0 when injection is off, so fault-free
-    /// runs skip the whole branch.
-    fn ule_exposure_bits(&self) -> u64 {
-        if self.seu_rate_per_bit_cycle <= 0.0 {
-            return 0;
-        }
-        let (il1, dl1) = self.shared_core_config();
-        [il1, dl1]
-            .iter()
-            .map(|c| {
-                c.ways
-                    .iter()
-                    .filter(|w| w.ule_enabled)
-                    .map(|w| {
-                        c.sets()
-                            * (c.words_per_line()
-                                * (u64::from(c.word_bits) + w.stored_check_bits() as u64)
-                                + u64::from(c.tag_bits)
-                                + w.stored_check_bits() as u64)
-                    })
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     /// Per-core SEU streams for one run, derived fresh from the base
     /// seed so warm re-runs reproduce.
     fn core_rngs(&self) -> Vec<SmallRng> {
@@ -462,16 +401,24 @@ impl MultiCoreSystem {
             .collect()
     }
 
-    /// Mode transition: flush and reset every L1 and the chain below.
-    fn prepare(&mut self, mode: Mode) {
+    /// Mode transition: flushes and resets every L1 and the chain
+    /// below. Returns the run's timing constants and the ULE exposure
+    /// of one core, both shared by every core.
+    fn prepare(&mut self, mode: Mode) -> (CoreTiming, u64) {
         for (il1, dl1) in &mut self.fronts {
             il1.set_mode(mode);
             dl1.set_mode(mode);
             il1.reset_stats();
             dl1.reset_stats();
         }
-        self.below.flush();
-        self.below.reset_stats();
+        let chain = self.below.as_dyn_mut();
+        chain.flush();
+        chain.reset_stats();
+        let (il1, dl1) = self.shared_core_config();
+        (
+            CoreTiming::new(&self.power, mode, dl1),
+            ule_exposure_bits(il1, dl1),
+        )
     }
 
     /// Assembles the report after either run path: fold the per-core
@@ -483,7 +430,7 @@ impl MultiCoreSystem {
         mode: Mode,
         op: OperatingPoint,
     ) -> MultiCoreReport {
-        let chain = self.below.chain_stats();
+        let chain = self.below.as_dyn().chain_stats();
         let l2 = chain
             .iter()
             .find(|(name, _)| *name == "l2")
@@ -571,7 +518,8 @@ impl MultiCoreSystem {
     /// is pinned bit-identical to this loop by the test suite.
     ///
     /// Caches are flushed on entry (the mode transition) and
-    /// statistics reset, as in [`System::run`].
+    /// statistics reset, as in
+    /// [`System::run`](crate::engine::System::run).
     ///
     /// # Panics
     ///
@@ -585,66 +533,30 @@ impl MultiCoreSystem {
     where
         I: IntoIterator<Item = (usize, TraceEntry)>,
     {
-        self.prepare(mode);
-        let timing = self.core_timing(mode);
-        let ule_bits = self.ule_exposure_bits();
+        let (timing, ule_bits) = self.prepare(mode);
         let rate = self.seu_rate_per_bit_cycle;
         let mut rngs = self.core_rngs();
 
         let n = self.fronts.len();
         let mut stats = vec![RunStats::default(); n];
         let mut below_pj = vec![0.0f64; n];
-        {
-            // As in the single-core engine: dispatch on the chain's
-            // shape once, so the whole interleaved loop runs
-            // monomorphized for the stock shapes.
-            let MultiCoreSystem { fronts, below, .. } = self;
-            match below {
-                MultiChain::Shared(Hierarchy::Memory(m)) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| m.access(req),
-                ),
-                MultiChain::Shared(Hierarchy::L2(l2)) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| l2.access(req),
-                ),
-                MultiChain::Shared(Hierarchy::Custom(b)) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |_, req| b.access(req),
-                ),
-                MultiChain::Private(p) => serial_loop(
-                    entries,
-                    fronts,
-                    timing,
-                    rate,
-                    ule_bits,
-                    &mut rngs,
-                    &mut stats,
-                    &mut below_pj,
-                    |core, req| p.access_from(core, req),
-                ),
-            }
+        let MultiCoreSystem { fronts, below, .. } = self;
+        for (core, entry) in entries {
+            // hyvec-lint: allow(no-panic, "documented precondition (# Panics): entries name cores below the core count")
+            assert!(core < n, "entry for core {core} on a {n}-core system");
+            let (il1, dl1) = &mut fronts[core];
+            let (local, _) = step(
+                il1,
+                dl1,
+                timing,
+                &mut stats[core],
+                &mut below_pj[core],
+                entry,
+                |req| below.access_from(core, req),
+            );
+            // Exposure integrates core-local cycles, as on the epoch
+            // workers, from the core's own stream.
+            maybe_inject_seu(il1, dl1, &mut rngs[core], rate, ule_bits, local);
         }
 
         self.finish(stats, below_pj, mode, op)
@@ -658,9 +570,7 @@ impl MultiCoreSystem {
     where
         T: TraceSource + Send,
     {
-        self.prepare(mode);
-        let timing = self.core_timing(mode);
-        let ule_bits = self.ule_exposure_bits();
+        let (timing, ule_bits) = self.prepare(mode);
         let rate = self.seu_rate_per_bit_cycle;
         let n = self.fronts.len();
         let threads = self.sim_threads.min(n);
@@ -716,52 +626,7 @@ impl MultiCoreSystem {
                         barrier.wait(); // B
                     });
                 }
-                match below {
-                    MultiChain::Shared(Hierarchy::Memory(m)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| m.access(req),
-                        );
-                    }
-                    MultiChain::Shared(Hierarchy::L2(l2)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| l2.access(req),
-                        );
-                    }
-                    MultiChain::Shared(Hierarchy::Custom(b)) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |_, req| b.access(req),
-                        );
-                    }
-                    MultiChain::Private(p) => {
-                        coordinate(
-                            works,
-                            barrier,
-                            next_core,
-                            stop,
-                            below_pj,
-                            timing,
-                            |core, req| p.access_from(core, req),
-                        );
-                    }
-                }
+                coordinate(works, barrier, next_core, stop, below, below_pj, timing);
             });
         }
 
@@ -778,78 +643,20 @@ impl MultiCoreSystem {
     }
 }
 
-/// The serial reference loop: one entry at a time in the canonical
-/// order, front phase and chain phase back-to-back. Generic over the
-/// chain access so each stock shape compiles its own monomorphized
-/// copy (the closure is `FnMut(core, request)`; the shared shapes
-/// ignore the core index, the private-L2 shape routes by it).
-#[allow(clippy::too_many_arguments)]
-fn serial_loop<I, F>(
-    entries: I,
-    fronts: &mut [(HybridCache, HybridCache)],
-    timing: CoreTiming,
-    seu_rate: f64,
-    ule_bits: u64,
-    rngs: &mut [SmallRng],
-    stats: &mut [RunStats],
-    below_pj: &mut [f64],
-    mut chain: F,
-) where
-    I: IntoIterator<Item = (usize, TraceEntry)>,
-    F: FnMut(usize, AccessRequest) -> AccessOutcome,
-{
-    let n = fronts.len();
-    let seu_active = seu_rate > 0.0;
-    let mut requests: Vec<ChainRequest> = Vec::new();
-    for (core, entry) in entries {
-        // hyvec-lint: allow(no-panic, "Interleave tags every entry with a core index < n by construction; a violation is a driver bug")
-        assert!(core < n, "entry for core {core} on a {n}-core system");
-        let (il1, dl1) = &mut fronts[core];
-        stats[core].instructions += 1;
-        requests.clear();
-        let local = front_entry(il1, dl1, timing, &mut stats[core], entry, &mut requests);
-        let mut cycles = local;
-        for req in &requests {
-            let fill = chain(
-                core,
-                AccessRequest {
-                    addr: req.addr,
-                    is_write: req.is_write,
-                },
-            );
-            cycles += apply_fill(
-                timing,
-                req.kind,
-                fill,
-                &mut stats[core],
-                &mut below_pj[core],
-            );
-        }
-        stats[core].cycles += cycles;
-
-        if seu_active {
-            maybe_inject_seu(il1, dl1, &mut rngs[core], seu_rate, ule_bits, local);
-        }
-    }
-}
-
 /// The coordinator side of the epoch protocol: release the workers
 /// into an epoch, wait for them, then replay every core's log against
 /// the chain in canonical core-then-round order. Runs entirely while
 /// the workers are parked at the next epoch's barrier, so the locks
 /// are uncontended and the chain sees exactly the serial order.
-fn coordinate<T, F>(
+fn coordinate<T: TraceSource>(
     works: &[Mutex<CoreWork<T>>],
     barrier: &Barrier,
     next_core: &AtomicUsize,
     stop: &AtomicBool,
+    chain: &mut MultiChain,
     below_pj: &mut [f64],
     timing: CoreTiming,
-    mut chain: F,
-) where
-    T: TraceSource,
-    F: FnMut(usize, AccessRequest) -> AccessOutcome,
-{
+) {
     let mut cursors = vec![0usize; works.len()];
     loop {
         next_core.store(0, Ordering::Relaxed);
@@ -876,13 +683,7 @@ fn coordinate<T, F>(
                 for _ in 0..rec.requests {
                     let req = work.requests[cursors[core]];
                     cursors[core] += 1;
-                    let fill = chain(
-                        core,
-                        AccessRequest {
-                            addr: req.addr,
-                            is_write: req.is_write,
-                        },
-                    );
+                    let fill = chain.access_from(core, req.access);
                     cycles +=
                         apply_fill(timing, req.kind, fill, &mut work.stats, &mut below_pj[core]);
                 }

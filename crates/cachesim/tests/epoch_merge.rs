@@ -16,14 +16,18 @@ use hyvec_cachesim::MultiCoreSystem;
 use hyvec_mediabench::{per_core_seed, Benchmark};
 use proptest::prelude::*;
 
-fn build(cores: usize, topology: Topology, seu: bool) -> MultiCoreSystem {
+/// A `cores`-core machine; without `l2` the shared chain is bare main
+/// memory (private-L2 topologies need the L2).
+fn build(cores: usize, topology: Topology, seu: bool, l2: bool) -> MultiCoreSystem {
     let l1s = SystemConfig::uniform_6t();
     let mut builder = System::builder()
         .il1(l1s.il1)
         .dl1(l1s.dl1)
-        .l2(L2Config::unified(16))
         .memory(MemoryConfig::with_latency(40))
         .topology(topology);
+    if l2 {
+        builder = builder.l2(L2Config::unified(16));
+    }
     if seu {
         builder = builder.seu(5e-8, 17);
     }
@@ -43,8 +47,9 @@ fn sources(cores: usize, base_len: usize, seed: u64) -> Vec<impl hyvec_mediabenc
 }
 
 proptest! {
-    /// Counters are invariant across `--sim-threads` on the shared-L2
-    /// topology, fault-free and with accelerated soft errors active.
+    /// Counters are invariant across `--sim-threads` on the shared
+    /// topology, with an L2 or over bare memory, fault-free and with
+    /// accelerated soft errors active.
     #[test]
     fn threaded_merge_matches_serial_shared_l2(
         cores_sel in prop::sample::select(vec![1usize, 2, 4, 8]),
@@ -53,18 +58,19 @@ proptest! {
         seed in 0u64..500,
         seu: bool,
         mode_sel: bool,
+        l2: bool,
     ) {
         let mode = if mode_sel { Mode::Hp } else { Mode::Ule };
-        let mut serial = build(cores_sel, Topology::SharedL2, seu);
+        let mut serial = build(cores_sel, Topology::SharedL2, seu, l2);
         serial.set_sim_threads(1);
         let reference = serial.run(sources(cores_sel, base_len, seed), mode);
-        let mut parallel = build(cores_sel, Topology::SharedL2, seu);
+        let mut parallel = build(cores_sel, Topology::SharedL2, seu, l2);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), mode);
         prop_assert_eq!(
             reference, threaded,
-            "sim-threads {} diverged from serial on {} cores (seu {})",
-            threads, cores_sel, seu
+            "sim-threads {} diverged from serial on {} cores (seu {}, l2 {})",
+            threads, cores_sel, seu, l2
         );
     }
 
@@ -81,10 +87,10 @@ proptest! {
         let topology = Topology::PrivateL2 {
             coherence: coherent.then(Mesi::default),
         };
-        let mut serial = build(cores_sel, topology, false);
+        let mut serial = build(cores_sel, topology, false, true);
         serial.set_sim_threads(1);
         let reference = serial.run(sources(cores_sel, base_len, seed), Mode::Hp);
-        let mut parallel = build(cores_sel, topology, false);
+        let mut parallel = build(cores_sel, topology, false, true);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), Mode::Hp);
         prop_assert_eq!(
@@ -102,7 +108,7 @@ proptest! {
         threads in prop::sample::select(vec![2usize, 8]),
         seed in 0u64..200,
     ) {
-        let mut sys = build(4, Topology::SharedL2, true);
+        let mut sys = build(4, Topology::SharedL2, true, true);
         sys.set_sim_threads(threads);
         let first = sys.run(sources(4, 400, seed), Mode::Ule);
         let second = sys.run(sources(4, 400, seed), Mode::Ule);
@@ -115,10 +121,10 @@ proptest! {
 #[test]
 fn sixty_four_cores_stay_deterministic() {
     let sources = || sources(64, 120, 9);
-    let mut serial = build(64, Topology::SharedL2, false);
+    let mut serial = build(64, Topology::SharedL2, false, true);
     serial.set_sim_threads(1);
     let reference = serial.run(sources(), Mode::Hp);
-    let mut parallel = build(64, Topology::SharedL2, false);
+    let mut parallel = build(64, Topology::SharedL2, false, true);
     parallel.set_sim_threads(8);
     let threaded = parallel.run(sources(), Mode::Hp);
     assert_eq!(reference, threaded, "64-core epoch merge diverged");
@@ -129,7 +135,7 @@ fn sixty_four_cores_stay_deterministic() {
 /// above would pass vacuously if the accelerated rate never fired.
 #[test]
 fn threaded_seu_runs_actually_inject() {
-    let mut sys = build(2, Topology::SharedL2, true);
+    let mut sys = build(2, Topology::SharedL2, true, true);
     sys.set_sim_threads(2);
     let sources = vec![
         Benchmark::AdpcmC.trace(30_000, 1),
