@@ -18,8 +18,10 @@
 //! whenever the caches are fault-free) and once with
 //! [`set_force_slow_path`](hyvec_cachesim::cache::HybridCache::set_force_slow_path)
 //! routing every access through the full EDC machinery — the pre-PR
-//! behavior. On `faulty_line` the two figures converge by design: an
-//! armed fault map disables the fast path on its own.
+//! behavior. On `faulty_line` an armed fault map disables the DL1's
+//! fast path on its own, so both runs take its slow path; the armed
+//! run still skips EDC on the words without a stuck bit, which the
+//! forced run decodes.
 //!
 //! The result serializes as the `BENCH_hotpath.json` artifact
 //! (schema `hyvec-bench-hotpath/v2`), written by `hyvec run-all`

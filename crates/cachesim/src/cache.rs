@@ -51,33 +51,34 @@ pub struct WordSlot {
 
 /// Monomorphized codec dispatch: one `match` instead of a virtual
 /// call per decode. The three arms cover every [`Protection`] level,
-/// so the per-access hot loop never goes through a vtable.
+/// so the per-access hot loop never goes through a vtable. The coded
+/// arms borrow the process-wide codes ([`HsiaoCode::shared`],
+/// [`DectedCode::shared`]), so a cache owns no code tables.
 #[derive(Debug, Clone)]
 enum Codec {
     None(NoCode),
-    Secded(HsiaoCode),
-    Dected(DectedCode),
+    Secded(&'static HsiaoCode),
+    Dected(&'static DectedCode),
 }
 
 impl Codec {
-    /// Builds the codec for one way/width pair. Infallible by
-    /// construction: [`CacheConfig::validate`] rejects any
-    /// width/protection pair the code families cannot build
-    /// (`ConfigError::UnsupportedWidth`), and every construction path
-    /// validates before building codecs.
+    /// The codec for one way/width pair. Infallible by construction:
+    /// [`CacheConfig::validate`] rejects any width/protection pair the
+    /// code families cannot build (`ConfigError::UnsupportedWidth`),
+    /// and every construction path validates before building codecs.
     fn build(protection: Protection, data_bits: usize) -> Self {
         match protection {
             Protection::None => Codec::None(NoCode::new(data_bits)),
             Protection::Secded => {
                 Codec::Secded(
-                    HsiaoCode::new(data_bits)
+                    HsiaoCode::shared(data_bits)
                         // hyvec-lint: allow(no-panic, "width pre-checked by CacheConfig::validate, which gates every construction path")
                         .expect("validate() guarantees SECDED supports this width"),
                 )
             }
             Protection::Dected => {
                 Codec::Dected(
-                    DectedCode::new(data_bits)
+                    DectedCode::shared(data_bits)
                         // hyvec-lint: allow(no-panic, "width pre-checked by CacheConfig::validate, which gates every construction path")
                         .expect("validate() guarantees DECTED supports this width"),
                 )
@@ -159,12 +160,17 @@ pub struct AccessOutcome {
 /// [`HybridCache::access`] is a small inlined dispatcher between two
 /// implementations with bit-identical counters:
 ///
-/// * the **fast path** engages while the cache is *fault-free* — no
-///   stuck-at faults installed and no soft errors injected since the
-///   last flush ([`HybridCache::is_fault_free`]). Every stored word
-///   is then exactly the codeword the active code produced, so tag
-///   decode is an identity check, payload verification can never
-///   fail, and both are skipped entirely: a lookup is a plain compare
+/// * the **fast path** engages while the cache is *fault-free*
+///   ([`HybridCache::is_fault_free`]): no stuck-at faults installed,
+///   and every stored word holding its *canonical* codeword — the one
+///   the active code produces for the payload its line's plain tag and
+///   address own. Two events break that until the next flush: an
+///   injected soft error, and a store that hits through a faulty tag
+///   (a *false hit*: the tag decodes to the address's tag but the
+///   line's plain tag differs), which writes one address's payload
+///   into another address's line. While fault-free, tag decode is an
+///   identity check, payload verification can never fail, and both
+///   are skipped entirely: a lookup is a plain compare
 ///   over the set's slice of tags, and a hit touches only the LRU
 ///   stamp (plus the dirty bit on a store). A **same-line memo**
 ///   remembers the line address and flat line index of the last
@@ -172,10 +178,18 @@ pub struct AccessOutcome {
 ///   instruction fetches) skips the index math and the scan too. Only
 ///   the hit is inlined into callers; a fast-path miss (victim choice
 ///   and fill) is an out-of-line call;
-/// * the **slow path** runs the full EDC decode/verify machinery the
-///   moment any fault or soft error is present (or when forced via
+/// * the **slow path** runs the EDC decode/verify machinery the
+///   moment any stuck-at fault is installed or a word may be
+///   non-canonical (or when forced via
 ///   [`HybridCache::set_force_slow_path`], for equivalence tests and
-///   benchmarks). It sits behind one out-of-line call, so its stack
+///   benchmarks). While every word is canonical and the path is not
+///   forced, it spends EDC only on words that can be faulty — those
+///   with a stuck-at entry. Any other tag check is a plain compare,
+///   and a load or store that truly hits (plain tag equal) such a
+///   pristine word skips the decode and verify, or the re-encode.
+///   False hits and faulty words keep the full decode, and a forced
+///   slow path decodes every word. It sits behind one out-of-line
+///   call, so its stack
 ///   frame is never paid on a fast hit, and every slow access clears
 ///   the memo: a slow refill after a tag fault can leave two ways of
 ///   a set holding the same plain tag, and only a scan knows which
@@ -264,10 +278,12 @@ pub struct HybridCache {
     mode: Mode,
     lru_clock: u64,
     stats: CacheStats,
-    /// Whether any soft error has been injected since the last flush
-    /// (conservative: cleared only by [`HybridCache::set_mode`], which
-    /// invalidates every line the flip could still live in).
-    soft_flips: bool,
+    /// Whether some stored word may not hold its canonical codeword:
+    /// a soft error was injected, or a store hit a line through a
+    /// faulty tag, since the last flush (conservative: cleared only by
+    /// [`HybridCache::set_mode`], which invalidates every line such a
+    /// word could still live in).
+    noncanonical: bool,
     /// Diagnostic override: route every access through the slow path
     /// even when fault-free.
     force_slow: bool,
@@ -402,7 +418,7 @@ impl HybridCache {
             mode,
             lru_clock: 0,
             stats: CacheStats::default(),
-            soft_flips: false,
+            noncanonical: false,
             force_slow: global_force_slow_path(),
             memo: None,
         })
@@ -493,11 +509,13 @@ impl HybridCache {
     }
 
     /// Whether every stored word is guaranteed pristine: no stuck-at
-    /// faults installed and no soft error injected since the last
-    /// flush. While this holds, [`HybridCache::access`] runs the
-    /// EDC-free fast path (see the type docs).
+    /// faults installed, and since the last flush neither a soft error
+    /// injected nor a store made through a faulty tag (a false hit,
+    /// which leaves one address's payload in another address's line).
+    /// While this holds, [`HybridCache::access`] runs the EDC-free
+    /// fast path (see the type docs).
     pub fn is_fault_free(&self) -> bool {
-        self.fault_entries == 0 && !self.soft_flips
+        self.fault_entries == 0 && !self.noncanonical
     }
 
     /// Forces every access through the full EDC slow path even when
@@ -510,7 +528,7 @@ impl HybridCache {
     }
 
     fn fast_path_ready(&self) -> bool {
-        !self.force_slow && self.fault_entries == 0 && !self.soft_flips
+        !self.force_slow && self.fault_entries == 0 && !self.noncanonical
     }
 
     /// Flips one stored bit (a soft error / SEU). The flip lands in
@@ -526,7 +544,7 @@ impl HybridCache {
         } else {
             self.words[li * self.words_per_line + slot.slot as usize] ^= 1u64 << bit;
         }
-        self.soft_flips = true;
+        self.noncanonical = true;
     }
 
     /// Switches operating mode, flushing the cache (dirty lines are
@@ -556,10 +574,11 @@ impl HybridCache {
         for (plain, way) in self.data_plain_now.iter_mut().zip(&self.ways) {
             *plain = matches!(way.data_code(mode), Codec::None(_));
         }
-        // Every line a past soft error could still inhabit is now
-        // invalid, and a fill rewrites the whole line (tag included),
-        // so the flipped bits can never be observed again.
-        self.soft_flips = false;
+        // Every line a past soft error or false-hit store could have
+        // left non-canonical is now invalid, and a fill rewrites the
+        // whole line (tag included), so those words can never be
+        // observed again.
+        self.noncanonical = false;
         writebacks
     }
 
@@ -626,10 +645,21 @@ impl HybridCache {
         self.apply_faults(li, slot.slot, raw)
     }
 
+    /// Whether the word at `(li, slot)` reads back as its canonical
+    /// codeword: `canonical` holds (every stored word is canonical and
+    /// the slow path is not forced) and the word has no stuck-at
+    /// entry. Its decode is then known without running it.
+    #[inline]
+    fn pristine(&self, canonical: bool, li: usize, slot: u64) -> bool {
+        canonical && self.fault_masks[li] & Self::fault_mask_bit(slot) == 0
+    }
+
     /// Looks up `addr`, returning the hit way if any, and counts tag
     /// EDC activity. Valid lines all sit in enabled ways (see the type
-    /// docs), so only invalid lines are skipped.
-    fn lookup(&self, set: u64, tag: u64) -> (Option<usize>, u32, u32) {
+    /// docs), so only invalid lines are skipped. With `canonical` set,
+    /// a pristine tag word is compared by its plain tag: its canonical
+    /// codeword decodes cleanly to exactly that value.
+    fn lookup(&self, set: u64, tag: u64, canonical: bool) -> (Option<usize>, u32, u32) {
         let mode = self.mode;
         let tag_slot = self.words_per_line as u64;
         let base = set as usize * self.num_ways;
@@ -638,6 +668,12 @@ impl HybridCache {
         let mut hit_way = None;
         for w in 0..self.num_ways {
             if !self.is_valid(base + w) {
+                continue;
+            }
+            if self.pristine(canonical, base + w, tag_slot) {
+                if self.tags[base + w] == tag {
+                    hit_way = Some(w);
+                }
                 continue;
             }
             let stored = self.apply_faults(base + w, tag_slot, self.tag_words[base + w]);
@@ -753,9 +789,10 @@ impl HybridCache {
         }
     }
 
-    /// The full EDC path: decode every candidate tag, decode and
-    /// verify loaded payloads, re-encode stores. Out of line, so its
-    /// stack frame stays off the fast hit.
+    /// The EDC path: decode candidate tags, decode and verify loaded
+    /// payloads, re-encode stores — skipping each of these for a
+    /// pristine word, whose outcome is known (see the type docs). Out
+    /// of line, so its stack frame stays off the fast hit.
     #[inline(never)]
     fn access_slow(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         // Only a scan knows which of a set's duplicate plain tags (a
@@ -767,7 +804,8 @@ impl HybridCache {
         // with `value_for`).
         let (word_idx, word_addr) = self.word_slot_and_addr(addr);
         let mode = self.mode;
-        let (hit_way, mut corrected, mut detected) = self.lookup(set, tag);
+        let canonical = !self.noncanonical && !self.force_slow;
+        let (hit_way, mut corrected, mut detected) = self.lookup(set, tag, canonical);
         let mut outcome = AccessOutcome::default();
 
         let way = match hit_way {
@@ -785,18 +823,29 @@ impl HybridCache {
         };
 
         let li = self.line_index(way, set);
+        // On a true hit (or a fill) the line's own plain tag matches,
+        // so a pristine word already holds the canonical codeword of
+        // this address's payload: a store would rewrite it unchanged,
+        // and a load would decode it cleanly to the expected payload.
+        let known = self.tags[li] == tag && self.pristine(canonical, li, word_idx);
         if is_write {
-            // Store: encode the new payload with the active code. An
-            // unprotected way's encode is just the word mask.
-            let encoded = if self.data_plain_now[way] {
-                value_for(word_addr) & self.word_mask
-            } else {
-                self.ways[way].data_code(mode).encode(value_for(word_addr))
-            };
-            self.words[li * self.words_per_line + word_idx as usize] = encoded;
+            if self.tags[li] != tag {
+                // A false hit: this address's payload lands in another
+                // address's line, which later reads must see.
+                self.noncanonical = true;
+            }
+            if !known {
+                // Store: encode the new payload with the active code.
+                // An unprotected way's encode is just the word mask.
+                let encoded = if self.data_plain_now[way] {
+                    value_for(word_addr) & self.word_mask
+                } else {
+                    self.ways[way].data_code(mode).encode(value_for(word_addr))
+                };
+                self.words[li * self.words_per_line + word_idx as usize] = encoded;
+            }
             self.dirty[li] = true;
-            self.lru_stamps[li] = self.lru_clock;
-        } else {
+        } else if !known {
             // Load: decode through faults and verify the payload —
             // truncated to the stored word width, exactly as the
             // encoder stored it.
@@ -827,8 +876,8 @@ impl HybridCache {
                     }
                 }
             }
-            self.lru_stamps[li] = self.lru_clock;
         }
+        self.lru_stamps[li] = self.lru_clock;
 
         outcome.corrected = corrected;
         outcome.detected = detected;
@@ -1391,5 +1440,85 @@ mod tests {
         }
         assert_eq!(fast.stats(), slow.stats());
         assert_eq!(fast.set_mode(Mode::Hp), slow.set_mode(Mode::Hp));
+    }
+
+    /// A uniform-6T cache and its forced-slow twin, each holding tag 1
+    /// of set 0 in way 0 with bit 0 of that tag stuck at 0, so the
+    /// tag reads as tag 0. Returns the pair and the tag's slot.
+    fn false_hit_twins() -> ([HybridCache; 2], WordSlot) {
+        let mut caches = [cache(), cache()];
+        caches[1].set_force_slow_path(true);
+        let stride = caches[0].config().sets() * caches[0].config().line_bytes;
+        let tag_slot = WordSlot {
+            way: 0,
+            set: 0,
+            slot: caches[0].config().words_per_line(),
+        };
+        for c in &mut caches {
+            c.access(stride, false);
+            assert_eq!(c.tags[c.line_index(0, 0)], 1, "tag 1 fills way 0");
+            c.set_stuck_bits(tag_slot, StuckBits { mask: 1, value: 0 });
+        }
+        (caches, tag_slot)
+    }
+
+    #[test]
+    fn false_hit_store_is_seen_after_disarm() {
+        // A store to word 1 of tag 0 hits way 0 through the faulty tag
+        // and writes tag 0's payload into tag 1's line. Disarming the
+        // fault must not bring back the fast path, which would report
+        // that word of tag 1 clean.
+        let ([mut fast, mut slow], tag_slot) = false_hit_twins();
+        let stride = fast.config().sets() * fast.config().line_bytes;
+        for c in [&mut fast, &mut slow] {
+            assert!(c.access(4, true).hit, "false hit");
+            c.set_stuck_bits(tag_slot, StuckBits::default());
+        }
+        assert!(!fast.is_fault_free());
+        let out = fast.access(stride + 4, false);
+        assert_eq!(out, slow.access(stride + 4, false));
+        assert!(out.hit);
+        assert_eq!(out.silent, 1);
+        // A flush discards the foreign payload and rearms the fast path.
+        fast.set_mode(Mode::Hp);
+        assert!(fast.is_fault_free());
+    }
+
+    #[test]
+    fn armed_false_hit_load_still_counts_silent() {
+        // The load of word 1 of tag 0 hits way 0 through the stuck tag
+        // bit; the word there has no stuck-at entry, but it holds tag
+        // 1's payload, so it must still be verified.
+        let ([mut armed, mut slow], _) = false_hit_twins();
+        let out = armed.access(4, false);
+        assert_eq!(out, slow.access(4, false));
+        assert!(out.hit);
+        assert_eq!(out.silent, 1);
+    }
+
+    #[test]
+    fn soft_error_beside_a_stuck_word_is_still_corrected() {
+        // A stuck bit in word 0 arms the slow path; word 1 has no
+        // stuck-at entry, but a soft error in it must still be decoded
+        // and corrected.
+        let mut c = hybrid_a_proposal();
+        c.access(0, false);
+        let word = |slot| WordSlot {
+            way: 7,
+            set: 0,
+            slot,
+        };
+        c.set_stuck_bits(
+            word(0),
+            StuckBits {
+                mask: 1 << 3,
+                value: 0,
+            },
+        );
+        c.inject_soft_error(word(1), 5);
+        let out = c.access(4, false);
+        assert!(out.hit);
+        assert_eq!(out.corrected, 1);
+        assert_eq!(out.silent, 0);
     }
 }

@@ -27,18 +27,24 @@
 //! * detection otherwise. Because the extended distance is 6, weight-3
 //!   error patterns can never be mis-corrected, only detected.
 //!
-//! The decode path is fully table-driven: each syndrome is 6 parallel
-//! parity trees over precomputed u64 column masks (12 [`parity64`]
-//! calls total), and the double-error locator is one lookup in a
-//! 4096-entry `(S1, S3)`→positions table built at construction from
-//! the key-equation arithmetic. The original per-set-bit polynomial
-//! evaluation and live GF(64) solve survive as
-//! [`reference::dected_decode`](crate::reference::dected_decode), used
-//! only by the equivalence test suites.
+//! Both directions are table-driven. Encoding looks up the 12 BCH
+//! parity bits and the overall parity bit together, one 256-entry
+//! table per data byte (4 for a 32-bit word). Decoding looks up the
+//! triple `(S1, S3, overall parity)` the same way, one table per
+//! codeword byte (6 for the 45-bit codeword), and locates a double
+//! error with one lookup in a 4096-entry `(S1, S3)`→positions table
+//! built from the key-equation arithmetic. All tables are built at
+//! construction, and [`DectedCode::shared`] builds each width once per
+//! process. The row-mask parity loops, the per-set-bit polynomial
+//! evaluation and the live GF(64) solve survive in
+//! [`reference`](crate::reference), used only by the equivalence test
+//! suites.
+
+use std::sync::OnceLock;
 
 use crate::gf64::Gf64;
-use crate::parity::{parity64, xor_tree_gates};
-use crate::{mask_low, BuildCodeError, Decoded, EdcCode};
+use crate::parity::{xor_tree_gates, LinearMap};
+use crate::{mask_low, shared_code, BuildCodeError, Decoded, EdcCode};
 
 /// Check bits used by this DECTED family: 12 BCH parity bits plus one
 /// overall parity bit.
@@ -49,6 +55,10 @@ pub(crate) const BCH_PARITY_BITS: usize = 12;
 
 /// Bits per GF(64) syndrome component.
 const SYNDROME_BITS: usize = 6;
+
+/// The overall-parity bit of a `check_map` or `syndrome_map` image,
+/// above the 12 BCH parity bits or the packed `S1 | S3 << 6`.
+const PARITY_FLAG: u16 = 1 << BCH_PARITY_BITS;
 
 /// `double_table` sentinel: the syndrome pair matches no correctable
 /// double-error pattern.
@@ -81,13 +91,14 @@ pub struct DectedCode {
     /// `column[i] = x^(12+i) mod g(x)` — the 12-bit BCH parity
     /// contribution of data bit `i` (a parallel-encoder column).
     columns: Vec<u16>,
-    /// For check bit `j`, the mask of data bits feeding its XOR tree.
-    row_data_masks: [u64; BCH_PARITY_BITS],
-    /// For bit `j` of S1, the mask of codeword bits feeding its parity
-    /// tree: bit `i` is set when `alpha^i` has bit `j` set.
-    s1_masks: [u64; SYNDROME_BITS],
-    /// Same for S3 with `alpha^(3i)` columns.
-    s3_masks: [u64; SYNDROME_BITS],
+    /// Data word → its 13 check bits, byte-sliced: the BCH parity in
+    /// bits 0..12 and the overall parity of the BCH word as
+    /// [`PARITY_FLAG`].
+    check_map: LinearMap<u16>,
+    /// Received codeword → `S1 | S3 << 6`, plus [`PARITY_FLAG`] when
+    /// the overall parity of all `total_bits()` bits is odd,
+    /// byte-sliced.
+    syndrome_map: LinearMap<u16>,
     /// Double-error locator table: entry `(s1 << 6) | s3` packs the
     /// two codeword bit positions as `p1 | (p2 << 8)`, or
     /// [`NO_DOUBLE`] when the pair matches no valid double error.
@@ -115,29 +126,28 @@ impl DectedCode {
             let x_pow = 1u64 << (BCH_PARITY_BITS + i);
             columns.push(poly_mod(x_pow, u64::from(generator)) as u16);
         }
-        let mut row_data_masks = [0u64; BCH_PARITY_BITS];
-        for (i, &col) in columns.iter().enumerate() {
-            for (j, mask) in row_data_masks.iter_mut().enumerate() {
-                if col & (1 << j) != 0 {
-                    *mask |= 1u64 << i;
-                }
+        // Data bit `i` flips its BCH column, and the overall parity by
+        // itself plus every column bit.
+        let check_map = LinearMap::new(data_bits, |i| {
+            let col = columns[i];
+            if col.count_ones() % 2 == 0 {
+                col | PARITY_FLAG
+            } else {
+                col
             }
-        }
+        });
         let bch_bits = BCH_PARITY_BITS + data_bits;
-        let mut s1_masks = [0u64; SYNDROME_BITS];
-        let mut s3_masks = [0u64; SYNDROME_BITS];
-        for i in 0..bch_bits {
-            let c1 = Gf64::alpha_pow(i).value();
-            let c3 = Gf64::alpha_pow(3 * i).value();
-            for j in 0..SYNDROME_BITS {
-                if c1 >> j & 1 == 1 {
-                    s1_masks[j] |= 1u64 << i;
-                }
-                if c3 >> j & 1 == 1 {
-                    s3_masks[j] |= 1u64 << i;
-                }
+        // Codeword bit `i` adds `alpha^i` to S1 and `alpha^3i` to S3;
+        // every bit, the stored overall parity included, flips the
+        // parity.
+        let syndrome_map = LinearMap::new(bch_bits + 1, |i| {
+            if i == bch_bits {
+                return PARITY_FLAG;
             }
-        }
+            let s1 = u16::from(Gf64::alpha_pow(i).value());
+            let s3 = u16::from(Gf64::alpha_pow(3 * i).value());
+            s1 | s3 << SYNDROME_BITS | PARITY_FLAG
+        });
         let mut double_table = vec![NO_DOUBLE; 64 * 64];
         for s1 in 0..64u8 {
             for s3 in 0..64u8 {
@@ -151,11 +161,24 @@ impl DectedCode {
             data_bits,
             generator,
             columns,
-            row_data_masks,
-            s1_masks,
-            s3_masks,
+            check_map,
+            syndrome_map,
             double_table,
         })
+    }
+
+    /// The process-wide code for `data_bits`-bit words, built on first
+    /// use and never mutated, so every cache of every concurrent sweep
+    /// can share it (and its 8 KB double-error locator table).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildCodeError`] if `data_bits` is 0 or exceeds
+    /// [`MAX_DATA_BITS`].
+    pub fn shared(data_bits: usize) -> Result<&'static DectedCode, BuildCodeError> {
+        static CODES: [OnceLock<DectedCode>; MAX_DATA_BITS] =
+            [const { OnceLock::new() }; MAX_DATA_BITS];
+        shared_code(&CODES, data_bits, DectedCode::new)
     }
 
     /// The DECTED code protecting 32-bit data words (45-bit codeword).
@@ -193,27 +216,29 @@ impl DectedCode {
         BCH_PARITY_BITS + self.data_bits
     }
 
-    /// Computes the 12 BCH parity bits for `data` via the parallel
-    /// encoder columns.
-    fn bch_parity(&self, data: u64) -> u16 {
-        let mut parity = 0u16;
-        for (j, &mask) in self.row_data_masks.iter().enumerate() {
-            parity |= (parity64(data & mask) as u16) << j;
-        }
-        parity
+    /// Computes the 13 check bits for `data`: the 12 BCH parity bits
+    /// in bits 0..12 and the overall parity of the BCH word (parity
+    /// plus data) in bit 12. Bits above `data_bits()` are ignored.
+    #[inline]
+    pub fn checks(&self, data: u64) -> u16 {
+        self.check_map.apply(data)
     }
 
-    /// Computes both syndromes of a received BCH word as 12 parallel
-    /// parity trees over the precomputed column masks.
+    /// Computes the syndromes `S1 = r(alpha)` and `S3 = r(alpha^3)` of
+    /// a received codeword's BCH part, and whether the overall parity
+    /// of the whole codeword is odd. Bits above `total_bits()` are
+    /// ignored.
     #[inline]
-    fn syndromes(&self, bch_rx: u64) -> (Gf64, Gf64) {
-        let mut s1 = 0u8;
-        let mut s3 = 0u8;
-        for j in 0..SYNDROME_BITS {
-            s1 |= (parity64(bch_rx & self.s1_masks[j]) as u8) << j;
-            s3 |= (parity64(bch_rx & self.s3_masks[j]) as u8) << j;
-        }
-        (Gf64::new(s1), Gf64::new(s3))
+    pub fn syndromes(&self, word: u64) -> (Gf64, Gf64, bool) {
+        let packed = self.syndrome_map.apply(word);
+        let s1 = Gf64::new(packed as u8 & 0x3F);
+        let s3 = Gf64::new((packed >> SYNDROME_BITS) as u8 & 0x3F);
+        (s1, s3, packed & PARITY_FLAG != 0)
+    }
+
+    /// How many data bits feed each BCH check bit's XOR tree.
+    fn row_weights(&self) -> [usize; BCH_PARITY_BITS] {
+        std::array::from_fn(|j| self.columns.iter().filter(|&&c| c >> j & 1 == 1).count())
     }
 }
 
@@ -265,20 +290,18 @@ impl EdcCode for DectedCode {
 
     #[inline]
     fn encode(&self, data: u64) -> u64 {
+        let checks = self.checks(data);
         let data = mask_low(data, self.data_bits);
-        let bch = (data << BCH_PARITY_BITS) | u64::from(self.bch_parity(data));
+        let bch = (data << BCH_PARITY_BITS) | u64::from(checks & (PARITY_FLAG - 1));
         debug_assert_eq!(poly_mod(bch, u64::from(self.generator)), 0);
-        bch | (u64::from(parity64(bch)) << self.bch_bits())
+        bch | u64::from(checks >> BCH_PARITY_BITS) << self.bch_bits()
     }
 
     #[inline]
     fn decode(&self, word: u64) -> Decoded {
         let bch_len = self.bch_bits();
         let bch_rx = mask_low(word, bch_len);
-        let parity_rx = (word >> bch_len) & 1;
-        let parity_mismatch = parity64(bch_rx) as u64 != parity_rx;
-
-        let (s1, s3) = self.syndromes(bch_rx);
+        let (s1, s3, parity_mismatch) = self.syndromes(word);
 
         let extract = |bch: u64| mask_low(bch >> BCH_PARITY_BITS, self.data_bits);
 
@@ -341,11 +364,7 @@ impl EdcCode for DectedCode {
     }
 
     fn encoder_xor_gates(&self) -> usize {
-        let bch: usize = self
-            .row_data_masks
-            .iter()
-            .map(|m| xor_tree_gates(m.count_ones() as usize))
-            .sum();
+        let bch: usize = self.row_weights().into_iter().map(xor_tree_gates).sum();
         // Plus the overall-parity tree across the BCH codeword.
         bch + xor_tree_gates(self.bch_bits())
     }
@@ -360,9 +379,9 @@ impl EdcCode for DectedCode {
         // key-equation arithmetic (inversion, multiply, trace —
         // ~300 gate-equivalents).
         let syndrome: usize = self
-            .row_data_masks
-            .iter()
-            .map(|m| xor_tree_gates(m.count_ones() as usize + 1))
+            .row_weights()
+            .into_iter()
+            .map(|w| xor_tree_gates(w + 1))
             .sum();
         syndrome + xor_tree_gates(self.total_bits()) + 25 * self.total_bits() + 300
     }
@@ -476,6 +495,24 @@ mod tests {
         assert!(DectedCode::new(0).is_err());
         assert!(DectedCode::new(52).is_err());
         assert!(DectedCode::new(51).is_ok());
+    }
+
+    #[test]
+    fn shared_codes_are_built_once_and_reject_unsupported_widths() {
+        for bad in [0, MAX_DATA_BITS + 1, usize::MAX] {
+            assert_eq!(
+                DectedCode::shared(bad).unwrap_err(),
+                BuildCodeError {
+                    data_bits: bad,
+                    max_data_bits: MAX_DATA_BITS,
+                }
+            );
+        }
+        for k in [1, 26, 32, MAX_DATA_BITS] {
+            let code = DectedCode::shared(k).unwrap();
+            assert!(std::ptr::eq(code, DectedCode::shared(k).unwrap()));
+            assert_eq!(code.data_bits(), k);
+        }
     }
 
     #[test]

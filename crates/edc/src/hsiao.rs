@@ -20,15 +20,20 @@
 //! rows, which is Hsiao's optimization for minimizing the depth and
 //! fan-in of the encoder/decoder XOR trees.
 //!
-//! Both directions are table-driven: encoding is 7 [`parity64`] calls
-//! over precomputed u64 row masks, and decoding is one syndrome
-//! computation plus a single lookup in a 128-entry syndrome→action
-//! table built at construction. The original per-bit column-scan
-//! decoder survives as [`reference::hsiao_decode`](crate::reference::hsiao_decode),
-//! used only by the equivalence test suites.
+//! Both directions are table-driven. The 7 check bits of a data word
+//! are one 256-entry table lookup per data byte (4 for a 32-bit word),
+//! XORed together; the syndrome is those check bits XOR the received
+//! ones; and decoding classifies the syndrome with a single lookup in a
+//! 128-entry syndrome→action table. All tables are built at
+//! construction, and [`HsiaoCode::shared`] builds each width once per
+//! process. The row-mask parity loops and the per-bit column-scan
+//! decoder survive in [`reference`](crate::reference), used only by the
+//! equivalence test suites.
 
-use crate::parity::{parity64, xor_tree_gates};
-use crate::{mask_low, BuildCodeError, Decoded, EdcCode};
+use std::sync::OnceLock;
+
+use crate::parity::{xor_tree_gates, LinearMap};
+use crate::{mask_low, shared_code, BuildCodeError, Decoded, EdcCode};
 
 /// Check bits used by this SECDED family (fixed at 7, as in the paper).
 pub const CHECK_BITS: usize = 7;
@@ -55,11 +60,11 @@ pub const MAX_DATA_BITS: usize = 57;
 #[derive(Debug, Clone)]
 pub struct HsiaoCode {
     data_bits: usize,
-    /// For each check bit `j`, the mask of *data* bits it covers.
-    row_data_masks: [u64; CHECK_BITS],
     /// For each data bit `i`, its 7-bit column of `H` (the syndrome a
     /// single error at `i` produces).
     columns: Vec<u8>,
+    /// Data word → its 7 check bits, byte-sliced.
+    check_map: LinearMap<u8>,
     /// Decode action for each of the 128 possible syndromes (see the
     /// `SYN_*` constants): a data-bit position to flip, a check-bit
     /// error leaving data intact, or a detected multi-bit error.
@@ -89,14 +94,7 @@ impl HsiaoCode {
             });
         }
         let columns = select_columns(data_bits);
-        let mut row_data_masks = [0u64; CHECK_BITS];
-        for (i, &col) in columns.iter().enumerate() {
-            for (j, mask) in row_data_masks.iter_mut().enumerate() {
-                if col & (1 << j) != 0 {
-                    *mask |= 1u64 << i;
-                }
-            }
-        }
+        let check_map = LinearMap::new(data_bits, |i| columns[i]);
         let mut syndrome_table = [SYN_TRIPLE; 1 << CHECK_BITS];
         for (syndrome, entry) in syndrome_table.iter_mut().enumerate().skip(1) {
             if syndrome.count_ones() % 2 == 0 {
@@ -109,10 +107,24 @@ impl HsiaoCode {
         }
         Ok(HsiaoCode {
             data_bits,
-            row_data_masks,
             columns,
+            check_map,
             syndrome_table,
         })
+    }
+
+    /// The process-wide code for `data_bits`-bit words, built on first
+    /// use and never mutated, so every cache of every concurrent sweep
+    /// can share it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildCodeError`] if `data_bits` is 0 or exceeds
+    /// [`MAX_DATA_BITS`].
+    pub fn shared(data_bits: usize) -> Result<&'static HsiaoCode, BuildCodeError> {
+        static CODES: [OnceLock<HsiaoCode>; MAX_DATA_BITS] =
+            [const { OnceLock::new() }; MAX_DATA_BITS];
+        shared_code(&CODES, data_bits, HsiaoCode::new)
     }
 
     /// The (39,32) code protecting 32-bit data words, as used for cache
@@ -129,21 +141,25 @@ impl HsiaoCode {
         HsiaoCode::new(26).expect("26 <= 57")
     }
 
-    /// Computes the 7 check bits for `data`.
+    /// Computes the 7 check bits for `data`; bits above `data_bits()`
+    /// are ignored.
+    #[inline]
     pub fn checks(&self, data: u64) -> u8 {
-        let data = mask_low(data, self.data_bits);
-        let mut checks = 0u8;
-        for (j, &mask) in self.row_data_masks.iter().enumerate() {
-            checks |= (parity64(data & mask) as u8) << j;
-        }
-        checks
+        self.check_map.apply(data)
     }
 
     /// Computes the syndrome of a received codeword: 0 when consistent.
+    /// Bits above `total_bits()` are ignored.
+    #[inline]
     pub fn syndrome(&self, word: u64) -> u8 {
-        let data = mask_low(word, self.data_bits);
         let received_checks = (word >> self.data_bits) as u8 & 0x7F;
-        self.checks(data) ^ received_checks
+        self.checks(word) ^ received_checks
+    }
+
+    /// How many data bits feed each check bit's XOR tree (the ones in
+    /// each row of `H`'s data part).
+    fn row_weights(&self) -> [usize; CHECK_BITS] {
+        std::array::from_fn(|j| self.columns.iter().filter(|&&c| c >> j & 1 == 1).count())
     }
 
     /// The `H`-matrix column (syndrome signature) of codeword bit `i`.
@@ -177,8 +193,7 @@ impl EdcCode for HsiaoCode {
 
     #[inline]
     fn encode(&self, data: u64) -> u64 {
-        let data = mask_low(data, self.data_bits);
-        data | (u64::from(self.checks(data)) << self.data_bits)
+        mask_low(data, self.data_bits) | (u64::from(self.checks(data)) << self.data_bits)
     }
 
     #[inline]
@@ -203,10 +218,7 @@ impl EdcCode for HsiaoCode {
     }
 
     fn encoder_xor_gates(&self) -> usize {
-        self.row_data_masks
-            .iter()
-            .map(|m| xor_tree_gates(m.count_ones() as usize))
-            .sum()
+        self.row_weights().into_iter().map(xor_tree_gates).sum()
     }
 
     fn decoder_xor_gates(&self) -> usize {
@@ -214,9 +226,9 @@ impl EdcCode for HsiaoCode {
         // encoder tree, plus roughly one gate-equivalent per codeword bit
         // for the column-match correction logic.
         let syndrome: usize = self
-            .row_data_masks
-            .iter()
-            .map(|m| xor_tree_gates(m.count_ones() as usize + 1))
+            .row_weights()
+            .into_iter()
+            .map(|w| xor_tree_gates(w + 1))
             .sum();
         syndrome + self.total_bits()
     }
@@ -284,6 +296,24 @@ mod tests {
     }
 
     #[test]
+    fn shared_codes_are_built_once_and_reject_unsupported_widths() {
+        for bad in [0, MAX_DATA_BITS + 1, usize::MAX] {
+            assert_eq!(
+                HsiaoCode::shared(bad).unwrap_err(),
+                BuildCodeError {
+                    data_bits: bad,
+                    max_data_bits: MAX_DATA_BITS,
+                }
+            );
+        }
+        for k in [1, 26, 32, MAX_DATA_BITS] {
+            let code = HsiaoCode::shared(k).unwrap();
+            assert!(std::ptr::eq(code, HsiaoCode::shared(k).unwrap()));
+            assert_eq!(code.data_bits(), k);
+        }
+    }
+
+    #[test]
     fn columns_are_distinct_and_odd_weight() {
         for k in all_widths() {
             let code = HsiaoCode::new(k).unwrap();
@@ -298,12 +328,7 @@ mod tests {
 
     #[test]
     fn row_loads_are_balanced() {
-        let code = HsiaoCode::secded32();
-        let loads: Vec<usize> = code
-            .row_data_masks
-            .iter()
-            .map(|m| m.count_ones() as usize)
-            .collect();
+        let loads = HsiaoCode::secded32().row_weights();
         let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
         // 32 weight-3 columns spread 96 ones over 7 rows: 13.7 average;
         // Hsiao balancing keeps the spread tight.

@@ -46,6 +46,7 @@ pub use hsiao::HsiaoCode;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Result of decoding a possibly-corrupted codeword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -282,6 +283,29 @@ impl fmt::Display for Protection {
             Protection::Dected => f.write_str("DECTED"),
         }
     }
+}
+
+/// The `&'static` code for `data_bits`-bit words from a family's
+/// write-once registry, where `codes[k - 1]` holds the `k`-bit code.
+/// The registry is keyed only by width and never changes once a slot
+/// is built, so sharing it cannot couple concurrent simulations.
+fn shared_code<C, const N: usize>(
+    codes: &'static [OnceLock<C>; N],
+    data_bits: usize,
+    build: fn(usize) -> Result<C, BuildCodeError>,
+) -> Result<&'static C, BuildCodeError> {
+    let cell = data_bits
+        .checked_sub(1)
+        .and_then(|i| codes.get(i))
+        .ok_or(BuildCodeError {
+            data_bits,
+            max_data_bits: N,
+        })?;
+    if let Some(code) = cell.get() {
+        return Ok(code);
+    }
+    let code = build(data_bits)?;
+    Ok(cell.get_or_init(|| code))
 }
 
 #[inline]

@@ -1,14 +1,20 @@
-//! Loop-based reference decoders, retained for equivalence testing.
+//! Loop-based reference encoders and decoders, retained for
+//! equivalence testing.
 //!
-//! The production decode paths in [`hsiao`](crate::hsiao) and
-//! [`bch`](crate::bch) are table-driven: one syndrome computation over
-//! precomputed u64 row masks followed by a lookup. This module keeps
-//! the original per-bit implementations — a linear column scan for
-//! Hsiao, per-set-bit GF(64) polynomial evaluation plus on-the-fly
-//! key-equation arithmetic for DECTED — so the test suites can assert,
-//! corruption pattern by corruption pattern, that the tables reproduce
-//! the loops bit for bit.
+//! The production paths in [`hsiao`](crate::hsiao) and
+//! [`bch`](crate::bch) are table-driven: byte-sliced lookups for the
+//! check bits and syndromes, then one lookup to classify the syndrome.
+//! This module keeps the original loops:
 //!
+//! * the row-mask kernels, one [`parity64`] per output bit over the
+//!   masks of `H`'s rows ([`hsiao_checks`], [`hsiao_syndrome`],
+//!   [`dected_checks`], [`dected_syndromes`]);
+//! * the per-bit decoders, a linear column scan for Hsiao and per-set-bit
+//!   GF(64) polynomial evaluation plus on-the-fly key-equation
+//!   arithmetic for DECTED ([`hsiao_decode`], [`dected_decode`]).
+//!
+//! The test suites assert, word by word and corruption pattern by
+//! corruption pattern, that the tables reproduce the loops bit for bit.
 //! Nothing on the simulator's hot path calls into this module.
 
 use crate::bch::{DectedCode, BCH_PARITY_BITS};
@@ -16,6 +22,69 @@ use crate::gf64::{Gf64, FIELD_SIZE};
 use crate::hsiao::{HsiaoCode, CHECK_BITS as HSIAO_CHECK_BITS};
 use crate::parity::parity64;
 use crate::{mask_low, Decoded, EdcCode};
+
+/// The row masks of a parity-check matrix given column by column: bit
+/// `i` of mask `j` is bit `j` of `columns[i]`.
+fn row_masks<const ROWS: usize>(columns: impl Iterator<Item = u64>) -> [u64; ROWS] {
+    let mut masks = [0u64; ROWS];
+    for (i, col) in columns.enumerate() {
+        for (j, mask) in masks.iter_mut().enumerate() {
+            *mask |= (col >> j & 1) << i;
+        }
+    }
+    masks
+}
+
+/// One parity per row mask: bit `j` of the result is the parity of
+/// `word & masks[j]`.
+fn row_parities(masks: &[u64], word: u64) -> u64 {
+    masks.iter().enumerate().fold(0, |acc, (j, &mask)| {
+        acc | u64::from(parity64(word & mask)) << j
+    })
+}
+
+/// The 7 Hsiao check bits of `data`, one row-mask parity per check bit.
+pub fn hsiao_checks(code: &HsiaoCode, data: u64) -> u8 {
+    let k = code.data_bits();
+    let masks: [u64; HSIAO_CHECK_BITS] = row_masks((0..k).map(|i| u64::from(code.column(i))));
+    row_parities(&masks, mask_low(data, k)) as u8
+}
+
+/// The Hsiao syndrome of `word`: its recomputed check bits XOR the
+/// received ones.
+pub fn hsiao_syndrome(code: &HsiaoCode, word: u64) -> u8 {
+    let received = (word >> code.data_bits()) as u8 & 0x7F;
+    hsiao_checks(code, word) ^ received
+}
+
+/// The 13 DECTED check bits of `data`, packed as
+/// [`DectedCode::checks`] packs them: 12 BCH row-mask parities, then
+/// the overall parity of the BCH word.
+pub fn dected_checks(code: &DectedCode, data: u64) -> u16 {
+    let k = code.data_bits();
+    let data = mask_low(data, k);
+    let masks: [u64; BCH_PARITY_BITS] = row_masks((0..k).map(|i| u64::from(code.column(i))));
+    let bch_parity = row_parities(&masks, data);
+    let overall = parity64(data << BCH_PARITY_BITS | bch_parity);
+    (bch_parity | u64::from(overall) << BCH_PARITY_BITS) as u16
+}
+
+/// `(S1, S3, odd overall parity)` of a received DECTED codeword, as
+/// [`DectedCode::syndromes`] returns them: each syndrome bit is one
+/// row-mask parity over the BCH part, whose column `i` is `alpha^i`
+/// (S1) or `alpha^3i` (S3).
+pub fn dected_syndromes(code: &DectedCode, word: u64) -> (Gf64, Gf64, bool) {
+    let bch_len = BCH_PARITY_BITS + code.data_bits();
+    let bch_rx = mask_low(word, bch_len);
+    let s1: [u64; 6] = row_masks((0..bch_len).map(|i| u64::from(Gf64::alpha_pow(i).value())));
+    let s3: [u64; 6] = row_masks((0..bch_len).map(|i| u64::from(Gf64::alpha_pow(3 * i).value())));
+    let odd = parity64(mask_low(word, code.total_bits())) == 1;
+    (
+        Gf64::new(row_parities(&s1, bch_rx) as u8),
+        Gf64::new(row_parities(&s3, bch_rx) as u8),
+        odd,
+    )
+}
 
 /// Decodes `word` with the original loop-based Hsiao SECDED decoder:
 /// the syndrome is accumulated bit by bit from the `H`-matrix columns
