@@ -41,7 +41,9 @@
 //! `--sim-threads` sets the worker-thread count of the epoch-parallel
 //! multi-core engine (default 1 = the serial reference loop); like
 //! `--jobs` and `--force-slow-path` it never changes a single byte of
-//! the rendered report, only wall time.
+//! the rendered report, only wall time. Both flags land in the sweep's
+//! one `SimOptions` value, which every experiment passes to the
+//! builder of each machine it assembles (`SystemBuilder::options`).
 
 use std::process::ExitCode;
 

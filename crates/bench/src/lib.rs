@@ -26,28 +26,3 @@ pub mod hotpath;
 pub mod multicore;
 pub mod tracebench;
 pub mod tracecmd;
-
-// The render helpers live next to the sweep engine; re-exported here
-// to keep the seed's public API.
-pub use hyvec_core::sweep::{breakdown_header, breakdown_row, pct};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hyvec_cachesim::EnergyBreakdown;
-
-    #[test]
-    fn rows_render() {
-        let b = EnergyBreakdown {
-            l1_dynamic_pj: 0.5,
-            l1_leakage_pj: 0.3,
-            edc_pj: 0.01,
-            other_pj: 0.19,
-        };
-        let row = breakdown_row("baseline", &b);
-        assert!(row.contains("baseline"));
-        assert!(row.contains("1.000"));
-        assert!(breakdown_header().contains("L1 dyn"));
-        assert_eq!(pct(0.423), "42.3%");
-    }
-}

@@ -12,7 +12,6 @@
 use crate::config::{CacheConfig, Mode, WaySpec};
 use crate::stats::CacheStats;
 use hyvec_edc::{Decoded, DectedCode, EdcCode, HsiaoCode, NoCode, Protection};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Stuck-at fault pattern for one stored word: where `mask` is set,
 /// the cell always reads `value` regardless of what was written.
@@ -297,26 +296,6 @@ pub struct HybridCache {
 /// `tag_bits` at 63, so no masked tag can equal it.
 const INVALID_TAG: u64 = u64::MAX;
 
-/// Process-global default for [`HybridCache::set_force_slow_path`],
-/// applied to every cache built afterwards. This is how
-/// `hyvec run-all --force-slow-path` reaches the caches that
-/// experiments construct internally.
-static FORCE_SLOW_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-global slow-path pin: caches constructed while it
-/// is `true` start with the slow path forced, exactly as if
-/// [`HybridCache::set_force_slow_path`] had been called on each.
-/// Counters are bit-identical either way, so flipping this mid-run
-/// only ever changes timing, never results.
-pub fn set_global_force_slow_path(force: bool) {
-    FORCE_SLOW_DEFAULT.store(force, Ordering::SeqCst);
-}
-
-/// Reads the process-global slow-path pin.
-pub fn global_force_slow_path() -> bool {
-    FORCE_SLOW_DEFAULT.load(Ordering::SeqCst)
-}
-
 /// The deterministic payload written for a given word address; reads
 /// are checked against it to expose silent corruption.
 #[inline]
@@ -419,7 +398,7 @@ impl HybridCache {
             lru_clock: 0,
             stats: CacheStats::default(),
             noncanonical: false,
-            force_slow: global_force_slow_path(),
+            force_slow: false,
             memo: None,
         })
     }
@@ -523,11 +502,13 @@ impl HybridCache {
     /// (asserted by the equivalence property suite); this knob exists
     /// so tests and `benches/hotpath.rs` can measure the armed slow
     /// path against the fast path on the same fault-free workload.
+    /// [`SystemBuilder::options`](crate::engine::SystemBuilder::options)
+    /// sets it on every L1 a build creates.
     pub fn set_force_slow_path(&mut self, force: bool) {
         self.force_slow = force;
     }
 
-    fn fast_path_ready(&self) -> bool {
+    pub(crate) fn fast_path_ready(&self) -> bool {
         !self.force_slow && self.fault_entries == 0 && !self.noncanonical
     }
 

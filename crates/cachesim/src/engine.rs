@@ -409,9 +409,32 @@ pub struct System {
     seu_rng: SmallRng,
 }
 
+/// How a machine is simulated, as opposed to what it models: the
+/// options change wall time only, never a counter, so they stay out of
+/// every fingerprint. [`SystemBuilder::options`] is their one route
+/// into a machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOptions {
+    /// Route every L1 access through the full EDC slow path even while
+    /// fault-free ([`HybridCache::set_force_slow_path`]).
+    pub force_slow_path: bool,
+    /// Worker threads of the epoch-parallel multi-core engine
+    /// ([`MultiCoreSystem::set_sim_threads`]); 1 is serial, 0 counts as 1.
+    pub sim_threads: usize,
+}
+
+impl Default for SimOptions {
+    fn default() -> Self {
+        SimOptions {
+            force_slow_path: false,
+            sim_threads: 1,
+        }
+    }
+}
+
 /// Fluent, validating constructor for [`System`]: pick the L1s, an
-/// optional unified L2, the memory model, and soft-error injection,
-/// then [`build`](SystemBuilder::build).
+/// optional unified L2, the memory model, soft-error injection and the
+/// [`SimOptions`], then [`build`](SystemBuilder::build).
 ///
 /// ```
 /// use hyvec_cachesim::config::{L2Config, MemoryConfig, SystemConfig};
@@ -442,6 +465,7 @@ pub struct SystemBuilder {
     uncore_ten_t_sizing: f64,
     seu: Option<(f64, u64)>,
     topology: Topology,
+    options: SimOptions,
 }
 
 impl Default for SystemBuilder {
@@ -455,6 +479,7 @@ impl Default for SystemBuilder {
             uncore_ten_t_sizing: 2.65,
             seu: None,
             topology: Topology::SharedL2,
+            options: SimOptions::default(),
         }
     }
 }
@@ -530,6 +555,15 @@ impl SystemBuilder {
         self
     }
 
+    /// Sets how the machine is simulated: the forced slow path lands
+    /// on every L1 the build creates, and the thread count on the
+    /// multi-core engine of [`SystemBuilder::build_multi`]. Counters
+    /// are bit-identical under any options.
+    pub fn options(mut self, options: SimOptions) -> SystemBuilder {
+        self.options = options;
+        self
+    }
+
     /// Validates every configured piece and assembles the system (in
     /// HP mode, caches empty).
     ///
@@ -556,8 +590,8 @@ impl SystemBuilder {
             tech: self.tech,
             uncore_ten_t_sizing: self.uncore_ten_t_sizing,
         };
-        let il1 = HybridCache::try_new(config.il1.clone(), Mode::Hp)?;
-        let dl1 = HybridCache::try_new(config.dl1.clone(), Mode::Hp)?;
+        let il1 = empty_l1(&config.il1, self.options)?;
+        let dl1 = empty_l1(&config.dl1, self.options)?;
         let power = PowerModel::new(&config);
         let memory = MainMemory::new(self.memory);
         let below: Box<dyn MemoryLevel> = match self.l2 {
@@ -603,6 +637,7 @@ impl SystemBuilder {
         let topology = self.topology;
         let l2_cfg = self.l2.clone();
         let memory_cfg = self.memory;
+        let options = self.options;
         let (_, seu_seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
         // Core 0 (and the shared chain, power model and SEU state)
         // comes from the single-core constructor, so the two paths
@@ -629,10 +664,7 @@ impl SystemBuilder {
         };
         let mut fronts = vec![(il1, dl1)];
         for _ in 1..cores {
-            fronts.push((
-                HybridCache::try_new(il1_cfg.clone(), Mode::Hp)?,
-                HybridCache::try_new(dl1_cfg.clone(), Mode::Hp)?,
-            ));
+            fronts.push((empty_l1(&il1_cfg, options)?, empty_l1(&dl1_cfg, options)?));
         }
         Ok(MultiCoreSystem::from_parts(
             fronts,
@@ -640,8 +672,17 @@ impl SystemBuilder {
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
+            options.sim_threads,
         ))
     }
+}
+
+/// One empty HP-mode L1 from `config`, with the slow path forced when
+/// `options` asks for it.
+fn empty_l1(config: &CacheConfig, options: SimOptions) -> Result<HybridCache, ConfigError> {
+    let mut cache = HybridCache::try_new(config.clone(), Mode::Hp)?;
+    cache.set_force_slow_path(options.force_slow_path);
+    Ok(cache)
 }
 
 impl System {
@@ -1049,6 +1090,32 @@ mod tests {
             System::builder().il1(cfg.il1).build().unwrap_err(),
             ConfigError::MissingCache { cache: "dl1" }
         );
+    }
+
+    #[test]
+    fn options_reach_every_l1_and_the_multi_core_engine() {
+        let builder = || System::builder().config(proposal_a());
+        let forced = SimOptions {
+            force_slow_path: true,
+            sim_threads: 3,
+        };
+        let plain = builder().build().expect("valid");
+        assert!(plain.il1.fast_path_ready() && plain.dl1.fast_path_ready());
+        let slow = builder().options(forced).build().expect("valid");
+        assert!(!slow.il1.fast_path_ready() && !slow.dl1.fast_path_ready());
+
+        let mut multi = builder().options(forced).build_multi(3).expect("3 cores");
+        assert_eq!(multi.sim_threads(), 3);
+        for core in 0..multi.cores() {
+            let (il1, dl1) = multi.core_mut(core);
+            assert!(
+                !il1.fast_path_ready() && !dl1.fast_path_ready(),
+                "core {core}"
+            );
+        }
+        let mut serial = builder().build_multi(2).expect("2 cores");
+        assert_eq!(serial.sim_threads(), 1);
+        assert!(serial.core_mut(1).0.fast_path_ready());
     }
 
     #[test]

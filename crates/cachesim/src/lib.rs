@@ -66,11 +66,8 @@ pub use cache::HybridCache;
 pub use config::{
     CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology, WaySpec,
 };
-pub use engine::{RunReport, System, SystemBuilder};
+pub use engine::{RunReport, SimOptions, System, SystemBuilder};
 pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s};
-pub use multicore::{
-    global_sim_threads, set_global_sim_threads, MultiCoreReport, MultiCoreSystem,
-    EPOCH_INSTRUCTIONS,
-};
+pub use multicore::{MultiCoreReport, MultiCoreSystem, EPOCH_INSTRUCTIONS};
 pub use power::EnergyBreakdown;
 pub use stats::{CacheStats, RunStats};

@@ -28,7 +28,9 @@
 //! An L1 hit or miss depends only on the issuing core's own address
 //! stream, never on the chain below — so the expensive part of the
 //! simulation (driving the bit-accurate L1s) parallelizes. With
-//! [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1, a
+//! [`SimOptions::sim_threads`](crate::engine::SimOptions) (passed to
+//! [`SystemBuilder::options`](crate::engine::SystemBuilder::options))
+//! or [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1, a
 //! run proceeds in epochs of [`EPOCH_INSTRUCTIONS`] per core:
 //!
 //! 1. each core's [`EpochSource`] hands it a bounded slice of its
@@ -110,24 +112,6 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 /// stay cache-resident. Results do not depend on this value — the
 /// merge replays the canonical order exactly at any epoch length.
 pub const EPOCH_INSTRUCTIONS: usize = 4096;
-
-/// Process-wide default for [`MultiCoreSystem::set_sim_threads`],
-/// applied at construction. 1 (the initial value) means serial.
-static GLOBAL_SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default worker-thread count newly built
-/// [`MultiCoreSystem`]s start with (clamped to at least 1). The
-/// `--sim-threads` CLI flag lands here via the sweep runner; results
-/// are invariant to the value by construction.
-pub fn set_global_sim_threads(threads: usize) {
-    GLOBAL_SIM_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default worker-thread count (see
-/// [`set_global_sim_threads`]).
-pub fn global_sim_threads() -> usize {
-    GLOBAL_SIM_THREADS.load(Ordering::Relaxed)
-}
 
 /// The chain below the L1s of a multi-core machine: one shared chain
 /// (the default topology), or a private L2 per core.
@@ -331,6 +315,7 @@ impl MultiCoreSystem {
         power: PowerModel,
         seu_rate_per_bit_cycle: f64,
         seu_seed: u64,
+        sim_threads: usize,
     ) -> Self {
         MultiCoreSystem {
             fronts,
@@ -338,7 +323,7 @@ impl MultiCoreSystem {
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
-            sim_threads: global_sim_threads(),
+            sim_threads: sim_threads.max(1),
         }
     }
 
@@ -361,8 +346,9 @@ impl MultiCoreSystem {
 
     /// Sets the worker-thread count of the epoch-parallel engine
     /// (clamped to at least 1). Counters are bit-identical at any
-    /// value; only wall time changes. New instances default to
-    /// [`global_sim_threads`].
+    /// value; only wall time changes. New instances start with the
+    /// [`SimOptions::sim_threads`](crate::engine::SimOptions) of their
+    /// builder (1 by default).
     pub fn set_sim_threads(&mut self, threads: usize) {
         self.sim_threads = threads.max(1);
     }
@@ -933,16 +919,5 @@ mod tests {
             corrupted > 0,
             "unprotected 6T ULE ways must corrupt under accelerated SEUs"
         );
-    }
-
-    #[test]
-    fn global_sim_threads_seeds_new_instances() {
-        let prior = global_sim_threads();
-        set_global_sim_threads(4);
-        let sys = builder().build_multi(2).expect("2 cores");
-        assert_eq!(sys.sim_threads(), 4);
-        set_global_sim_threads(0); // clamped
-        assert_eq!(global_sim_threads(), 1);
-        set_global_sim_threads(prior);
     }
 }

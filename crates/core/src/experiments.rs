@@ -18,8 +18,8 @@
 
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
-use hyvec_cachesim::config::Mode;
-use hyvec_cachesim::engine::System;
+use hyvec_cachesim::config::{L2Config, MemoryConfig, Mode, SystemConfig};
+use hyvec_cachesim::engine::{SimOptions, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
 use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
 use hyvec_edc::Protection;
@@ -78,6 +78,16 @@ impl ExperimentParams {
     }
 }
 
+/// The single-core machine for `config`, simulated under `options`.
+fn machine(config: &SystemConfig, options: SimOptions) -> System {
+    System::builder()
+        .config(config.clone())
+        .options(options)
+        .build()
+        // hyvec-lint: allow(no-panic, "every experiment builds from a validated architecture; exercised by every run-all")
+        .expect("valid cache configuration")
+}
+
 /// Runs `benchmarks` on `arch` at `mode`, returning the summed energy
 /// breakdown, instructions and cycles.
 fn run_suite(
@@ -85,8 +95,9 @@ fn run_suite(
     benchmarks: &[Benchmark],
     mode: Mode,
     params: ExperimentParams,
+    options: SimOptions,
 ) -> (EnergyBreakdown, u64, u64, Vec<(Benchmark, f64, u64)>) {
-    let mut system = System::new(arch.config.clone());
+    let mut system = machine(&arch.config, options);
     let mut total = EnergyBreakdown::default();
     let mut instructions = 0;
     let mut cycles = 0;
@@ -126,11 +137,15 @@ pub struct Fig3Result {
 }
 
 /// Regenerates Figure 3 for `scenario` (BigBench at HP mode).
-pub fn fig3_hp_epi(scenario: Scenario, params: ExperimentParams) -> Fig3Result {
+pub fn fig3_hp_epi(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Fig3Result {
     let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
     let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let (be, bi, _, bb) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params);
-    let (pe, pi, _, pb) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params);
+    let (be, bi, _, bb) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params, options);
+    let (pe, pi, _, pb) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params, options);
     let base_epi = be.epi_pj(bi);
     let prop_epi = pe.epi_pj(pi);
     let per_benchmark = bb
@@ -176,11 +191,15 @@ pub struct Fig4Result {
 }
 
 /// Regenerates Figure 4 for `scenario` (SmallBench at ULE mode).
-pub fn fig4_ule_epi(scenario: Scenario, params: ExperimentParams) -> Fig4Result {
+pub fn fig4_ule_epi(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Fig4Result {
     let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
     let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = System::new(baseline.config.clone());
-    let mut prop_sys = System::new(proposal.config.clone());
+    let mut base_sys = machine(&baseline.config, options);
+    let mut prop_sys = machine(&proposal.config, options);
     let mut rows = Vec::new();
     let mut savings = 0.0;
     for b in Benchmark::SMALL {
@@ -239,11 +258,15 @@ pub struct PerfRow {
 
 /// Measures the ULE-mode execution-time overhead of the proposal
 /// (SmallBench).
-pub fn ule_performance(scenario: Scenario, params: ExperimentParams) -> Vec<PerfRow> {
+pub fn ule_performance(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<PerfRow> {
     let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
     let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = System::new(baseline.config.clone());
-    let mut prop_sys = System::new(proposal.config.clone());
+    let mut base_sys = machine(&baseline.config, options);
+    let mut prop_sys = machine(&proposal.config, options);
     Benchmark::SMALL
         .iter()
         .map(|&b| {
@@ -351,7 +374,12 @@ pub struct ReliabilityResult {
 }
 
 /// Runs the reliability experiment for `scenario`.
-pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> ReliabilityResult {
+pub fn reliability(
+    scenario: Scenario,
+    dies: u32,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> ReliabilityResult {
     let design = design_ule_way(
         scenario,
         &FailureModel::default(),
@@ -407,7 +435,7 @@ pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> R
     if let Some(ule_idx) = proposal.config.dl1.ways.iter().position(|w| w.ule_enabled) {
         pf[ule_idx] = pf_demo;
     }
-    let mut prop_sys = System::new(proposal.config.clone());
+    let mut prop_sys = machine(&proposal.config, options);
     let mut rng2 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
     sample_faults(prop_sys.dl1_mut(), &pf, &mut rng2);
     sample_faults(prop_sys.il1_mut(), &pf, &mut rng2);
@@ -430,7 +458,7 @@ pub fn reliability(scenario: Scenario, dies: u32, params: ExperimentParams) -> R
         way.protection_hp = Protection::None;
         way.protection_ule = Protection::None;
     }
-    let mut straw_sys = System::new(strawman_cfg);
+    let mut straw_sys = machine(&strawman_cfg, options);
     let mut rng3 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
     sample_faults(straw_sys.dl1_mut(), &pf, &mut rng3);
     sample_faults(straw_sys.il1_mut(), &pf, &mut rng3);
@@ -475,7 +503,11 @@ pub struct VoltageRow {
 ///
 /// The paper fixes 350mV ("our architecture is not limited to any
 /// particular Vcc level"); this sweep substantiates that sentence.
-pub fn ablation_voltage(scenario: Scenario, params: ExperimentParams) -> Vec<VoltageRow> {
+pub fn ablation_voltage(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<VoltageRow> {
     use hyvec_cachemodel::OperatingPoint;
     [0.32f64, 0.35, 0.40, 0.45]
         .iter()
@@ -493,8 +525,8 @@ pub fn ablation_voltage(scenario: Scenario, params: ExperimentParams) -> Vec<Vol
             // headroom (a simple DVS curve).
             let freq = 5.0e6 * (vdd / 0.35).powi(3);
             let op = OperatingPoint::new(vdd, freq);
-            let mut base_sys = System::new(baseline.config.clone());
-            let mut prop_sys = System::new(proposal.config.clone());
+            let mut base_sys = machine(&baseline.config, options);
+            let mut prop_sys = machine(&proposal.config, options);
             let mut base_e = 0.0;
             let mut prop_e = 0.0;
             for b in Benchmark::SMALL {
@@ -544,7 +576,11 @@ pub struct SoftErrorResult {
 /// at the design rate *and* accelerated soft errors, SECDED-protected
 /// words containing a hard fault degrade to detection-only, while
 /// DECTED keeps correcting. Both remain silent-corruption-free.
-pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorResult {
+pub fn soft_error_study(
+    params: ExperimentParams,
+    seu_rate: f64,
+    options: SimOptions,
+) -> SoftErrorResult {
     let proposal = Architecture::build_pinned(Scenario::B, DesignPoint::Proposal);
     let design = proposal.design;
 
@@ -555,7 +591,7 @@ pub fn soft_error_study(params: ExperimentParams, seu_rate: f64) -> SoftErrorRes
                 way.protection_ule = prot;
             }
         }
-        let mut sys = System::new(cfg.clone());
+        let mut sys = machine(&cfg, options);
         // Hard faults at a rate that guarantees several faulty bits.
         let mut pf = vec![0.0f64; cfg.dl1.ways.len()];
         if let Some(i) = cfg.dl1.ways.iter().position(|w| w.ule_enabled) {
@@ -617,7 +653,11 @@ pub struct WaySplitRow {
 
 /// Compares 7+1 against 6+2 (paper: "did not provide further
 /// insights").
-pub fn ablation_ways(scenario: Scenario, params: ExperimentParams) -> Vec<WaySplitRow> {
+pub fn ablation_ways(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<WaySplitRow> {
     [(7usize, 1usize), (6, 2)]
         .iter()
         .map(|&(hp, ule)| {
@@ -636,11 +676,13 @@ pub fn ablation_ways(scenario: Scenario, params: ExperimentParams) -> Vec<WaySpl
             };
             let baseline = build(DesignPoint::Baseline);
             let proposal = build(DesignPoint::Proposal);
-            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params);
-            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params);
+            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params, options);
+            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params, options);
             let hp_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
-            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::SMALL, Mode::Ule, params);
-            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::SMALL, Mode::Ule, params);
+            let (be, bi, _, _) =
+                run_suite(&baseline, &Benchmark::SMALL, Mode::Ule, params, options);
+            let (pe, pi, _, _) =
+                run_suite(&proposal, &Benchmark::SMALL, Mode::Ule, params, options);
             let ule_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
             WaySplitRow {
                 hp_ways: hp,
@@ -667,7 +709,11 @@ pub struct MemLatRow {
 
 /// Sweeps the memory latency (paper: "other memory latencies do not
 /// change the trends").
-pub fn ablation_memory_latency(scenario: Scenario, params: ExperimentParams) -> Vec<MemLatRow> {
+pub fn ablation_memory_latency(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<MemLatRow> {
     [10u32, 20, 40, 80]
         .iter()
         .map(|&lat| {
@@ -689,12 +735,14 @@ pub fn ablation_memory_latency(scenario: Scenario, params: ExperimentParams) -> 
                 &Benchmark::BIG,
                 Mode::Hp,
                 params,
+                options,
             );
             let (pe, pi, _, _) = run_suite(
                 &build(DesignPoint::Proposal),
                 &Benchmark::BIG,
                 Mode::Hp,
                 params,
+                options,
             );
             MemLatRow {
                 latency: lat,
@@ -734,15 +782,10 @@ pub struct L2Row {
 /// class) backing store is where a second level earns its area.
 pub const ABLATION_L2_MEMORY_LATENCY: u32 = 80;
 
-/// Sweeps a unified L2 (none, then growing capacities at their default
-/// latencies) under the proposal design point, running BigBench at HP
-/// mode behind a slow memory ([`ABLATION_L2_MEMORY_LATENCY`]). Every
-/// row but the first routes L1 misses through the composable
-/// [`hyvec_cachesim::hierarchy::MemoryLevel`] chain
-/// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`.
-pub fn ablation_l2(scenario: Scenario, params: ExperimentParams) -> Vec<L2Row> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
-
+/// The machine the hierarchy ablations start from: the pinned 7+1
+/// proposal of `scenario` behind an [`ABLATION_L2_MEMORY_LATENCY`]-cycle
+/// memory, simulated under `options`.
+fn slow_memory_proposal(scenario: Scenario, options: SimOptions) -> SystemBuilder {
     let arch = Architecture::build_with(
         scenario,
         DesignPoint::Proposal,
@@ -754,13 +797,29 @@ pub fn ablation_l2(scenario: Scenario, params: ExperimentParams) -> Vec<L2Row> {
     )
     // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
     .expect("proposal architecture");
+    System::builder()
+        .config(arch.config)
+        .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+        .options(options)
+}
+
+/// Sweeps a unified L2 (none, then growing capacities at their default
+/// latencies) under the proposal design point, running BigBench at HP
+/// mode behind a slow memory ([`ABLATION_L2_MEMORY_LATENCY`]). Every
+/// row but the first routes L1 misses through the composable
+/// [`hyvec_cachesim::hierarchy::MemoryLevel`] chain
+/// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`.
+pub fn ablation_l2(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<L2Row> {
+    let proposal = slow_memory_proposal(scenario, options);
 
     [None, Some(16u64), Some(64), Some(256)]
         .iter()
         .map(|&size_kb| {
-            let mut builder = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY));
+            let mut builder = proposal.clone();
             let mut hit_latency = 0;
             if let Some(kb) = size_kb {
                 let l2 = L2Config::unified(kb);
@@ -874,28 +933,20 @@ pub const ABLATION_CORES_PROGRAMS: [Benchmark; 6] = [
 /// round-robin interleaved at instruction granularity by the
 /// multi-core engine
 /// ([`hyvec_cachesim::multicore::MultiCoreSystem`]).
-pub fn ablation_cores(scenario: Scenario, params: ExperimentParams) -> Vec<CoresRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
+pub fn ablation_cores(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<CoresRow> {
     use hyvec_mediabench::multiprogram_sources;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
+    let proposal = slow_memory_proposal(scenario, options);
 
     ABLATION_CORES_COUNTS
         .iter()
         .map(|&cores| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+            let mut system = proposal
+                .clone()
                 .l2(L2Config::unified(ABLATION_CORES_L2_KB))
                 .build_multi(cores)
                 // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
@@ -954,28 +1005,21 @@ pub struct CoresTopologyRow {
 /// trace-driven model gets to a multi-threaded program), so lines
 /// genuinely migrate: write upgrades invalidate peer copies and misses
 /// are supplied cache-to-cache.
-pub fn ablation_cores_mesi(scenario: Scenario, params: ExperimentParams) -> Vec<CoresTopologyRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig, Mesi, Topology};
+pub fn ablation_cores_mesi(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<CoresTopologyRow> {
+    use hyvec_cachesim::config::{Mesi, Topology};
     use hyvec_mediabench::per_core_seed;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
+    let proposal = slow_memory_proposal(scenario, options);
 
     ABLATION_CORES_MESI_COUNTS
         .iter()
         .map(|&cores| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+            let mut system = proposal
+                .clone()
                 .l2(L2Config::unified(ABLATION_CORES_L2_KB))
                 .topology(Topology::PrivateL2 {
                     coherence: Some(Mesi::default()),
@@ -1101,7 +1145,12 @@ pub trait Experiment: Send + Sync {
     /// seed (`params.seed` is the sweep's *base* seed and is recorded
     /// in the returned report, not consumed). Returns a report with
     /// one section labeled [`Experiment::id`].
-    fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report;
+    ///
+    /// Every machine the experiment assembles must be built under
+    /// `options` ([`SystemBuilder::options`]). They change wall time
+    /// only, so the report must come out byte-identical under any
+    /// options.
+    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report;
 }
 
 /// Builds the single-section report every experiment returns.
@@ -1510,29 +1559,21 @@ pub struct WorkloadZooRow {
 /// [`hyvec_mediabench::BinaryReplay`] → `System::run` — so every
 /// `run-all` exercises the streaming trace layer end to end, not just
 /// its unit tests.
-pub fn ablation_workloads(scenario: Scenario, params: ExperimentParams) -> Vec<WorkloadZooRow> {
-    use hyvec_cachesim::config::{L2Config, MemoryConfig};
+pub fn ablation_workloads(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<WorkloadZooRow> {
     use hyvec_mediabench::binfmt::{encode_entries, BinaryReplay, DEFAULT_CHUNK_ENTRIES};
     use hyvec_mediabench::zoo::Workload;
 
-    let arch = Architecture::build_with(
-        scenario,
-        DesignPoint::Proposal,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-        7,
-        1,
-        ABLATION_L2_MEMORY_LATENCY,
-    )
-    // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
+    let proposal = slow_memory_proposal(scenario, options);
 
     Workload::ALL
         .iter()
         .map(|&w| {
-            let mut system = System::builder()
-                .config(arch.config.clone())
-                .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
+            let mut system = proposal
+                .clone()
                 .l2(L2Config::unified(16))
                 .build()
                 // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
@@ -1590,7 +1631,7 @@ fn workloads_table(rows: &[WorkloadZooRow]) -> Table {
 
 /// Declares a scenario-parameterized experiment wrapper struct.
 macro_rules! scenario_experiment {
-    ($(#[$meta:meta])* $name:ident, $artifact:literal, $desc:literal, |$self_:ident, $p:ident| $body:expr) => {
+    ($(#[$meta:meta])* $name:ident, $artifact:literal, $desc:literal, |$self_:ident, $p:ident, $o:ident| $body:expr) => {
         $(#[$meta])*
         #[derive(Debug)]
         pub struct $name {
@@ -1622,9 +1663,10 @@ macro_rules! scenario_experiment {
                 $desc
             }
 
-            fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
+            fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
                 let $self_ = self;
                 let $p = params.with_seed(rng_seed);
+                let $o = options;
                 single_section(&self.id, params, rng_seed, $body)
             }
         }
@@ -1636,7 +1678,7 @@ scenario_experiment!(
     MethodologyExperiment,
     "methodology",
     "Sec. III-C sizing/yield methodology table (iterative ULE-way design loop)",
-    |e, _p| {
+    |e, _p, _o| {
         let d = design_ule_way(
             e.scenario,
             &FailureModel::default(),
@@ -1653,7 +1695,7 @@ scenario_experiment!(
     Fig3Experiment,
     "fig3",
     "Figure 3: HP-mode EPI breakdowns, baseline vs proposal (BigBench)",
-    |e, p| fig3_hp_epi(e.scenario, p).tables()
+    |e, p, o| fig3_hp_epi(e.scenario, p, o).tables()
 );
 
 scenario_experiment!(
@@ -1661,7 +1703,7 @@ scenario_experiment!(
     Fig4Experiment,
     "fig4",
     "Figure 4: ULE-mode EPI breakdowns, baseline vs proposal (SmallBench)",
-    |e, p| fig4_ule_epi(e.scenario, p).tables()
+    |e, p, o| fig4_ule_epi(e.scenario, p, o).tables()
 );
 
 scenario_experiment!(
@@ -1669,7 +1711,7 @@ scenario_experiment!(
     PerformanceExperiment,
     "performance",
     "Sec. IV-B.2 ULE execution-time overhead vs the baseline",
-    |e, p| performance_tables(&ule_performance(e.scenario, p))
+    |e, p, o| performance_tables(&ule_performance(e.scenario, p, o))
 );
 
 scenario_experiment!(
@@ -1677,7 +1719,7 @@ scenario_experiment!(
     AreaExperiment,
     "area",
     "L1 area comparison across cell mixes and EDC check bits",
-    |e, _p| area_comparison(e.scenario).tables()
+    |e, _p, _o| area_comparison(e.scenario).tables()
 );
 
 scenario_experiment!(
@@ -1685,7 +1727,7 @@ scenario_experiment!(
     ReliabilityExperiment,
     "reliability",
     "Way yields plus seeded fault-injection outcomes over simulated dies",
-    |e, p| reliability(e.scenario, RELIABILITY_DIES, p).tables()
+    |e, p, o| reliability(e.scenario, RELIABILITY_DIES, p, o).tables()
 );
 
 scenario_experiment!(
@@ -1693,7 +1735,7 @@ scenario_experiment!(
     AblationWaysExperiment,
     "ablation-ways",
     "Ablation: 7+1 vs 6+2 way split between cell types",
-    |e, p| vec![ways_table(&ablation_ways(e.scenario, p))]
+    |e, p, o| vec![ways_table(&ablation_ways(e.scenario, p, o))]
 );
 
 scenario_experiment!(
@@ -1701,7 +1743,7 @@ scenario_experiment!(
     AblationMemoryLatencyExperiment,
     "ablation-memlat",
     "Ablation: main-memory latency sensitivity of the EPI saving",
-    |e, p| vec![memlat_table(&ablation_memory_latency(e.scenario, p))]
+    |e, p, o| vec![memlat_table(&ablation_memory_latency(e.scenario, p, o))]
 );
 
 scenario_experiment!(
@@ -1709,7 +1751,7 @@ scenario_experiment!(
     AblationVoltageExperiment,
     "ablation-voltage",
     "Ablation: ULE supply-voltage sweep of energy and reliability",
-    |e, p| vec![voltage_table(&ablation_voltage(e.scenario, p))]
+    |e, p, o| vec![voltage_table(&ablation_voltage(e.scenario, p, o))]
 );
 
 scenario_experiment!(
@@ -1718,7 +1760,7 @@ scenario_experiment!(
     AblationL2Experiment,
     "ablation-l2",
     "Ablation: none/16/64/256KB L2 sizes behind the hybrid L1 (EPI, stalls, traffic)",
-    |e, p| l2_tables(&ablation_l2(e.scenario, p))
+    |e, p, o| l2_tables(&ablation_l2(e.scenario, p, o))
 );
 
 scenario_experiment!(
@@ -1729,9 +1771,9 @@ scenario_experiment!(
     AblationCoresExperiment,
     "ablation-cores",
     "Ablation: 1-64 cores over a shared L2 plus private MESI L2s (EPI, IPC, coherence traffic)",
-    |e, p| {
-        let mut tables = cores_tables(&ablation_cores(e.scenario, p));
-        tables.push(cores_mesi_table(&ablation_cores_mesi(e.scenario, p)));
+    |e, p, o| {
+        let mut tables = cores_tables(&ablation_cores(e.scenario, p, o));
+        tables.push(cores_mesi_table(&ablation_cores_mesi(e.scenario, p, o)));
         tables
     }
 );
@@ -1743,7 +1785,7 @@ scenario_experiment!(
     AblationWorkloadsExperiment,
     "ablation-workloads",
     "Ablation: workload zoo (zipf/ptrchase/stencil/webburst) replayed via the binary trace stream",
-    |e, p| vec![workloads_table(&ablation_workloads(e.scenario, p))]
+    |e, p, o| vec![workloads_table(&ablation_workloads(e.scenario, p, o))]
 );
 
 /// Hard faults + soft errors (DECTED vs SECDED, scenario B) as an
@@ -1760,8 +1802,8 @@ impl Experiment for SoftErrorExperiment {
         "Hard faults plus accelerated soft errors: DECTED vs SECDED (scenario B)"
     }
 
-    fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
-        let r = soft_error_study(params.with_seed(rng_seed), SOFT_ERROR_RATE);
+    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
+        let r = soft_error_study(params.with_seed(rng_seed), SOFT_ERROR_RATE, options);
         single_section(self.id(), params, rng_seed, r.tables())
     }
 }
@@ -1780,7 +1822,7 @@ impl Experiment for AblationGranularityExperiment {
         "Ablation: EDC protection granularity (word width vs storage overhead)"
     }
 
-    fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
+    fn run(&self, params: ExperimentParams, rng_seed: u64, _options: SimOptions) -> Report {
         single_section(
             self.id(),
             params,
@@ -1837,7 +1879,7 @@ mod tests {
     #[test]
     fn fig3_proposal_saves_energy_at_hp() {
         for s in Scenario::ALL {
-            let r = fig3_hp_epi(s, quick());
+            let r = fig3_hp_epi(s, quick(), SimOptions::default());
             assert!(
                 r.saving > 0.05 && r.saving < 0.30,
                 "scenario {s}: HP saving {} out of band",
@@ -1859,7 +1901,7 @@ mod tests {
     #[test]
     fn fig4_proposal_saves_big_at_ule() {
         for s in Scenario::ALL {
-            let r = fig4_ule_epi(s, quick());
+            let r = fig4_ule_epi(s, quick(), SimOptions::default());
             assert!(
                 r.avg_saving > 0.25 && r.avg_saving < 0.60,
                 "scenario {s}: ULE saving {} out of band",
@@ -1877,8 +1919,8 @@ mod tests {
     fn scenario_a_saves_more_than_b_at_hp() {
         // Paper: 14% (A) vs 12% (B) — B's DECTED check bits dilute the
         // benefit.
-        let a = fig3_hp_epi(Scenario::A, quick());
-        let b = fig3_hp_epi(Scenario::B, quick());
+        let a = fig3_hp_epi(Scenario::A, quick(), SimOptions::default());
+        let b = fig3_hp_epi(Scenario::B, quick(), SimOptions::default());
         assert!(
             a.saving > b.saving,
             "A {} should beat B {}",
@@ -1890,7 +1932,7 @@ mod tests {
     #[test]
     fn performance_overhead_is_small() {
         for s in Scenario::ALL {
-            for row in ule_performance(s, quick()) {
+            for row in ule_performance(s, quick(), SimOptions::default()) {
                 assert!(
                     row.overhead >= 0.0 && row.overhead < 0.08,
                     "{s}/{}: overhead {}",
@@ -1912,7 +1954,7 @@ mod tests {
 
     #[test]
     fn reliability_proposal_never_corrupts_silently() {
-        let r = reliability(Scenario::A, 50, quick());
+        let r = reliability(Scenario::A, 50, quick(), SimOptions::default());
         assert_eq!(r.proposal_silent, 0, "EDC must prevent silent corruption");
         assert!(
             r.strawman_silent > 0,
@@ -1933,6 +1975,7 @@ mod tests {
                 seed: 5,
             },
             3e-8,
+            SimOptions::default(),
         );
         assert_eq!(r.silent, 0, "both codes must never corrupt silently");
         assert!(
@@ -1944,7 +1987,7 @@ mod tests {
 
     #[test]
     fn voltage_sweep_preserves_the_win() {
-        let rows = ablation_voltage(Scenario::A, quick());
+        let rows = ablation_voltage(Scenario::A, quick(), SimOptions::default());
         assert!(rows.len() >= 3, "most voltages must be feasible");
         for r in &rows {
             assert!(
@@ -1961,7 +2004,7 @@ mod tests {
 
     #[test]
     fn l2_ablation_exercises_the_hierarchy() {
-        let rows = ablation_l2(Scenario::A, quick());
+        let rows = ablation_l2(Scenario::A, quick(), SimOptions::default());
         assert_eq!(rows.len(), 4);
         let flat = rows[0];
         assert_eq!(flat.size_kb, 0);
@@ -1995,7 +2038,7 @@ mod tests {
 
     #[test]
     fn cores_ablation_exposes_contention() {
-        let rows = ablation_cores(Scenario::A, quick());
+        let rows = ablation_cores(Scenario::A, quick(), SimOptions::default());
         assert_eq!(rows.len(), ABLATION_CORES_COUNTS.len());
         assert_eq!(
             rows.iter().map(|r| r.cores).collect::<Vec<_>>(),
@@ -2037,7 +2080,7 @@ mod tests {
 
     #[test]
     fn cores_mesi_ablation_counts_coherence_traffic() {
-        let rows = ablation_cores_mesi(Scenario::A, quick());
+        let rows = ablation_cores_mesi(Scenario::A, quick(), SimOptions::default());
         assert_eq!(
             rows.iter().map(|r| r.cores).collect::<Vec<_>>(),
             ABLATION_CORES_MESI_COUNTS

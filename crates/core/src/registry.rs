@@ -172,6 +172,7 @@ mod tests {
     use super::*;
     use crate::experiments::ExperimentParams;
     use crate::report::Report;
+    use hyvec_cachesim::engine::SimOptions;
 
     #[test]
     fn standard_registry_covers_the_matrix() {
@@ -256,7 +257,7 @@ mod tests {
             fn id(&self) -> &str {
                 "custom/A"
             }
-            fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
+            fn run(&self, params: ExperimentParams, rng_seed: u64, _: SimOptions) -> Report {
                 Report::single(
                     params.instructions,
                     params.seed,
@@ -267,10 +268,10 @@ mod tests {
         let mut r = Registry::new();
         r.register(Box::new(Custom));
         assert_eq!(r.ids(), vec!["custom/A"]);
-        let report = r
-            .get("custom/A")
-            .unwrap()
-            .run(ExperimentParams::default(), 9);
+        let report =
+            r.get("custom/A")
+                .unwrap()
+                .run(ExperimentParams::default(), 9, SimOptions::default());
         assert_eq!(report.sections[0].label, "custom/A");
         assert_eq!(report.sections[0].seed, 9);
     }

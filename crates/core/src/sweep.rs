@@ -54,36 +54,7 @@ use crate::experiments::{Experiment, ExperimentParams};
 use crate::registry::Registry;
 use crate::report::{Report, Section, SWEEP_TITLE};
 use crate::seed::derive_seed;
-use hyvec_cachesim::power::EnergyBreakdown;
-
-// ---------------------------------------------------------------------
-// Formatting helpers (legacy; kept for the hyvec_bench public API)
-// ---------------------------------------------------------------------
-
-/// Renders one normalized EPI breakdown as a table row.
-pub fn breakdown_row(label: &str, b: &EnergyBreakdown) -> String {
-    format!(
-        "{label:<24} {:>8.3} {:>8.3} {:>8.4} {:>8.3} {:>8.3}",
-        b.l1_dynamic_pj,
-        b.l1_leakage_pj,
-        b.edc_pj,
-        b.other_pj,
-        b.total_pj()
-    )
-}
-
-/// The header matching [`breakdown_row`].
-pub fn breakdown_header() -> String {
-    format!(
-        "{:<24} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "", "L1 dyn", "L1 leak", "EDC", "other", "total"
-    )
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
+use hyvec_cachesim::engine::SimOptions;
 
 // ---------------------------------------------------------------------
 // Job matrix
@@ -291,8 +262,7 @@ pub struct SweepBuilder {
     artifacts: Option<Vec<String>>,
     scenarios: Option<Vec<Scenario>>,
     globs: Vec<String>,
-    force_slow: bool,
-    sim_threads: usize,
+    options: SimOptions,
 }
 
 impl Default for SweepBuilder {
@@ -311,8 +281,7 @@ impl SweepBuilder {
             artifacts: None,
             scenarios: None,
             globs: Vec::new(),
-            force_slow: false,
-            sim_threads: 1,
+            options: SimOptions::default(),
         }
     }
 
@@ -356,12 +325,14 @@ impl SweepBuilder {
 
     /// Routes every cache the sweep's experiments construct through
     /// the full EDC slow path, even while fault-free (the
-    /// `--force-slow-path` diagnostic knob). The report is
+    /// `--force-slow-path` diagnostic knob). Sets
+    /// [`SimOptions::force_slow_path`], which [`Experiment::run`]
+    /// passes to the builder of every machine. The report is
     /// byte-identical either way — the fast path is a pure
     /// optimization — so this exists to exercise and time the decode
     /// path on the standard matrix.
     pub fn force_slow_path(mut self, force: bool) -> SweepBuilder {
-        self.force_slow = force;
+        self.options.force_slow_path = force;
         self
     }
 
@@ -370,11 +341,13 @@ impl SweepBuilder {
     /// the serial reference loop). Orthogonal to
     /// [`SweepBuilder::jobs`], which parallelizes *across*
     /// experiments: `sim_threads` parallelizes the cores *within* one
-    /// multi-core simulation. The report is byte-identical at every
-    /// value — the epoch merge replays the canonical core order — so
-    /// this only changes wall time.
+    /// multi-core simulation. Sets [`SimOptions::sim_threads`], which
+    /// [`Experiment::run`] passes to the builder of every machine. The
+    /// report is byte-identical at every value — the epoch merge
+    /// replays the canonical core order — so this only changes wall
+    /// time.
     pub fn sim_threads(mut self, threads: usize) -> SweepBuilder {
-        self.sim_threads = threads.max(1);
+        self.options.sim_threads = threads.max(1);
         self
     }
 
@@ -404,16 +377,9 @@ impl SweepBuilder {
 
     /// Runs the selected subset of `registry` on up to the configured
     /// number of worker threads and returns the merged report plus
-    /// per-job timings.
+    /// per-job timings. Every job gets this sweep's [`SimOptions`] as
+    /// an argument, so concurrent sweeps never see each other's.
     pub fn run_with(&self, registry: &Registry) -> SweepOutcome {
-        // Pin (and afterwards restore) the process-global slow-path
-        // default: experiments build their caches internally, so the
-        // global is the only route the knob can take to reach them.
-        let _slow_pin = self.force_slow.then(ForceSlowPin::engage);
-        // Same route for the sim-threads knob: experiments build their
-        // multi-core systems internally, so the process-global default
-        // is how the setting reaches them.
-        let _threads_pin = (self.sim_threads != 1).then(|| SimThreadsPin::engage(self.sim_threads));
         let sweep_start = Instant::now();
         let selected: Vec<(&dyn Experiment, u64)> = registry
             .iter()
@@ -426,7 +392,7 @@ impl SweepBuilder {
         let results: Vec<(Vec<Section>, JobTiming)> =
             par_map(&selected, self.jobs, |&(experiment, seed)| {
                 let start = Instant::now();
-                let report = experiment.run(self.params, seed);
+                let report = experiment.run(self.params, seed, self.options);
                 let timing = JobTiming {
                     label: experiment.id().to_string(),
                     wall_nanos: start.elapsed().as_nanos(),
@@ -451,47 +417,6 @@ impl SweepBuilder {
 /// worker threads and returns the assembled report.
 pub fn run_all(params: ExperimentParams, jobs: usize) -> Report {
     SweepBuilder::new().params(params).jobs(jobs).run().report
-}
-
-/// RAII engagement of the process-global force-slow-path pin: set on
-/// construction, restored to the prior value on drop (so a panicking
-/// sweep does not leave the process pinned).
-struct ForceSlowPin {
-    prior: bool,
-}
-
-impl ForceSlowPin {
-    fn engage() -> ForceSlowPin {
-        let prior = hyvec_cachesim::cache::global_force_slow_path();
-        hyvec_cachesim::cache::set_global_force_slow_path(true);
-        ForceSlowPin { prior }
-    }
-}
-
-impl Drop for ForceSlowPin {
-    fn drop(&mut self) {
-        hyvec_cachesim::cache::set_global_force_slow_path(self.prior);
-    }
-}
-
-/// RAII engagement of the process-global sim-threads default, mirroring
-/// [`ForceSlowPin`]: set on construction, restored on drop.
-struct SimThreadsPin {
-    prior: usize,
-}
-
-impl SimThreadsPin {
-    fn engage(threads: usize) -> SimThreadsPin {
-        let prior = hyvec_cachesim::global_sim_threads();
-        hyvec_cachesim::set_global_sim_threads(threads);
-        SimThreadsPin { prior }
-    }
-}
-
-impl Drop for SimThreadsPin {
-    fn drop(&mut self) {
-        hyvec_cachesim::set_global_sim_threads(self.prior);
-    }
 }
 
 #[cfg(test)]

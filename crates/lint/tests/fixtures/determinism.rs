@@ -10,3 +10,9 @@ pub fn naughty() -> u64 {
     let home = std::env::var("HOME");
     t.elapsed().subsec_nanos() as u64 + m.len() as u64 + home.iter().count() as u64
 }
+
+/// Process-global mutable state.
+static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// A write-once registry of `'static` names is not mutable state.
+static NAMES: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();

@@ -27,6 +27,7 @@ fn determinism_fixture_lines() {
             (8, Rule::Determinism),  // Instant::now()
             (9, Rule::Determinism),  // HashMap type + ctor, one finding
             (10, Rule::Determinism), // std::env::var
+            (15, Rule::Determinism), // static AtomicU64
         ]
     );
 }

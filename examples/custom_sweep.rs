@@ -11,7 +11,7 @@
 //! cargo run --example custom_sweep --release
 //! ```
 
-use hyvec_cachesim::{Mode, System};
+use hyvec_cachesim::{Mode, SimOptions, System};
 use hyvec_core::experiments::{Experiment, ExperimentParams};
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{render, Format};
@@ -29,9 +29,15 @@ impl Experiment for UleHitRatios {
         "ule-hit-ratios/A"
     }
 
-    fn run(&self, params: ExperimentParams, rng_seed: u64) -> Report {
+    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
         let arch = Architecture::build(Scenario::A, DesignPoint::Proposal).expect("arch");
-        let mut sys = System::new(arch.config.clone());
+        // Building through the sweep's options lets `--force-slow-path`
+        // and `--sim-threads` reach this machine like any other.
+        let mut sys = System::builder()
+            .config(arch.config)
+            .options(options)
+            .build()
+            .expect("valid config");
         let run = sys.run(
             Benchmark::Mpeg2D.trace(params.instructions, rng_seed),
             Mode::Ule,

@@ -1,10 +1,19 @@
 //! Regression tests for the sweep engine's determinism contract:
 //! reports are a pure function of (base seed, instruction count), and
 //! worker count is not observable in the output.
+//!
+//! Each distinct sweep runs once per test binary and is shared by
+//! every test that compares against it ([`full`], [`cores`]); only
+//! the sweeps a test exists to vary (a fresh repeat, another seed,
+//! the forced slow path) run inside the test.
+
+use std::fmt::Debug;
+use std::sync::OnceLock;
 
 use hyvec_core::experiments::ExperimentParams;
+use hyvec_core::report::Report;
 use hyvec_core::seed::derive_seed;
-use hyvec_core::sweep::{full_matrix, run_all};
+use hyvec_core::sweep::{full_matrix, run_all, SweepBuilder};
 
 fn quick() -> ExperimentParams {
     ExperimentParams {
@@ -13,9 +22,47 @@ fn quick() -> ExperimentParams {
     }
 }
 
+/// The report `slots[i]` caches for `keys[i]`, computed by `sweep` on
+/// first use.
+fn once<K: PartialEq + Debug>(
+    slots: &'static [OnceLock<Report>],
+    keys: &[K],
+    key: K,
+    sweep: impl FnOnce() -> Report,
+) -> &'static Report {
+    let i = keys
+        .iter()
+        .position(|k| *k == key)
+        .unwrap_or_else(|| panic!("no cached sweep for {key:?}"));
+    slots[i].get_or_init(sweep)
+}
+
+/// The full matrix at the base seed on `jobs` workers.
+fn full(jobs: usize) -> &'static Report {
+    static SLOTS: [OnceLock<Report>; 4] = [const { OnceLock::new() }; 4];
+    once(&SLOTS, &[1, 2, 4, 8], jobs, || run_all(quick(), jobs))
+}
+
+/// The two ablation-cores sections (up to 64 cores, shared and
+/// private-L2 MESI topologies) on `jobs` workers with `sim_threads`
+/// epoch-engine threads.
+fn cores(jobs: usize, sim_threads: usize) -> &'static Report {
+    static SLOTS: [OnceLock<Report>; 5] = [const { OnceLock::new() }; 5];
+    let keys = [(1, 1), (2, 1), (4, 1), (2, 2), (2, 8)];
+    once(&SLOTS, &keys, (jobs, sim_threads), || {
+        SweepBuilder::new()
+            .params(quick())
+            .jobs(jobs)
+            .sim_threads(sim_threads)
+            .filter("ablation-cores/*")
+            .run()
+            .report
+    })
+}
+
 #[test]
 fn same_seed_gives_byte_identical_reports() {
-    let first = run_all(quick(), 1);
+    let first = full(1);
     let second = run_all(quick(), 1);
     assert_eq!(
         first.render(),
@@ -26,9 +73,9 @@ fn same_seed_gives_byte_identical_reports() {
 
 #[test]
 fn parallel_sweep_matches_serial_sweep() {
-    let serial = run_all(quick(), 1);
+    let serial = full(1);
     for jobs in [2, 8] {
-        let parallel = run_all(quick(), jobs);
+        let parallel = full(jobs);
         assert_eq!(
             serial.render(),
             parallel.render(),
@@ -39,7 +86,7 @@ fn parallel_sweep_matches_serial_sweep() {
 
 #[test]
 fn different_base_seeds_give_different_reports() {
-    let a = run_all(quick(), 4);
+    let a = full(4);
     let b = run_all(
         ExperimentParams {
             seed: quick().seed + 1,
@@ -56,7 +103,7 @@ fn different_base_seeds_give_different_reports() {
 
 #[test]
 fn report_sections_follow_canonical_matrix_order() {
-    let report = run_all(quick(), 4);
+    let report = full(4);
     let labels: Vec<_> = report.sections.iter().map(|s| s.label.clone()).collect();
     let expected: Vec<_> = full_matrix(quick()).into_iter().map(|j| j.label).collect();
     assert_eq!(labels, expected, "sections must keep matrix order");
@@ -67,7 +114,7 @@ fn section_seeds_use_the_shared_derivation() {
     // The report records each job's private seed; it must come from
     // the shared hyvec_core::seed derivation of (base seed, label) —
     // not from some scheduler-dependent source.
-    let report = run_all(quick(), 2);
+    let report = full(2);
     for section in &report.sections {
         assert_eq!(
             section.seed,
@@ -85,23 +132,14 @@ fn multi_core_interleaved_runs_are_jobs_invariant() {
     // bit-reproducible whether the sweep runs serially or fanned
     // across workers.
     use hyvec_core::render::{render, Format};
-    use hyvec_core::sweep::SweepBuilder;
-    let sweep = |jobs: usize| {
-        SweepBuilder::new()
-            .params(quick())
-            .jobs(jobs)
-            .filter("ablation-cores/*")
-            .run()
-            .report
-    };
-    let serial = sweep(1);
+    let serial = cores(1, 1);
     assert_eq!(serial.sections.len(), 2, "ablation-cores/A and /B");
     for jobs in [2, 4] {
-        let parallel = sweep(jobs);
+        let parallel = cores(jobs, 1);
         for format in [Format::Text, Format::Json, Format::Csv] {
             assert_eq!(
-                render(&serial, format),
-                render(&parallel, format),
+                render(serial, format),
+                render(parallel, format),
                 "worker count {jobs} changed the multi-core {format} output"
             );
         }
@@ -116,23 +154,13 @@ fn sim_threads_are_invariant_across_all_render_formats() {
     // byte-identical between the serial reference loop and the
     // threaded epoch merge.
     use hyvec_core::render::{render, Format};
-    use hyvec_core::sweep::SweepBuilder;
-    let sweep = |sim_threads: usize| {
-        SweepBuilder::new()
-            .params(quick())
-            .jobs(2)
-            .sim_threads(sim_threads)
-            .filter("ablation-cores/*")
-            .run()
-            .report
-    };
-    let serial = sweep(1);
+    let serial = cores(2, 1);
     for sim_threads in [2, 8] {
-        let threaded = sweep(sim_threads);
+        let threaded = cores(2, sim_threads);
         for format in [Format::Text, Format::Json, Format::Csv] {
             assert_eq!(
-                render(&serial, format),
-                render(&threaded, format),
+                render(serial, format),
+                render(threaded, format),
                 "--sim-threads {sim_threads} changed the {format} output"
             );
         }
@@ -170,20 +198,16 @@ fn forced_slow_path_matches_fast_path_counters() {
     // the full EDC decode path; the fast path is a pure optimization,
     // so every rendered format must come out byte-identical.
     use hyvec_core::render::{render, Format};
-    use hyvec_core::sweep::SweepBuilder;
-    let sweep = |force: bool| {
-        SweepBuilder::new()
-            .params(quick())
-            .jobs(2)
-            .force_slow_path(force)
-            .run()
-            .report
-    };
-    let fast = sweep(false);
-    let slow = sweep(true);
+    let fast = full(2);
+    let slow = SweepBuilder::new()
+        .params(quick())
+        .jobs(2)
+        .force_slow_path(true)
+        .run()
+        .report;
     for format in [Format::Text, Format::Json, Format::Csv] {
         assert_eq!(
-            render(&fast, format),
+            render(fast, format),
             render(&slow, format),
             "--force-slow-path changed the {format} output"
         );
@@ -195,12 +219,12 @@ fn structured_formats_are_jobs_invariant_too() {
     // The determinism contract extends beyond the text renderer: the
     // JSON and CSV outputs must also be independent of worker count.
     use hyvec_core::render::{render, Format};
-    let serial = run_all(quick(), 1);
-    let parallel = run_all(quick(), 4);
+    let serial = full(1);
+    let parallel = full(4);
     for format in [Format::Json, Format::Csv] {
         assert_eq!(
-            render(&serial, format),
-            render(&parallel, format),
+            render(serial, format),
+            render(parallel, format),
             "worker count changed the {format} output"
         );
     }

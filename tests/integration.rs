@@ -4,7 +4,7 @@
 
 use hyvec_cachesim::cache::{HybridCache, StuckBits, WordSlot};
 use hyvec_cachesim::config::Mode;
-use hyvec_cachesim::engine::System;
+use hyvec_cachesim::engine::{SimOptions, System};
 use hyvec_cachesim::faults::sample_faults;
 use hyvec_cachesim::power::PowerModel;
 use hyvec_core::architecture::{Architecture, DesignPoint, Scenario};
@@ -97,7 +97,7 @@ fn sampled_fault_maps_stay_within_the_edc_budget() {
 
 #[test]
 fn reliability_experiment_shows_edc_value() {
-    let r = reliability(Scenario::B, 30, quick());
+    let r = reliability(Scenario::B, 30, quick(), SimOptions::default());
     assert_eq!(r.proposal_silent, 0);
     assert!(r.analytic_proposal >= r.analytic_baseline);
 }
@@ -106,7 +106,7 @@ fn reliability_experiment_shows_edc_value() {
 fn ablation_way_split_shows_no_further_insight() {
     // 6+2 behaves in the same direction as 7+1 (the paper's reason to
     // show only 7+1).
-    let rows = ablation_ways(Scenario::A, quick());
+    let rows = ablation_ways(Scenario::A, quick(), SimOptions::default());
     assert_eq!(rows.len(), 2);
     for row in &rows {
         assert!(
@@ -128,7 +128,7 @@ fn ablation_way_split_shows_no_further_insight() {
 
 #[test]
 fn ablation_memory_latency_does_not_change_trends() {
-    let rows = ablation_memory_latency(Scenario::A, quick());
+    let rows = ablation_memory_latency(Scenario::A, quick(), SimOptions::default());
     assert_eq!(rows.len(), 4);
     let savings: Vec<f64> = rows.iter().map(|r| r.hp_saving).collect();
     for s in &savings {
@@ -203,7 +203,7 @@ fn deterministic_experiments() {
     // Same params -> bit-identical experiment outputs (everything is
     // seeded).
     use hyvec_core::experiments::fig3_hp_epi;
-    let a = fig3_hp_epi(Scenario::A, quick());
-    let b = fig3_hp_epi(Scenario::A, quick());
+    let a = fig3_hp_epi(Scenario::A, quick(), SimOptions::default());
+    let b = fig3_hp_epi(Scenario::A, quick(), SimOptions::default());
     assert_eq!(a.saving.to_bits(), b.saving.to_bits());
 }

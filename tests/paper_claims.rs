@@ -12,6 +12,7 @@
 //! * Pf anchor: 1.22e-6 for 99% yield over the 8K-bit example
 //! * Proposal yield >= baseline yield in both scenarios
 
+use hyvec_cachesim::SimOptions;
 use hyvec_core::experiments::{
     fig3_hp_epi, fig4_ule_epi, methodology_table, ule_performance, ExperimentParams,
 };
@@ -26,8 +27,8 @@ fn params() -> ExperimentParams {
 
 #[test]
 fn hp_savings_match_paper_bands() {
-    let a = fig3_hp_epi(Scenario::A, params());
-    let b = fig3_hp_epi(Scenario::B, params());
+    let a = fig3_hp_epi(Scenario::A, params(), SimOptions::default());
+    let b = fig3_hp_epi(Scenario::B, params(), SimOptions::default());
     assert!(
         a.saving > 0.10 && a.saving < 0.18,
         "scenario A HP saving {:.3} outside 10-18% (paper: 14%)",
@@ -48,8 +49,8 @@ fn hp_savings_match_paper_bands() {
 
 #[test]
 fn ule_savings_match_paper_bands() {
-    let a = fig4_ule_epi(Scenario::A, params());
-    let b = fig4_ule_epi(Scenario::B, params());
+    let a = fig4_ule_epi(Scenario::A, params(), SimOptions::default());
+    let b = fig4_ule_epi(Scenario::B, params(), SimOptions::default());
     assert!(
         a.avg_saving > 0.35 && a.avg_saving < 0.48,
         "scenario A ULE saving {:.3} outside 35-48% (paper: 42%)",
@@ -95,7 +96,7 @@ fn hp_mode_has_no_performance_degradation() {
 fn ule_overhead_is_negligible_like_the_paper() {
     // "around 3% increase in execution time in all cases".
     for s in Scenario::ALL {
-        let rows = ule_performance(s, params());
+        let rows = ule_performance(s, params(), SimOptions::default());
         let avg: f64 = rows.iter().map(|r| r.overhead).sum::<f64>() / rows.len() as f64;
         assert!(
             (0.0..0.06).contains(&avg),
@@ -151,7 +152,7 @@ fn methodology_preserves_reliability_levels() {
 #[test]
 fn benchmarks_show_minor_differences_to_the_average() {
     // "All benchmarks show minor differences to the average" (HP).
-    let r = fig3_hp_epi(Scenario::A, params());
+    let r = fig3_hp_epi(Scenario::A, params(), SimOptions::default());
     let avg = 1.0 - r.saving;
     for (b, ratio) in &r.per_benchmark {
         assert!(
@@ -165,7 +166,7 @@ fn benchmarks_show_minor_differences_to_the_average() {
 fn leakage_savings_exceed_dynamic_savings_at_ule() {
     // "the relative leakage energy savings are larger than those for
     //  dynamic energy" — Sec. IV-B.2.
-    let r = fig4_ule_epi(Scenario::A, params());
+    let r = fig4_ule_epi(Scenario::A, params(), SimOptions::default());
     for row in &r.rows {
         let dyn_saving = 1.0 - row.proposal.l1_dynamic_pj / row.baseline.l1_dynamic_pj;
         let leak_saving = 1.0 - row.proposal.l1_leakage_pj / row.baseline.l1_leakage_pj;
