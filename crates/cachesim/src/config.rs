@@ -58,6 +58,23 @@ pub enum ConfigError {
     InvalidSeuRate,
     /// A multi-core build was requested with zero cores.
     NoCores,
+    /// A multi-core run asked for a chain wider than the machine or of
+    /// zero width ([`MultiCoreSystem::run_widths`](crate::MultiCoreSystem::run_widths)).
+    ChainWidth {
+        /// The offending width.
+        width: usize,
+        /// The machine's core count.
+        cores: usize,
+    },
+    /// A single-core run with soft-error injection on was asked to
+    /// price more than one chain
+    /// ([`System::run_chains`](crate::engine::System::run_chains)):
+    /// its SEU exposure includes each chain's fill stalls, so the
+    /// chains cannot share one pass of the L1s.
+    SeuAcrossChains {
+        /// How many chains were asked for.
+        chains: usize,
+    },
     /// A way's EDC family cannot protect the configured word or tag
     /// width, so its codec could not be constructed.
     UnsupportedWidth {
@@ -111,6 +128,13 @@ impl fmt::Display for ConfigError {
             ConfigError::NoCores => {
                 write!(f, "a multi-core system needs at least one core")
             }
+            ConfigError::ChainWidth { width, cores } => {
+                write!(f, "chain width {width} outside 1..={cores} cores")
+            }
+            ConfigError::SeuAcrossChains { chains } => write!(
+                f,
+                "soft-error injection prices one chain per single-core run (got {chains})"
+            ),
             ConfigError::UnsupportedWidth {
                 protection,
                 data_bits,

@@ -12,15 +12,23 @@
 //!   logic fits comfortably in the existing pipeline slack, matching
 //!   the paper's "negligible (around 3%)" execution-time overhead,
 //!   which stems from the fill/correction path.
+//!
+//! One instruction is two phases: the L1 front (`front_entry`), which
+//! never observes the chain below, and the chain phase (`apply_fill`),
+//! which never observes the L1s. One pass of the
+//! front can therefore price its misses against several chains at
+//! once: [`System::run_chains`] returns the K reports that K separate
+//! runs over those chains would, and [`System::run`] is the K = 1
+//! instance of the same loop over the system's own chain. Soft-error
+//! injection ties a single-core run to one chain, since its exposure
+//! includes fill stalls.
 
 use crate::cache::{HybridCache, WordSlot};
 use crate::config::{
     CacheConfig, ConfigError, L2Config, MemoryConfig, Mode, SystemConfig, Topology,
 };
-use crate::hierarchy::{
-    AccessOutcome, AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s,
-};
-use crate::multicore::{MultiChain, MultiCoreSystem};
+use crate::hierarchy::{AccessOutcome, AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel};
+use crate::multicore::{ChainRecipe, MultiCoreSystem};
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::stats::RunStats;
 use hyvec_cachemodel::{OperatingPoint, TechnologyParams};
@@ -161,14 +169,17 @@ pub(crate) struct ChainRequest {
 /// Every L1 miss goes to `miss` in program order (IL1 fetch first,
 /// then DL1 pieces). Returns the entry's *core-local* cycles: the base
 /// cycle plus every bubble, excluding fill stalls, which
-/// [`apply_fill`] charges once the chain outcome is known.
+/// [`apply_fill`] charges once the chain outcome is known. `stats`
+/// receives only the chain-independent counters: the instruction and
+/// its correction and read-modify-write bubbles.
 ///
 /// The L1s never observe the chain and the chain never observes the
 /// L1s, so *when* a miss is resolved moves only when a counter is
-/// incremented, never by how much. The serial loops of both engines
-/// resolve each miss on the spot ([`step`]); the epoch workers of
-/// [`MultiCoreSystem`] log them, and the coordinator replays the logs
-/// against the shared chain at the epoch barrier.
+/// incremented, never by how much, and one pass of the L1s can feed
+/// any number of chains. The serial loops of both engines resolve each
+/// miss on the spot against every chain ([`step`]); the epoch workers
+/// of [`MultiCoreSystem`] log them, and the coordinator replays the
+/// logs against the chains at the epoch barrier.
 #[inline]
 pub(crate) fn front_entry(
     il1: &mut HybridCache,
@@ -176,7 +187,7 @@ pub(crate) fn front_entry(
     timing: CoreTiming,
     stats: &mut RunStats,
     entry: TraceEntry,
-    mut miss: impl FnMut(&mut RunStats, ChainRequest),
+    mut miss: impl FnMut(ChainRequest),
 ) -> u64 {
     stats.instructions += 1;
     let mut cycles = 1u64;
@@ -185,7 +196,7 @@ pub(crate) fn front_entry(
     if !fetch.hit {
         let access = AccessRequest::read(entry.pc);
         let kind = ReqKind::Il1;
-        miss(stats, ChainRequest { access, kind });
+        miss(ChainRequest { access, kind });
     }
     if fetch.corrected > 0 {
         stats.edc_stall_cycles += 1;
@@ -204,7 +215,7 @@ pub(crate) fn front_entry(
                     is_write: access.is_write,
                 };
                 let kind = ReqKind::Dl1;
-                miss(stats, ChainRequest { access, kind });
+                miss(ChainRequest { access, kind });
             }
             if data.corrected > 0 {
                 stats.edc_stall_cycles += 1;
@@ -233,9 +244,54 @@ pub(crate) fn front_entry(
     cycles
 }
 
-/// The chain phase of one request: charges the composed fill outcome
-/// to the issuing core's stats and energy, returning the stall cycles
-/// the core pays (composed fill latency + the missing L1's EDC
+/// What one chain charges one core over a run: the chain-dependent
+/// counters (fill stalls, the fills' EDC latency, memory and
+/// below-L1 EDC events, and the core's cycles including its
+/// core-local ones) and the energy spent below the L1s. A core's
+/// report over a chain is its front counters plus this tally
+/// ([`ChainTally::report`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChainTally {
+    pub stats: RunStats,
+    /// Dynamic energy spent below the L1s, pJ (zero for the default
+    /// energy-free flat memory; folded into the `other` component so
+    /// the paper's breakdown categories stay stable).
+    pub below_pj: f64,
+}
+
+impl ChainTally {
+    /// The run report of one core over this tally's chain: the tally,
+    /// the chain-independent `front` counters of [`front_entry`] and
+    /// the L1 counters, priced by `power` at `op`.
+    pub(crate) fn report(
+        &self,
+        front: &RunStats,
+        (il1, dl1): (&HybridCache, &HybridCache),
+        power: &PowerModel,
+        mode: Mode,
+        op: OperatingPoint,
+    ) -> RunReport {
+        let mut stats = self.stats;
+        stats.instructions = front.instructions;
+        stats.edc_stall_cycles += front.edc_stall_cycles;
+        stats.il1 = *il1.stats();
+        stats.dl1 = *dl1.stats();
+        let mut energy = power.breakdown_at(&stats, mode, op);
+        if self.below_pj > 0.0 {
+            energy.other_pj += self.below_pj;
+        }
+        RunReport {
+            stats,
+            energy,
+            mode,
+            seconds: stats.cycles as f64 * op.cycle_s(),
+        }
+    }
+}
+
+/// The chain phase of one request on one chain: charges the composed
+/// fill outcome to the issuing core's `tally`, returning the stall
+/// cycles the core pays (composed fill latency + the missing L1's EDC
 /// pipeline). Counterpart of [`front_entry`]; see there.
 ///
 /// `stats.memory_accesses` counts every fill satisfied at
@@ -247,10 +303,10 @@ pub(crate) fn apply_fill(
     timing: CoreTiming,
     kind: ReqKind,
     fill: AccessOutcome,
-    stats: &mut RunStats,
-    below_pj: &mut f64,
+    tally: &mut ChainTally,
 ) -> u64 {
-    *below_pj += fill.energy_pj;
+    let stats = &mut tally.stats;
+    tally.below_pj += fill.energy_pj;
     stats.below_corrected += u64::from(fill.corrected);
     stats.below_detected += u64::from(fill.detected);
     stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
@@ -267,29 +323,49 @@ pub(crate) fn apply_fill(
     stall
 }
 
-/// One instruction of one core through the whole machine: the
-/// [`front_entry`] phase, with each miss sent down `chain` and charged
-/// by [`apply_fill`] on the spot. Adds the instruction's cycles to
-/// `stats` and returns them as `(local, total)`: the core-local cycles
-/// and the total including fill stalls.
+/// One request priced against each of `K` chains: `chain(j, ..)`
+/// serves it from chain `j`, or declines with `None` (a chain whose
+/// width leaves the issuing core out). Each served fill is charged to
+/// `tallies[j]` by [`apply_fill`] and its stall added to `stalls[j]`.
 #[inline]
-pub(crate) fn step(
+pub(crate) fn fill_chains<const K: usize>(
+    timing: CoreTiming,
+    req: ChainRequest,
+    tallies: &mut [ChainTally; K],
+    stalls: &mut [u64; K],
+    mut chain: impl FnMut(usize, AccessRequest) -> Option<AccessOutcome>,
+) {
+    for (j, (tally, stall)) in tallies.iter_mut().zip(stalls.iter_mut()).enumerate() {
+        if let Some(fill) = chain(j, req.access) {
+            *stall += apply_fill(timing, req.kind, fill, tally);
+        }
+    }
+}
+
+/// One instruction of one core through the whole machine: the
+/// [`front_entry`] phase over `front`, with each miss sent down every
+/// chain on the spot ([`fill_chains`]). Adds the instruction's cycles
+/// to each tally and returns them as `(local, totals)`: the core-local
+/// cycles, and per chain the total including that chain's fill stalls.
+#[inline]
+pub(crate) fn step<const K: usize>(
     il1: &mut HybridCache,
     dl1: &mut HybridCache,
     timing: CoreTiming,
-    stats: &mut RunStats,
-    below_pj: &mut f64,
+    front: &mut RunStats,
+    tallies: &mut [ChainTally; K],
     entry: TraceEntry,
-    mut chain: impl FnMut(AccessRequest) -> AccessOutcome,
-) -> (u64, u64) {
-    let mut stalls = 0;
-    let local = front_entry(il1, dl1, timing, stats, entry, |stats, req| {
-        let fill = chain(req.access);
-        stalls += apply_fill(timing, req.kind, fill, stats, below_pj);
+    mut chain: impl FnMut(usize, AccessRequest) -> Option<AccessOutcome>,
+) -> (u64, [u64; K]) {
+    let mut totals = [0u64; K];
+    let local = front_entry(il1, dl1, timing, front, entry, |req| {
+        fill_chains(timing, req, tallies, &mut totals, &mut chain);
     });
-    let total = local + stalls;
-    stats.cycles += total;
-    (local, total)
+    for (tally, total) in tallies.iter_mut().zip(totals.iter_mut()) {
+        *total += local;
+        tally.stats.cycles += *total;
+    }
+    (local, totals)
 }
 
 /// Stored bits of one core exposed to soft errors: every bit (data and
@@ -396,10 +472,18 @@ impl RunReport {
 /// below them + power model.
 #[derive(Debug)]
 pub struct System {
-    il1: HybridCache,
-    dl1: HybridCache,
+    front: Front,
     /// The memory hierarchy beneath both L1s, called once per L1 miss.
     below: Box<dyn MemoryLevel>,
+}
+
+/// Everything of a single-core machine that one pass of a trace
+/// drives, whatever chain sits below: the L1s, the power model and the
+/// soft-error state.
+#[derive(Debug)]
+struct Front {
+    il1: HybridCache,
+    dl1: HybridCache,
     power: PowerModel,
     /// Soft-error injection: expected upsets per stored bit per cycle
     /// (0 disables). Real rates are ~1e-17/bit/s; experiments
@@ -573,8 +657,38 @@ impl SystemBuilder {
     /// ([`ConfigError::MissingCache`]), an invalid L1/L2 geometry, or
     /// an invalid soft-error rate ([`ConfigError::InvalidSeuRate`]).
     pub fn build(self) -> Result<System, ConfigError> {
-        let il1 = self.il1.ok_or(ConfigError::MissingCache { cache: "il1" })?;
-        let dl1 = self.dl1.ok_or(ConfigError::MissingCache { cache: "dl1" })?;
+        let front = self.front()?;
+        Ok(System {
+            front,
+            below: chain_below(self.l2, self.memory),
+        })
+    }
+
+    /// Validates the L2 and assembles the chain [`build`](SystemBuilder::build)
+    /// puts below the L1s — an L2 over main memory, or bare memory —
+    /// on its own, for [`System::run_chains`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the L2's geometry error, if any.
+    pub fn build_chain(&self) -> Result<Box<dyn MemoryLevel>, ConfigError> {
+        if let Some(l2) = &self.l2 {
+            l2.validate()?;
+        }
+        Ok(chain_below(self.l2.clone(), self.memory))
+    }
+
+    /// Validates everything but the topology and assembles the
+    /// single-core front: both L1s, the power model and the SEU state.
+    fn front(&self) -> Result<Front, ConfigError> {
+        let il1 = self
+            .il1
+            .clone()
+            .ok_or(ConfigError::MissingCache { cache: "il1" })?;
+        let dl1 = self
+            .dl1
+            .clone()
+            .ok_or(ConfigError::MissingCache { cache: "dl1" })?;
         if let Some(l2) = &self.l2 {
             l2.validate()?;
         }
@@ -590,20 +704,11 @@ impl SystemBuilder {
             tech: self.tech,
             uncore_ten_t_sizing: self.uncore_ten_t_sizing,
         };
-        let il1 = empty_l1(&config.il1, self.options)?;
-        let dl1 = empty_l1(&config.dl1, self.options)?;
-        let power = PowerModel::new(&config);
-        let memory = MainMemory::new(self.memory);
-        let below: Box<dyn MemoryLevel> = match self.l2 {
-            Some(l2) => Box::new(L2Cache::new(l2, memory)),
-            None => Box::new(memory),
-        };
         let (rate, seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
-        Ok(System {
-            il1,
-            dl1,
-            below,
-            power,
+        Ok(Front {
+            il1: empty_l1(&config.il1, self.options)?,
+            dl1: empty_l1(&config.dl1, self.options)?,
+            power: PowerModel::new(&config),
             seu_rate_per_bit_cycle: rate,
             seu_rng: SmallRng::seed_from_u64(seed),
         })
@@ -614,7 +719,10 @@ impl SystemBuilder {
     /// the same IL1/DL1 configuration) over the configured
     /// [`Topology`] — **one** shared L2/memory chain by default, or a
     /// private L2 per core (optionally MESI-coherent) over one shared
-    /// memory. See [`MultiCoreSystem`] for the execution model.
+    /// memory. The machine keeps this chain's recipe and builds its
+    /// chains fresh for every run, also narrower ones of the same
+    /// shape for [`MultiCoreSystem::run_widths`]. See
+    /// [`MultiCoreSystem`] for the execution model.
     ///
     /// # Errors
     ///
@@ -626,54 +734,54 @@ impl SystemBuilder {
         if cores == 0 {
             return Err(ConfigError::NoCores);
         }
-        let il1_cfg = self
-            .il1
-            .clone()
-            .ok_or(ConfigError::MissingCache { cache: "il1" })?;
-        let dl1_cfg = self
-            .dl1
-            .clone()
-            .ok_or(ConfigError::MissingCache { cache: "dl1" })?;
-        let topology = self.topology;
-        let l2_cfg = self.l2.clone();
-        let memory_cfg = self.memory;
-        let options = self.options;
-        let (_, seu_seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
-        // Core 0 (and the shared chain, power model and SEU state)
-        // comes from the single-core constructor, so the two paths
-        // can never diverge on validation or assembly.
-        let System {
+        // Core 0, the power model and the SEU state come from the
+        // single-core constructor, so the two paths can never diverge
+        // on validation or assembly.
+        let Front {
             il1,
             dl1,
-            below,
             power,
             seu_rate_per_bit_cycle,
             ..
-        } = self.build()?;
-        let below = match topology {
-            Topology::SharedL2 => MultiChain::Shared(below),
-            Topology::PrivateL2 { coherence } => {
-                let l2 = l2_cfg.ok_or(ConfigError::MissingCache { cache: "l2" })?;
-                MultiChain::Private(Box::new(PrivateL2s::new(
-                    l2,
-                    cores,
-                    coherence,
-                    MainMemory::new(memory_cfg),
-                )))
-            }
+        } = self.front()?;
+        let recipe = match self.topology {
+            Topology::SharedL2 => ChainRecipe::Shared {
+                l2: self.l2,
+                memory: self.memory,
+            },
+            Topology::PrivateL2 { coherence } => ChainRecipe::Private {
+                l2: self.l2.ok_or(ConfigError::MissingCache { cache: "l2" })?,
+                coherence,
+                memory: self.memory,
+            },
         };
+        let (il1_config, dl1_config) = (il1.config().clone(), dl1.config().clone());
         let mut fronts = vec![(il1, dl1)];
         for _ in 1..cores {
-            fronts.push((empty_l1(&il1_cfg, options)?, empty_l1(&dl1_cfg, options)?));
+            fronts.push((
+                empty_l1(&il1_config, self.options)?,
+                empty_l1(&dl1_config, self.options)?,
+            ));
         }
-        Ok(MultiCoreSystem::from_parts(
+        let (_, seu_seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
+        Ok(MultiCoreSystem::new(
             fronts,
-            below,
+            recipe,
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
-            options.sim_threads,
+            self.options.sim_threads,
         ))
+    }
+}
+
+/// The chain a single-core machine puts below its L1s: `l2` over main
+/// memory, or bare memory (`l2` already validated).
+pub(crate) fn chain_below(l2: Option<L2Config>, memory: MemoryConfig) -> Box<dyn MemoryLevel> {
+    let memory = MainMemory::new(memory);
+    match l2 {
+        Some(l2) => Box::new(L2Cache::new(l2, memory)),
+        None => Box::new(memory),
     }
 }
 
@@ -721,18 +829,18 @@ impl System {
     pub fn set_soft_error_rate(&mut self, rate: f64, seed: u64) {
         // hyvec-lint: allow(no-panic, "documented precondition (# Panics); SystemBuilder::seu is the validating path")
         assert!(rate.is_finite() && rate >= 0.0, "rate must be >= 0");
-        self.seu_rate_per_bit_cycle = rate;
-        self.seu_rng = SmallRng::seed_from_u64(seed);
+        self.front.seu_rate_per_bit_cycle = rate;
+        self.front.seu_rng = SmallRng::seed_from_u64(seed);
     }
 
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
-        &mut self.il1
+        &mut self.front.il1
     }
 
     /// The data cache (e.g. for fault injection).
     pub fn dl1_mut(&mut self) -> &mut HybridCache {
-        &mut self.dl1
+        &mut self.front.dl1
     }
 
     /// The memory hierarchy beneath the L1s.
@@ -750,7 +858,7 @@ impl System {
 
     /// The power model.
     pub fn power(&self) -> &PowerModel {
-        &self.power
+        &self.front.power
     }
 
     /// Runs `trace` to completion at `mode`, returning timing and
@@ -769,68 +877,115 @@ impl System {
     /// Like [`run`](System::run) but at an explicit operating point —
     /// the DVS-sweep entry point (`mode` still decides which ways and
     /// codes are active).
-    pub fn run_at<T>(&mut self, mut trace: T, mode: Mode, op: OperatingPoint) -> RunReport
+    pub fn run_at<T>(&mut self, trace: T, mode: Mode, op: OperatingPoint) -> RunReport
     where
         T: TraceSource,
     {
+        let [report] = self.front.price(trace, mode, op, [self.below.as_mut()]);
+        report
+    }
+
+    /// Runs `trace` once through the L1s at `mode` and prices every
+    /// miss against each of `chains` instead of the system's own
+    /// chain: report `j` is exactly what [`run`](System::run) returns
+    /// on this system with `chains[j]` installed
+    /// ([`set_hierarchy`](System::set_hierarchy)). The L1s never
+    /// observe the chain, so the `K` chains share one L1 pass; each
+    /// chain is flushed and reset on entry, as in `run`.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::SeuAcrossChains`] when soft-error injection is on
+    /// and `K > 1`: a single-core run's SEU exposure integrates fill
+    /// stalls, so each chain would draw different upsets into the one
+    /// pair of L1s.
+    pub fn run_chains<T, const K: usize>(
+        &mut self,
+        trace: T,
+        mode: Mode,
+        chains: &mut [Box<dyn MemoryLevel>; K],
+    ) -> Result<[RunReport; K], ConfigError>
+    where
+        T: TraceSource,
+    {
+        if K > 1 && self.front.seu_rate_per_bit_cycle > 0.0 {
+            return Err(ConfigError::SeuAcrossChains { chains: K });
+        }
+        let chains = chains
+            .each_mut()
+            .map(|chain| -> &mut dyn MemoryLevel { chain.as_mut() });
+        Ok(self
+            .front
+            .price(trace, mode, mode.operating_point(), chains))
+    }
+}
+
+impl Front {
+    /// The single-core loop: one pass of `trace` through the L1s, each
+    /// miss priced on the spot against every one of `chains`, and one
+    /// report per chain. Soft errors integrate the first chain's total
+    /// cycles, which is why [`System::run_chains`] refuses `K > 1`
+    /// with injection on.
+    fn price<T: TraceSource, const K: usize>(
+        &mut self,
+        mut trace: T,
+        mode: Mode,
+        op: OperatingPoint,
+        mut chains: [&mut dyn MemoryLevel; K],
+    ) -> [RunReport; K] {
         self.il1.set_mode(mode);
         self.dl1.set_mode(mode);
         self.il1.reset_stats();
         self.dl1.reset_stats();
-        self.below.flush();
-        self.below.reset_stats();
+        for chain in chains.iter_mut() {
+            chain.flush();
+            chain.reset_stats();
+        }
 
         let timing = CoreTiming::new(&self.power, mode, self.dl1.config());
         let ule_bits = ule_exposure_bits(self.il1.config(), self.dl1.config());
         let rate = self.seu_rate_per_bit_cycle;
 
-        // Dynamic energy spent below the L1s (zero for the default
-        // energy-free flat memory; folded into the `other` component
-        // so the paper's breakdown categories stay stable).
-        let mut below_pj = 0.0f64;
-
-        let mut stats = RunStats::default();
-        let System {
-            il1,
-            dl1,
-            below,
-            seu_rng,
-            ..
+        let mut front = RunStats::default();
+        let mut tallies = [ChainTally::default(); K];
+        let Front {
+            il1, dl1, seu_rng, ..
         } = self;
         while let Some(entry) = trace.next_entry() {
-            let (_, total) = step(il1, dl1, timing, &mut stats, &mut below_pj, entry, |req| {
-                below.access(req)
-            });
+            let (_, totals) = step(
+                il1,
+                dl1,
+                timing,
+                &mut front,
+                &mut tallies,
+                entry,
+                |j, req| Some(chains[j].access(req)),
+            );
             // Exposure integrates total cycles, fill stalls included,
             // from the one stream that persists across runs.
-            maybe_inject_seu(il1, dl1, seu_rng, rate, ule_bits, total);
-        }
-
-        stats.il1 = *self.il1.stats();
-        stats.dl1 = *self.dl1.stats();
-        // The single-core report keeps the historical chain-reported
-        // memory count (demand fills *plus* buffered writebacks),
-        // discarding the loop's demand-only tally — and stays zero for
-        // custom chains that expose no "memory" level.
-        stats.memory_accesses = 0;
-        for (name, level) in self.below.chain_stats() {
-            match name {
-                "l2" => stats.l2 = Some(level),
-                "memory" => stats.memory_accesses = level.accesses,
-                _ => {}
+            if let Some(&total) = totals.first() {
+                maybe_inject_seu(il1, dl1, seu_rng, rate, ule_bits, total);
             }
         }
 
-        let mut energy = self.power.breakdown_at(&stats, mode, op);
-        if below_pj > 0.0 {
-            energy.other_pj += below_pj;
-        }
-        RunReport {
-            stats,
-            energy,
-            mode,
-            seconds: stats.cycles as f64 * op.cycle_s(),
-        }
+        std::array::from_fn(|j| {
+            let l1s = (&self.il1, &self.dl1);
+            let mut report = tallies[j].report(&front, l1s, &self.power, mode, op);
+            // The single-core report keeps the historical
+            // chain-reported memory count (demand fills *plus* buffered
+            // writebacks), discarding the loop's demand-only tally —
+            // and stays zero for custom chains that expose no "memory"
+            // level. Neither count enters the energy.
+            report.stats.memory_accesses = 0;
+            for (name, level) in chains[j].chain_stats() {
+                match name {
+                    "l2" => report.stats.l2 = Some(level),
+                    "memory" => report.stats.memory_accesses = level.accesses,
+                    _ => {}
+                }
+            }
+            report
+        })
     }
 }
 
@@ -1100,9 +1255,9 @@ mod tests {
             sim_threads: 3,
         };
         let plain = builder().build().expect("valid");
-        assert!(plain.il1.fast_path_ready() && plain.dl1.fast_path_ready());
+        assert!(plain.front.il1.fast_path_ready() && plain.front.dl1.fast_path_ready());
         let slow = builder().options(forced).build().expect("valid");
-        assert!(!slow.il1.fast_path_ready() && !slow.dl1.fast_path_ready());
+        assert!(!slow.front.il1.fast_path_ready() && !slow.front.dl1.fast_path_ready());
 
         let mut multi = builder().options(forced).build_multi(3).expect("3 cores");
         assert_eq!(multi.sim_threads(), 3);

@@ -22,6 +22,10 @@
 //! execute concurrently, so per-core time is what IPC means here —
 //! while *contention* appears architecturally: the cores' miss
 //! streams interleave in the shared L2, evicting each other's lines.
+//! Every run builds its chain fresh from the machine's recipe, and a
+//! run may price the same L1 pass against several chains of
+//! different widths (see [One front pass, many
+//! chains](#one-front-pass-many-chains)).
 //!
 //! # Epoch-parallel simulation
 //!
@@ -38,16 +42,31 @@
 //!    their slices, logging every chain-bound fill request
 //!    (`front_entry`) and charging chain-independent stats;
 //! 2. at the epoch barrier, one merge pass replays the logs against
-//!    the shared chain in canonical core-then-round order
-//!    (`apply_fill`), charging fill stalls and energy.
+//!    the chain (or every chain, see below) in canonical
+//!    core-then-round order (`apply_fill`), charging fill stalls and
+//!    energy.
 //!
 //! Every live core contributes entries to consecutive rounds from the
 //! start of each epoch until it drains, so the merge visits the chain
 //! in exactly the serial interleaving order — counters are
-//! **bit-identical** to the serial reference loop
-//! ([`run_interleaved`](MultiCoreSystem::run_interleaved)) at any
-//! core count and invariant across `--sim-threads 1/2/8` (pinned by
-//! the determinism suite and the `epoch_merge` proptests).
+//! **bit-identical** to the serial loop at any core count and
+//! invariant across `--sim-threads 1/2/8` (pinned by the determinism
+//! suite and the `epoch_merge` proptests).
+//!
+//! # One front pass, many chains
+//!
+//! Since the L1s never observe the chain, one pass of the fronts can
+//! feed several chains. [`run_widths`](MultiCoreSystem::run_widths)
+//! prices the N fronts against K chains of the machine's shape, built
+//! fresh from its builder's recipe, chain `j` taking the misses of
+//! cores `0..w_j` only: the canonical order restricted to those cores
+//! is the `w_j`-core machine's own order, and a core's stream, SEU
+//! draws and exposure do not depend on how many cores run beside it.
+//! Report `j` therefore equals a standalone `w_j`-core run, with soft
+//! errors on or off, and a core-count sweep costs one pass of its
+//! widest machine's L1s. [`run`](MultiCoreSystem::run) is the K = 1
+//! instance at full width: both the serial loop and the epoch
+//! coordinator exist once, generic over K.
 //!
 //! Soft-error draws come from *per-core* RNG streams seeded with
 //! [`per_core_seed`], and exposure integrates each instruction's
@@ -89,12 +108,12 @@
 //! ```
 
 use crate::cache::HybridCache;
-use crate::config::{CacheConfig, Mode};
+use crate::config::{CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode};
 use crate::engine::{
-    apply_fill, front_entry, maybe_inject_seu, step, ule_exposure_bits, ChainRequest, CoreTiming,
-    RunReport,
+    chain_below, fill_chains, front_entry, maybe_inject_seu, step, ule_exposure_bits, ChainRequest,
+    ChainTally, CoreTiming, RunReport,
 };
-use crate::hierarchy::{AccessOutcome, AccessRequest, MemoryLevel, PrivateL2s};
+use crate::hierarchy::{AccessOutcome, AccessRequest, MainMemory, MemoryLevel, PrivateL2s};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
@@ -140,11 +159,44 @@ impl MultiChain {
             MultiChain::Private(l2s) => l2s.as_ref(),
         }
     }
+}
 
-    fn as_dyn_mut(&mut self) -> &mut dyn MemoryLevel {
+/// How a machine's chain is assembled for a given core count: the
+/// [`SystemBuilder`](crate::engine::SystemBuilder) topology, L2 and
+/// memory, already validated.
+#[derive(Debug, Clone)]
+pub(crate) enum ChainRecipe {
+    /// One chain shared by every core: `l2` over memory, or bare
+    /// memory.
+    Shared {
+        l2: Option<L2Config>,
+        memory: MemoryConfig,
+    },
+    /// A private `l2` per core over one shared memory.
+    Private {
+        l2: L2Config,
+        coherence: Option<Mesi>,
+        memory: MemoryConfig,
+    },
+}
+
+impl ChainRecipe {
+    /// The chain below `cores` cores (`cores` ≥ 1).
+    fn build(&self, cores: usize) -> MultiChain {
         match self {
-            MultiChain::Shared(chain) => chain.as_mut(),
-            MultiChain::Private(l2s) => l2s.as_mut(),
+            ChainRecipe::Shared { l2, memory } => {
+                MultiChain::Shared(chain_below(l2.clone(), *memory))
+            }
+            ChainRecipe::Private {
+                l2,
+                coherence,
+                memory,
+            } => MultiChain::Private(Box::new(PrivateL2s::new(
+                l2.clone(),
+                cores,
+                *coherence,
+                MainMemory::new(*memory),
+            ))),
         }
     }
 }
@@ -236,7 +288,8 @@ struct CoreWork<T> {
     dl1: HybridCache,
     source: EpochSource<T>,
     rng: SmallRng,
-    stats: RunStats,
+    /// The chain-independent counters of [`front_entry`].
+    front: RunStats,
     /// This epoch's trace slice (reused across epochs).
     slice: Vec<TraceEntry>,
     /// This epoch's per-instruction records (reused across epochs).
@@ -261,9 +314,9 @@ impl<T: TraceSource> CoreWork<T> {
                 &mut self.il1,
                 &mut self.dl1,
                 timing,
-                &mut self.stats,
+                &mut self.front,
                 entry,
-                |_, req| requests.push(req),
+                |req| requests.push(req),
             );
             self.instrs.push(InstrRecord {
                 local_cycles: local,
@@ -291,8 +344,10 @@ impl<T: TraceSource> CoreWork<T> {
 pub struct MultiCoreSystem {
     /// Per-core `(il1, dl1)` pairs.
     fronts: Vec<(HybridCache, HybridCache)>,
-    /// The chain below the L1s (shared, or private L2s per core).
-    below: MultiChain,
+    /// The shape of the chain below the L1s (shared, or private L2s
+    /// per core). Every run builds its chains fresh from it, which is
+    /// the state a flushed chain returns to.
+    recipe: ChainRecipe,
     /// One power model (all cores share a configuration).
     power: PowerModel,
     /// Soft-error injection, as in [`System`](crate::engine::System);
@@ -307,11 +362,27 @@ pub struct MultiCoreSystem {
     sim_threads: usize,
 }
 
+/// One chain of a multi-core run and its width: the chain serves the
+/// misses of cores `0..width` only.
+type Lane = (MultiChain, usize);
+
+/// Lane `j`'s fill for a request from `core`, or `None` when the lane's
+/// width leaves the core out: the one place the width rule is applied.
+fn lane_fill<const K: usize>(
+    lanes: &mut [Lane; K],
+    j: usize,
+    core: usize,
+    req: AccessRequest,
+) -> Option<AccessOutcome> {
+    let (chain, width) = &mut lanes[j];
+    (core < *width).then(|| chain.access_from(core, req))
+}
+
 impl MultiCoreSystem {
     /// Assembles the machine from parts the builder validated.
-    pub(crate) fn from_parts(
+    pub(crate) fn new(
         fronts: Vec<(HybridCache, HybridCache)>,
-        below: MultiChain,
+        recipe: ChainRecipe,
         power: PowerModel,
         seu_rate_per_bit_cycle: f64,
         seu_seed: u64,
@@ -319,7 +390,7 @@ impl MultiCoreSystem {
     ) -> Self {
         MultiCoreSystem {
             fronts,
-            below,
+            recipe,
             power,
             seu_rate_per_bit_cycle,
             seu_seed,
@@ -332,14 +403,7 @@ impl MultiCoreSystem {
         self.fronts.len()
     }
 
-    /// The chain beneath the L1s, for inspection (the shared
-    /// hierarchy, or the [`PrivateL2s`] set under a private topology).
-    pub fn below(&self) -> &dyn MemoryLevel {
-        self.below.as_dyn()
-    }
-
-    /// Worker threads the next run will use (1 = the serial reference
-    /// loop).
+    /// Worker threads the next run will use (1 = the serial loop).
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
     }
@@ -358,6 +422,73 @@ impl MultiCoreSystem {
     pub fn core_mut(&mut self, core: usize) -> (&mut HybridCache, &mut HybridCache) {
         let (il1, dl1) = &mut self.fronts[core];
         (il1, dl1)
+    }
+
+    /// Runs one trace per core to completion at `mode`, in the
+    /// canonical round-robin order (core 0 first). With
+    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1
+    /// the epoch-parallel engine runs the L1 front ends on worker
+    /// threads; counters are bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len()` differs from the core count.
+    pub fn run<T>(&mut self, sources: Vec<T>, mode: Mode) -> MultiCoreReport
+    where
+        T: TraceSource + Send,
+    {
+        self.run_at(sources, mode, mode.operating_point())
+    }
+
+    /// Like [`run`](MultiCoreSystem::run) but at an explicit operating
+    /// point (the DVS-sweep entry point).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len()` differs from the core count.
+    pub fn run_at<T>(&mut self, sources: Vec<T>, mode: Mode, op: OperatingPoint) -> MultiCoreReport
+    where
+        T: TraceSource + Send,
+    {
+        let [report] = self.price(sources, mode, op, [self.cores()]);
+        report
+    }
+
+    /// Runs the cores' traces once through their L1s at `mode` and
+    /// prices the misses against `K` chains of this machine's shape
+    /// (its [`SystemBuilder`](crate::engine::SystemBuilder) topology,
+    /// L2 and memory), chain `j` built for and serving only cores
+    /// `0..widths[j]`. Report `j` is exactly what
+    /// [`run`](MultiCoreSystem::run) returns on a `widths[j]`-core
+    /// machine from the same builder given the first `widths[j]`
+    /// sources: the canonical round-robin order restricted to those
+    /// cores is that machine's order, and every core's L1s, SEU stream
+    /// and exposure (core-local cycles) are independent of the chain
+    /// and of the other cores. So one L1 pass serves a whole
+    /// core-count sweep, soft errors on or off.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ChainWidth`] when a width is zero or exceeds the
+    /// core count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len()` differs from the core count.
+    pub fn run_widths<T, const K: usize>(
+        &mut self,
+        sources: Vec<T>,
+        mode: Mode,
+        widths: [usize; K],
+    ) -> Result<[MultiCoreReport; K], ConfigError>
+    where
+        T: TraceSource + Send,
+    {
+        let cores = self.cores();
+        if let Some(&width) = widths.iter().find(|&&w| w == 0 || w > cores) {
+            return Err(ConfigError::ChainWidth { width, cores });
+        }
+        Ok(self.price(sources, mode, mode.operating_point(), widths))
     }
 
     /// The one IL1/DL1 configuration every front end shares.
@@ -387,99 +518,19 @@ impl MultiCoreSystem {
             .collect()
     }
 
-    /// Mode transition: flushes and resets every L1 and the chain
-    /// below. Returns the run's timing constants and the ULE exposure
-    /// of one core, both shared by every core.
-    fn prepare(&mut self, mode: Mode) -> (CoreTiming, u64) {
-        for (il1, dl1) in &mut self.fronts {
-            il1.set_mode(mode);
-            dl1.set_mode(mode);
-            il1.reset_stats();
-            dl1.reset_stats();
-        }
-        let chain = self.below.as_dyn_mut();
-        chain.flush();
-        chain.reset_stats();
-        let (il1, dl1) = self.shared_core_config();
-        (
-            CoreTiming::new(&self.power, mode, dl1),
-            ule_exposure_bits(il1, dl1),
-        )
-    }
-
-    /// Assembles the report after either run path: fold the per-core
-    /// L1 counters back in, price the energy, read the chain.
-    fn finish(
-        &self,
-        stats: Vec<RunStats>,
-        below_pj: Vec<f64>,
+    /// The one multi-core run: a mode transition (every L1 flushed
+    /// and reset, one fresh chain per width), one pass of the L1
+    /// fronts over `sources` whose misses are priced against every
+    /// lane in canonical round-robin order — serially, or
+    /// epoch-parallel above one simulation thread — and one report per
+    /// lane.
+    fn price<T, const K: usize>(
+        &mut self,
+        sources: Vec<T>,
         mode: Mode,
         op: OperatingPoint,
-    ) -> MultiCoreReport {
-        let chain = self.below.as_dyn().chain_stats();
-        let l2 = chain
-            .iter()
-            .find(|(name, _)| *name == "l2")
-            .map(|(_, s)| *s);
-        let memory = chain
-            .iter()
-            .find(|(name, _)| *name == "memory")
-            .map(|(_, s)| *s)
-            .unwrap_or_default();
-
-        let per_core = self
-            .fronts
-            .iter()
-            .zip(stats)
-            .zip(below_pj)
-            .map(|((front, mut stats), below_pj)| {
-                stats.il1 = *front.0.stats();
-                stats.dl1 = *front.1.stats();
-                let mut energy = self.power.breakdown_at(&stats, mode, op);
-                if below_pj > 0.0 {
-                    energy.other_pj += below_pj;
-                }
-                let seconds = stats.cycles as f64 * op.cycle_s();
-                RunReport {
-                    stats,
-                    energy,
-                    mode,
-                    seconds,
-                }
-            })
-            .collect();
-
-        MultiCoreReport {
-            per_core,
-            l2,
-            memory,
-            mode,
-        }
-    }
-
-    /// Runs one trace per core to completion at `mode`, in the
-    /// canonical round-robin order (core 0 first). With
-    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1
-    /// the epoch-parallel engine runs the L1 front ends on worker
-    /// threads; counters are bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the core count.
-    pub fn run<T>(&mut self, sources: Vec<T>, mode: Mode) -> MultiCoreReport
-    where
-        T: TraceSource + Send,
-    {
-        self.run_at(sources, mode, mode.operating_point())
-    }
-
-    /// Like [`run`](MultiCoreSystem::run) but at an explicit operating
-    /// point (the DVS-sweep entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the core count.
-    pub fn run_at<T>(&mut self, sources: Vec<T>, mode: Mode, op: OperatingPoint) -> MultiCoreReport
+        widths: [usize; K],
+    ) -> [MultiCoreReport; K]
     where
         T: TraceSource + Send,
     {
@@ -489,74 +540,90 @@ impl MultiCoreSystem {
             self.fronts.len(),
             "need exactly one trace source per core"
         );
-        if self.sim_threads <= 1 {
-            self.run_interleaved(Interleave::new(sources), mode, op)
-        } else {
-            self.run_epochs(sources, mode, op)
+        for (il1, dl1) in &mut self.fronts {
+            il1.set_mode(mode);
+            dl1.set_mode(mode);
+            il1.reset_stats();
+            dl1.reset_stats();
         }
+        let mut lanes = widths.map(|width| (self.recipe.build(width), width));
+        let (il1, dl1) = self.shared_core_config();
+        let timing = CoreTiming::new(&self.power, mode, dl1);
+        let ule_bits = ule_exposure_bits(il1, dl1);
+
+        let (front, tallies) = if self.sim_threads <= 1 {
+            self.serial(sources, timing, ule_bits, &mut lanes)
+        } else {
+            self.epochs(sources, timing, ule_bits, &mut lanes)
+        };
+
+        std::array::from_fn(|j| {
+            let (chain, width) = &lanes[j];
+            let chain = chain.as_dyn().chain_stats();
+            let level = |name| chain.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
+            let per_core = (0..*width)
+                .map(|core| {
+                    let (il1, dl1) = &self.fronts[core];
+                    tallies[core][j].report(&front[core], (il1, dl1), &self.power, mode, op)
+                })
+                .collect();
+            MultiCoreReport {
+                per_core,
+                l2: level("l2"),
+                memory: level("memory").unwrap_or_default(),
+                mode,
+            }
+        })
     }
 
-    /// Runs an already-interleaved stream of `(core, entry)` pairs —
-    /// the serial reference loop behind single-threaded
-    /// [`run`](MultiCoreSystem::run) calls, and the general entry
-    /// point for custom schedules (unequal time slices, bursty
-    /// arrivals, recorded multi-core traces). The epoch-parallel path
-    /// is pinned bit-identical to this loop by the test suite.
-    ///
-    /// Caches are flushed on entry (the mode transition) and
-    /// statistics reset, as in
-    /// [`System::run`](crate::engine::System::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry names a core at or beyond the core count.
-    pub fn run_interleaved<I>(
+    /// The serial loop: the canonical round-robin interleaving, each
+    /// miss resolved on the spot against every lane whose width takes
+    /// the core in. Returns each core's front counters and its tally
+    /// per lane.
+    fn serial<T: TraceSource, const K: usize>(
         &mut self,
-        entries: I,
-        mode: Mode,
-        op: OperatingPoint,
-    ) -> MultiCoreReport
-    where
-        I: IntoIterator<Item = (usize, TraceEntry)>,
-    {
-        let (timing, ule_bits) = self.prepare(mode);
+        sources: Vec<T>,
+        timing: CoreTiming,
+        ule_bits: u64,
+        lanes: &mut [Lane; K],
+    ) -> (Vec<RunStats>, Vec<[ChainTally; K]>) {
         let rate = self.seu_rate_per_bit_cycle;
         let mut rngs = self.core_rngs();
-
         let n = self.fronts.len();
-        let mut stats = vec![RunStats::default(); n];
-        let mut below_pj = vec![0.0f64; n];
-        let MultiCoreSystem { fronts, below, .. } = self;
-        for (core, entry) in entries {
-            // hyvec-lint: allow(no-panic, "documented precondition (# Panics): entries name cores below the core count")
-            assert!(core < n, "entry for core {core} on a {n}-core system");
-            let (il1, dl1) = &mut fronts[core];
+        let mut front = vec![RunStats::default(); n];
+        let mut tallies = vec![[ChainTally::default(); K]; n];
+        for (core, entry) in Interleave::new(sources) {
+            let (il1, dl1) = &mut self.fronts[core];
             let (local, _) = step(
                 il1,
                 dl1,
                 timing,
-                &mut stats[core],
-                &mut below_pj[core],
+                &mut front[core],
+                &mut tallies[core],
                 entry,
-                |req| below.access_from(core, req),
+                |j, req| lane_fill(lanes, j, core, req),
             );
             // Exposure integrates core-local cycles, as on the epoch
             // workers, from the core's own stream.
             maybe_inject_seu(il1, dl1, &mut rngs[core], rate, ule_bits, local);
         }
-
-        self.finish(stats, below_pj, mode, op)
+        (front, tallies)
     }
 
     /// The epoch-parallel path: worker threads drive the L1 front
     /// ends through per-core trace slices; the coordinator replays
-    /// each epoch's request logs against the chain in canonical
-    /// order. See the module docs for the full protocol.
-    fn run_epochs<T>(&mut self, sources: Vec<T>, mode: Mode, op: OperatingPoint) -> MultiCoreReport
+    /// each epoch's request logs against the lanes in canonical order.
+    /// See the module docs for the full protocol.
+    fn epochs<T, const K: usize>(
+        &mut self,
+        sources: Vec<T>,
+        timing: CoreTiming,
+        ule_bits: u64,
+        lanes: &mut [Lane; K],
+    ) -> (Vec<RunStats>, Vec<[ChainTally; K]>)
     where
         T: TraceSource + Send,
     {
-        let (timing, ule_bits) = self.prepare(mode);
         let rate = self.seu_rate_per_bit_cycle;
         let n = self.fronts.len();
         let threads = self.sim_threads.min(n);
@@ -572,19 +639,17 @@ impl MultiCoreSystem {
                     dl1,
                     source: EpochSource::new(source),
                     rng,
-                    stats: RunStats::default(),
+                    front: RunStats::default(),
                     slice: Vec::with_capacity(EPOCH_INSTRUCTIONS),
                     instrs: Vec::with_capacity(EPOCH_INSTRUCTIONS),
                     requests: Vec::new(),
                 })
             })
             .collect();
-        let mut below_pj = vec![0.0f64; n];
+        let mut tallies = vec![[ChainTally::default(); K]; n];
 
         {
             let works = &works;
-            let below = &mut self.below;
-            let below_pj = &mut below_pj[..];
             // Barrier A releases the workers into an epoch; barrier B
             // tells the coordinator the worker phase is over. Workers
             // then block at the next A while the coordinator merges.
@@ -612,44 +677,48 @@ impl MultiCoreSystem {
                         barrier.wait(); // B
                     });
                 }
-                coordinate(works, barrier, next_core, stop, below, below_pj, timing);
+                coordinate(works, barrier, next_core, stop, lanes, &mut tallies, timing);
             });
         }
 
-        let mut stats = Vec::with_capacity(n);
+        let mut front = Vec::with_capacity(n);
         for work in works {
             let work = work
                 .into_inner()
                 // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked, which the scope already propagated")
                 .expect("a worker thread panicked");
             self.fronts.push((work.il1, work.dl1));
-            stats.push(work.stats);
+            front.push(work.front);
         }
-        self.finish(stats, below_pj, mode, op)
+        (front, tallies)
     }
 }
 
 /// The coordinator side of the epoch protocol: release the workers
 /// into an epoch, wait for them, then replay every core's log against
-/// the chain in canonical core-then-round order. Runs entirely while
+/// the lanes in canonical core-then-round order. Runs entirely while
 /// the workers are parked at the next epoch's barrier, so the locks
-/// are uncontended and the chain sees exactly the serial order.
-fn coordinate<T: TraceSource>(
+/// are uncontended and every chain sees exactly the serial order.
+fn coordinate<T: TraceSource, const K: usize>(
     works: &[Mutex<CoreWork<T>>],
     barrier: &Barrier,
     next_core: &AtomicUsize,
     stop: &AtomicBool,
-    chain: &mut MultiChain,
-    below_pj: &mut [f64],
+    lanes: &mut [Lane; K],
+    tallies: &mut [[ChainTally; K]],
     timing: CoreTiming,
 ) {
+    // Dropped last, on return or unwind alike: the workers parked at
+    // the next barrier observe `stop` and exit, so a panic in the merge
+    // propagates out of the scope instead of deadlocking it.
+    let _release = ReleaseWorkers { barrier, stop };
     let mut cursors = vec![0usize; works.len()];
     loop {
         next_core.store(0, Ordering::Relaxed);
         barrier.wait(); // A: workers start the epoch
         barrier.wait(); // B: workers are done, parked before next A
 
-        let mut guards: Vec<MutexGuard<'_, CoreWork<T>>> = works
+        let guards: Vec<MutexGuard<'_, CoreWork<T>>> = works
             .iter()
             .map(|w| {
                 w.lock()
@@ -660,20 +729,21 @@ fn coordinate<T: TraceSource>(
         let rounds = guards.iter().map(|g| g.instrs.len()).max().unwrap_or(0);
         cursors.iter_mut().for_each(|c| *c = 0);
         for round in 0..rounds {
-            for core in 0..guards.len() {
-                let work = &mut *guards[core];
+            for (core, work) in guards.iter().enumerate() {
                 let Some(rec) = work.instrs.get(round).copied() else {
                     continue;
                 };
-                let mut cycles = rec.local_cycles;
+                let mut stalls = [0u64; K];
                 for _ in 0..rec.requests {
                     let req = work.requests[cursors[core]];
                     cursors[core] += 1;
-                    let fill = chain.access_from(core, req.access);
-                    cycles +=
-                        apply_fill(timing, req.kind, fill, &mut work.stats, &mut below_pj[core]);
+                    fill_chains(timing, req, &mut tallies[core], &mut stalls, |j, access| {
+                        lane_fill(lanes, j, core, access)
+                    });
                 }
-                work.stats.cycles += cycles;
+                for (tally, stall) in tallies[core].iter_mut().zip(stalls) {
+                    tally.stats.cycles += rec.local_cycles + stall;
+                }
             }
         }
         let done = guards.iter().all(|g| g.source.is_done());
@@ -682,8 +752,19 @@ fn coordinate<T: TraceSource>(
             break;
         }
     }
-    stop.store(true, Ordering::Release);
-    barrier.wait(); // final A: workers observe `stop` and exit
+}
+
+/// The coordinator's last act: set `stop` and pass the final barrier A.
+struct ReleaseWorkers<'a> {
+    barrier: &'a Barrier,
+    stop: &'a AtomicBool,
+}
+
+impl Drop for ReleaseWorkers<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        self.barrier.wait(); // final A: workers observe `stop` and exit
+    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mode, SystemConfig};
-use hyvec_cachesim::engine::{SimOptions, System, SystemBuilder};
+use hyvec_cachesim::engine::{RunReport, SimOptions, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
+use hyvec_cachesim::hierarchy::{MainMemory, MemoryLevel};
 use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
 use hyvec_edc::Protection;
 use hyvec_mediabench::Benchmark;
@@ -88,6 +89,22 @@ fn machine(config: &SystemConfig, options: SimOptions) -> System {
         .expect("valid cache configuration")
 }
 
+/// One suite's summed energy breakdown, instructions and cycles, plus
+/// each benchmark's `(benchmark, EPI, cycles)`.
+type Suite = (EnergyBreakdown, u64, u64, Vec<(Benchmark, f64, u64)>);
+
+/// Adds benchmark `b`'s run to `suite`.
+fn add_run(suite: &mut Suite, b: Benchmark, report: &RunReport) {
+    let (total, instructions, cycles, per_bench) = suite;
+    total.l1_dynamic_pj += report.energy.l1_dynamic_pj;
+    total.l1_leakage_pj += report.energy.l1_leakage_pj;
+    total.edc_pj += report.energy.edc_pj;
+    total.other_pj += report.energy.other_pj;
+    *instructions += report.stats.instructions;
+    *cycles += report.stats.cycles;
+    per_bench.push((b, report.epi_pj(), report.stats.cycles));
+}
+
 /// Runs `benchmarks` on `arch` at `mode`, returning the summed energy
 /// breakdown, instructions and cycles.
 fn run_suite(
@@ -96,23 +113,39 @@ fn run_suite(
     mode: Mode,
     params: ExperimentParams,
     options: SimOptions,
-) -> (EnergyBreakdown, u64, u64, Vec<(Benchmark, f64, u64)>) {
+) -> Suite {
     let mut system = machine(&arch.config, options);
-    let mut total = EnergyBreakdown::default();
-    let mut instructions = 0;
-    let mut cycles = 0;
-    let mut per_bench = Vec::new();
+    let mut suite = Suite::default();
     for &b in benchmarks {
         let report = system.run(b.trace(params.instructions, params.seed), mode);
-        total.l1_dynamic_pj += report.energy.l1_dynamic_pj;
-        total.l1_leakage_pj += report.energy.l1_leakage_pj;
-        total.edc_pj += report.energy.edc_pj;
-        total.other_pj += report.energy.other_pj;
-        instructions += report.stats.instructions;
-        cycles += report.stats.cycles;
-        per_bench.push((b, report.epi_pj(), report.stats.cycles));
+        add_run(&mut suite, b, &report);
     }
-    (total, instructions, cycles, per_bench)
+    suite
+}
+
+/// [`run_suite`] once per chain of `chains`, from one L1 pass per
+/// benchmark ([`System::run_chains`]): suite `j` is what `run_suite`
+/// returns on `arch` with `chains[j]` below its L1s.
+fn run_suite_chains<const K: usize>(
+    arch: &Architecture,
+    benchmarks: &[Benchmark],
+    mode: Mode,
+    params: ExperimentParams,
+    options: SimOptions,
+    mut chains: [Box<dyn MemoryLevel>; K],
+) -> [Suite; K] {
+    let mut system = machine(&arch.config, options);
+    let mut suites: [Suite; K] = std::array::from_fn(|_| Suite::default());
+    for &b in benchmarks {
+        let reports = system
+            .run_chains(b.trace(params.instructions, params.seed), mode, &mut chains)
+            // hyvec-lint: allow(no-panic, "machine() never enables soft errors, the only run_chains error")
+            .expect("soft errors are off");
+        for (suite, report) in suites.iter_mut().zip(&reports) {
+            add_run(suite, b, report);
+        }
+    }
+    suites
 }
 
 // ---------------------------------------------------------------------
@@ -707,47 +740,43 @@ pub struct MemLatRow {
     pub hp_saving: f64,
 }
 
+/// Memory latencies swept by the memory-latency ablation, cycles.
+const MEMLAT_LATENCIES: [u32; 4] = [10, 20, 40, 80];
+
 /// Sweeps the memory latency (paper: "other memory latencies do not
-/// change the trends").
+/// change the trends"). The latency lives in the chain alone, so each
+/// design point's L1s make one pass per benchmark, priced against all
+/// four memories.
 pub fn ablation_memory_latency(
     scenario: Scenario,
     params: ExperimentParams,
     options: SimOptions,
 ) -> Vec<MemLatRow> {
-    [10u32, 20, 40, 80]
+    let suites = |point| {
+        let arch = Architecture::build_with(
+            scenario,
+            point,
+            &FailureModel::default(),
+            &MethodologyInputs::default(),
+            7,
+            1,
+            MEMLAT_LATENCIES[0],
+        )
+        // hyvec-lint: allow(no-panic, "the 7+1 split sizes with default models at any latency (the latency only reaches the memory); the sweep itself is the regression test")
+        .expect("ablation arch");
+        let chains = MEMLAT_LATENCIES.map(|lat| -> Box<dyn MemoryLevel> {
+            Box::new(MainMemory::new(MemoryConfig::with_latency(lat)))
+        });
+        run_suite_chains(&arch, &Benchmark::BIG, Mode::Hp, params, options, chains)
+    };
+    let baseline = suites(DesignPoint::Baseline);
+    let proposal = suites(DesignPoint::Proposal);
+    MEMLAT_LATENCIES
         .iter()
-        .map(|&lat| {
-            let build = |point| {
-                Architecture::build_with(
-                    scenario,
-                    point,
-                    &FailureModel::default(),
-                    &MethodologyInputs::default(),
-                    7,
-                    1,
-                    lat,
-                )
-                // hyvec-lint: allow(no-panic, "every latency point in the ablation range sizes with default models; the sweep itself is the regression test")
-                .expect("ablation arch")
-            };
-            let (be, bi, _, _) = run_suite(
-                &build(DesignPoint::Baseline),
-                &Benchmark::BIG,
-                Mode::Hp,
-                params,
-                options,
-            );
-            let (pe, pi, _, _) = run_suite(
-                &build(DesignPoint::Proposal),
-                &Benchmark::BIG,
-                Mode::Hp,
-                params,
-                options,
-            );
-            MemLatRow {
-                latency: lat,
-                hp_saving: 1.0 - pe.epi_pj(pi) / be.epi_pj(bi),
-            }
+        .zip(baseline.iter().zip(&proposal))
+        .map(|(&latency, ((be, bi, _, _), (pe, pi, _, _)))| MemLatRow {
+            latency,
+            hp_saving: 1.0 - pe.epi_pj(*pi) / be.epi_pj(*bi),
         })
         .collect()
 }
@@ -803,38 +832,59 @@ fn slow_memory_proposal(scenario: Scenario, options: SimOptions) -> SystemBuilde
         .options(options)
 }
 
+/// L2 capacities swept by the L2 ablation, KB (`None`: no L2).
+const ABLATION_L2_SIZES_KB: [Option<u64>; 4] = [None, Some(16), Some(64), Some(256)];
+
 /// Sweeps a unified L2 (none, then growing capacities at their default
 /// latencies) under the proposal design point, running BigBench at HP
 /// mode behind a slow memory ([`ABLATION_L2_MEMORY_LATENCY`]). Every
 /// row but the first routes L1 misses through the composable
 /// [`hyvec_cachesim::hierarchy::MemoryLevel`] chain
-/// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`.
+/// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`;
+/// one L1 pass per benchmark is priced against all four chains.
 pub fn ablation_l2(
     scenario: Scenario,
     params: ExperimentParams,
     options: SimOptions,
 ) -> Vec<L2Row> {
     let proposal = slow_memory_proposal(scenario, options);
+    // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry; exercised by every run-all")
+    let mut system = proposal.clone().build().expect("valid proposal");
+    let mut chains = ABLATION_L2_SIZES_KB.map(|size_kb| {
+        let mut builder = proposal.clone();
+        if let Some(kb) = size_kb {
+            builder = builder.l2(L2Config::unified(kb));
+        }
+        builder
+            .build_chain()
+            // hyvec-lint: allow(no-panic, "L2Config::unified presets are valid; exercised by every run-all")
+            .expect("valid hierarchy")
+    });
 
-    [None, Some(16u64), Some(64), Some(256)]
+    let runs: Vec<[RunReport; 4]> = Benchmark::BIG
         .iter()
-        .map(|&size_kb| {
-            let mut builder = proposal.clone();
-            let mut hit_latency = 0;
-            if let Some(kb) = size_kb {
-                let l2 = L2Config::unified(kb);
-                hit_latency = l2.hit_latency;
-                builder = builder.l2(l2);
-            }
-            // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-            let mut system = builder.build().expect("valid hierarchy");
+        .map(|b| {
+            system
+                .run_chains(
+                    b.trace(params.instructions, params.seed),
+                    Mode::Hp,
+                    &mut chains,
+                )
+                // hyvec-lint: allow(no-panic, "the ablation machine never enables soft errors, the only run_chains error")
+                .expect("soft errors are off")
+        })
+        .collect();
 
+    ABLATION_L2_SIZES_KB
+        .iter()
+        .enumerate()
+        .map(|(j, &size_kb)| {
             let mut instructions = 0u64;
             let mut cycles = 0u64;
             let mut energy_pj = 0.0;
             let mut row = L2Row {
                 size_kb: size_kb.unwrap_or(0),
-                hit_latency,
+                hit_latency: size_kb.map_or(0, |kb| L2Config::unified(kb).hit_latency),
                 cpi: 0.0,
                 epi_pj: 0.0,
                 l2_hit_ratio: 0.0,
@@ -844,8 +894,7 @@ pub fn ablation_l2(
             };
             let mut l2_hits = 0u64;
             let mut l2_accesses = 0u64;
-            for b in Benchmark::BIG {
-                let r = system.run(b.trace(params.instructions, params.seed), Mode::Hp);
+            for r in runs.iter().map(|reports| &reports[j]) {
                 instructions += r.stats.instructions;
                 cycles += r.stats.cycles;
                 energy_pj += r.energy.total_pj();
@@ -932,7 +981,10 @@ pub const ABLATION_CORES_PROGRAMS: [Benchmark; 6] = [
 /// address window ([`hyvec_mediabench::multiprogram_sources`]),
 /// round-robin interleaved at instruction granularity by the
 /// multi-core engine
-/// ([`hyvec_cachesim::multicore::MultiCoreSystem`]).
+/// ([`hyvec_cachesim::multicore::MultiCoreSystem`]). Core `i`'s stream
+/// does not depend on the core count, so one pass of the widest
+/// machine's fronts is priced against one chain per core count
+/// ([`MultiCoreSystem::run_widths`](hyvec_cachesim::MultiCoreSystem::run_widths)).
 pub fn ablation_cores(
     scenario: Scenario,
     params: ExperimentParams,
@@ -940,26 +992,26 @@ pub fn ablation_cores(
 ) -> Vec<CoresRow> {
     use hyvec_mediabench::multiprogram_sources;
 
-    let proposal = slow_memory_proposal(scenario, options);
-
-    ABLATION_CORES_COUNTS
+    let widest = widest(&ABLATION_CORES_COUNTS);
+    let mut system = slow_memory_proposal(scenario, options)
+        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+        .build_multi(widest)
+        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
+        .expect("valid multi-core hierarchy");
+    let benchmarks: Vec<Benchmark> = (0..widest)
+        .map(|i| ABLATION_CORES_PROGRAMS[i % ABLATION_CORES_PROGRAMS.len()])
+        .collect();
+    let sources = multiprogram_sources(&benchmarks, params.instructions, params.seed);
+    system
+        .run_widths(sources, Mode::Hp, ABLATION_CORES_COUNTS)
+        // hyvec-lint: allow(no-panic, "every swept count fits the widest machine")
+        .expect("every width fits")
         .iter()
-        .map(|&cores| {
-            let mut system = proposal
-                .clone()
-                .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-                .build_multi(cores)
-                // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-                .expect("valid multi-core hierarchy");
-            let benchmarks: Vec<Benchmark> = (0..cores)
-                .map(|i| ABLATION_CORES_PROGRAMS[i % ABLATION_CORES_PROGRAMS.len()])
-                .collect();
-            let sources = multiprogram_sources(&benchmarks, params.instructions, params.seed);
-            let report = system.run(sources, Mode::Hp);
+        .map(|report| {
             let instructions = report.instructions();
             let core0 = &report.per_core[0].stats;
             CoresRow {
-                cores,
+                cores: report.per_core.len(),
                 epi_pj: report.epi_pj(),
                 l2_hit_ratio: report.l2_hit_ratio(),
                 memory_accesses: report.memory.accesses,
@@ -975,6 +1027,11 @@ pub fn ablation_cores(
             }
         })
         .collect()
+}
+
+/// The largest of a sweep's core counts.
+fn widest(counts: &[usize]) -> usize {
+    counts.iter().copied().max().unwrap_or(1)
 }
 
 /// One core count of the private-L2 MESI topology scenario.
@@ -1013,33 +1070,32 @@ pub fn ablation_cores_mesi(
     use hyvec_cachesim::config::{Mesi, Topology};
     use hyvec_mediabench::per_core_seed;
 
-    let proposal = slow_memory_proposal(scenario, options);
-
-    ABLATION_CORES_MESI_COUNTS
+    let widest = widest(&ABLATION_CORES_MESI_COUNTS);
+    let mut system = slow_memory_proposal(scenario, options)
+        .l2(L2Config::unified(ABLATION_CORES_L2_KB))
+        .topology(Topology::PrivateL2 {
+            coherence: Some(Mesi::default()),
+        })
+        .build_multi(widest)
+        // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
+        .expect("valid private-L2 MESI machine");
+    let sources: Vec<_> = (0..widest)
+        .map(|core| {
+            ABLATION_CORES_PROGRAMS[0].trace(params.instructions, per_core_seed(params.seed, core))
+        })
+        .collect();
+    system
+        .run_widths(sources, Mode::Hp, ABLATION_CORES_MESI_COUNTS)
+        // hyvec-lint: allow(no-panic, "every swept count fits the widest machine")
+        .expect("every width fits")
         .iter()
-        .map(|&cores| {
-            let mut system = proposal
-                .clone()
-                .l2(L2Config::unified(ABLATION_CORES_L2_KB))
-                .topology(Topology::PrivateL2 {
-                    coherence: Some(Mesi::default()),
-                })
-                .build_multi(cores)
-                // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry plus L2Config::unified presets; exercised by every run-all")
-                .expect("valid private-L2 MESI machine");
-            let sources: Vec<_> = (0..cores)
-                .map(|core| {
-                    ABLATION_CORES_PROGRAMS[0]
-                        .trace(params.instructions, per_core_seed(params.seed, core))
-                })
-                .collect();
-            let report = system.run(sources, Mode::Hp);
+        .map(|report| {
             let instructions = report.instructions();
             let kilo = |count: u64| 1000.0 * count as f64 / instructions as f64;
             // hyvec-lint: allow(no-panic, "the private topology always reports an aggregate l2 level")
             let l2 = report.l2.expect("private L2s report an l2 level");
             CoresTopologyRow {
-                cores,
+                cores: report.per_core.len(),
                 epi_pj: report.epi_pj(),
                 l2_hit_ratio: report.l2_hit_ratio(),
                 memory_per_kilo_instructions: kilo(report.memory.accesses),

@@ -501,9 +501,14 @@ impl<R: Read> BinaryReplay<R> {
                 ),
             });
         }
+        // The buffers grow with the bytes that actually arrive, never
+        // to the sizes the frame merely declares: a forged frame over
+        // a short stream costs what the stream holds.
         self.payload.clear();
-        self.payload.resize(payload_len, 0);
-        let got = read_full(&mut self.source, &mut self.payload)?;
+        let got = (&mut self.source)
+            .take(payload_len as u64)
+            .read_to_end(&mut self.payload)
+            .map_err(|e| BinfmtError::Io(e.to_string()))?;
         if got < payload_len {
             return Err(BinfmtError::TruncatedChunk {
                 chunk,
@@ -515,7 +520,8 @@ impl<R: Read> BinaryReplay<R> {
 
         let payload: &[u8] = &self.payload;
         self.chunk.clear();
-        self.chunk.reserve(entry_count);
+        // Every entry takes at least a flag byte and a pc varint byte.
+        self.chunk.reserve(entry_count.min(payload_len / 2));
         let (mut last_pc, mut last_addr) = (0u64, 0u64);
         let mut pos = 0usize;
         for _ in 0..entry_count {
@@ -584,6 +590,10 @@ impl<R: Read> Iterator for BinaryReplay<R> {
                     return None;
                 }
                 Err(e) => {
+                    // Entries decoded before the damage in this chunk
+                    // are never handed out.
+                    self.chunk.clear();
+                    self.pos = 0;
                     self.error = Some(e);
                     self.finished = true;
                     return None;
@@ -899,6 +909,43 @@ mod tests {
                 assert!(reason.contains("trailing"), "{reason}");
             }
             other => panic!("expected CorruptChunk, got {other:?}"),
+        }
+        // The entries decoded before the damage stay unread, also when
+        // the caller keeps pulling after the error.
+        assert_eq!(reader.next(), None);
+    }
+
+    /// The bytes a reader's two buffers hold reserved.
+    fn buffer_bytes<R: Read>(reader: &BinaryReplay<R>) -> usize {
+        reader.payload.capacity() + reader.chunk.capacity() * std::mem::size_of::<TraceEntry>()
+    }
+
+    proptest::proptest! {
+        /// A frame declaring up to the largest chunk (and past it) over
+        /// a short, arbitrary payload: the buffers grow with the bytes
+        /// that arrive, never to the declared sizes, and stay within
+        /// one chunk's worst-case payload.
+        #[test]
+        fn declared_sizes_do_not_size_the_buffers(
+            count_sel in 0u64..4,
+            len_sel in 0u64..4,
+            payload in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            let count = [1, 4096, MAX_CHUNK_ENTRIES, MAX_CHUNK_ENTRIES + 1][count_sel as usize];
+            let payload_len =
+                [0, 2 * count, MAX_ENTRY_BYTES * count, MAX_ENTRY_BYTES * count + 1]
+                    [len_sel as usize];
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&[0, 0]);
+            bytes.extend_from_slice(&(count as u32).to_le_bytes());
+            bytes.extend_from_slice(&(payload_len as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            let mut reader = BinaryReplay::from_bytes(bytes).unwrap();
+            let _ = reader.by_ref().count();
+            let held = buffer_bytes(&reader);
+            proptest::prop_assert!(held <= MAX_CHUNK_ENTRIES * MAX_ENTRY_BYTES, "{} bytes", held);
+            proptest::prop_assert!(held <= 16 * payload.len() + 1024, "{} bytes", held);
         }
     }
 

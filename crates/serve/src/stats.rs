@@ -19,12 +19,16 @@ pub struct ServerCounters {
     pub requests: AtomicU64,
     /// 200 responses.
     pub status_200: AtomicU64,
+    /// 304 responses (`If-None-Match` revalidations).
+    pub status_304: AtomicU64,
     /// 400 responses.
     pub status_400: AtomicU64,
     /// 404 responses.
     pub status_404: AtomicU64,
     /// 405 responses.
     pub status_405: AtomicU64,
+    /// Responses with any 5xx status.
+    pub status_5xx: AtomicU64,
 }
 
 impl ServerCounters {
@@ -32,9 +36,11 @@ impl ServerCounters {
     pub fn record_response(&self, status: u16) {
         let counter = match status {
             200 => &self.status_200,
+            304 => &self.status_304,
             400 => &self.status_400,
             404 => &self.status_404,
             405 => &self.status_405,
+            500..=599 => &self.status_5xx,
             _ => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -52,12 +58,16 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// 200 responses.
     pub status_200: u64,
+    /// 304 responses.
+    pub status_304: u64,
     /// 400 responses.
     pub status_400: u64,
     /// 404 responses.
     pub status_404: u64,
     /// 405 responses.
     pub status_405: u64,
+    /// 5xx responses.
+    pub status_5xx: u64,
     /// The result-cache counters.
     pub cache: CacheCounters,
 }
@@ -71,9 +81,11 @@ impl StatsSnapshot {
             connections: counters.connections.load(Ordering::Relaxed),
             requests: counters.requests.load(Ordering::Relaxed),
             status_200: counters.status_200.load(Ordering::Relaxed),
+            status_304: counters.status_304.load(Ordering::Relaxed),
             status_400: counters.status_400.load(Ordering::Relaxed),
             status_404: counters.status_404.load(Ordering::Relaxed),
             status_405: counters.status_405.load(Ordering::Relaxed),
+            status_5xx: counters.status_5xx.load(Ordering::Relaxed),
             cache,
         }
     }
@@ -90,8 +102,13 @@ impl StatsSnapshot {
         out.push_str(&format!("  \"connections\": {},\n", self.connections));
         out.push_str(&format!("  \"requests\": {},\n", self.requests));
         out.push_str(&format!(
-            "  \"responses\": {{\"status_200\": {}, \"status_400\": {}, \"status_404\": {}, \"status_405\": {}}},\n",
-            self.status_200, self.status_400, self.status_404, self.status_405
+            "  \"responses\": {{\"status_200\": {}, \"status_304\": {}, \"status_400\": {}, \"status_404\": {}, \"status_405\": {}, \"status_5xx\": {}}},\n",
+            self.status_200,
+            self.status_304,
+            self.status_400,
+            self.status_404,
+            self.status_405,
+            self.status_5xx
         ));
         out.push_str(&format!(
             "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"oversize\": {}, \"entries\": {}, \"bytes\": {}, \"capacity_bytes\": {}}}\n",
@@ -109,16 +126,16 @@ mod tests {
     #[test]
     fn record_response_routes_by_status() {
         let counters = ServerCounters::default();
-        counters.record_response(200);
-        counters.record_response(200);
-        counters.record_response(404);
-        counters.record_response(405);
-        counters.record_response(500); // untracked, ignored
+        for status in [200, 200, 304, 404, 405, 500, 503] {
+            counters.record_response(status);
+        }
         let snap = StatsSnapshot::capture(12, &counters, CacheCounters::default());
         assert_eq!(snap.status_200, 2);
+        assert_eq!(snap.status_304, 1);
         assert_eq!(snap.status_400, 0);
         assert_eq!(snap.status_404, 1);
         assert_eq!(snap.status_405, 1);
+        assert_eq!(snap.status_5xx, 2, "every 5xx is counted");
         assert_eq!(snap.uptime_ms, 12);
     }
 
@@ -138,5 +155,8 @@ mod tests {
         assert!(json.contains("\"requests\": 3"));
         assert!(json.contains("\"hits\": 2, \"misses\": 1"));
         assert!(json.contains("\"capacity_bytes\": 64"));
+        for key in ["status_304", "status_5xx"] {
+            assert!(json.contains(&format!("\"{key}\": 0")), "{key}");
+        }
     }
 }

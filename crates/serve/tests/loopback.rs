@@ -305,6 +305,7 @@ fn conditional_requests_honor_the_report_etag() {
     assert_eq!(header_value(&head, "ETag").as_ref(), Some(&etag));
     let (_, _, stats) = get(&server, "/stats");
     assert_eq!(stat(&stats, "hits"), 0, "a 304 bypasses the cache");
+    assert_eq!(stat(&stats, "status_304"), 1, "the revalidation is counted");
 
     // A stale validator gets the full 200 again.
     let (status, _, body) =
@@ -316,6 +317,9 @@ fn conditional_requests_honor_the_report_etag() {
     let (status, _, body) = get_with_headers(&server, &target, &[("If-None-Match", "*")]);
     assert_eq!(status, 304);
     assert!(body.is_empty());
+    let (_, _, stats) = get(&server, "/stats");
+    assert_eq!(stat(&stats, "status_304"), 2);
+    assert_eq!(stat(&stats, "status_5xx"), 0);
 
     // A different render format is a different representation: the
     // text validator must not suppress the JSON body, and the JSON

@@ -13,7 +13,9 @@
 //! same program running alone. The second run simulates the L1 fronts
 //! on two worker threads (`set_sim_threads`) — the report is
 //! bit-identical to the serial loop, demonstrated here by asserting
-//! it against a serial re-run.
+//! it against a serial re-run. The solo reference comes from the same
+//! pass of the four L1 fronts (`run_widths`): a second chain that
+//! takes only core 0's misses prices the first program alone.
 //!
 //! ```text
 //! cargo run --example multicore --release
@@ -41,11 +43,7 @@ fn main() {
             .l2(L2Config::unified(16))
     };
 
-    // Reference: the first program alone on a single core.
-    let mut alone = builder().build_multi(1).expect("1-core system");
-    let solo = alone.run(multiprogram_sources(&programs[..1], n, 1), Mode::Hp);
-
-    // The same L2, now shared by four cores running four programs —
+    // Four cores running four programs over one shared L2 —
     // simulated epoch-parallel on two worker threads, and asserted
     // bit-identical to the serial reference loop.
     let mut machine = builder().build_multi(4).expect("4-core system");
@@ -54,6 +52,17 @@ fn main() {
     machine.set_sim_threads(1);
     let serial = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
     assert_eq!(report, serial, "epoch merge must match the serial loop");
+
+    // Reference: the first program alone on a single core, priced from
+    // the same pass of the four L1 fronts by a chain of width 1 — equal
+    // to a 1-core machine of its own.
+    let [solo, all_four] = machine
+        .run_widths(multiprogram_sources(&programs, n, 1), Mode::Hp, [1, 4])
+        .expect("both widths fit the machine");
+    assert_eq!(all_four, report, "the full-width chain is the 4-core run");
+    let mut alone = builder().build_multi(1).expect("1-core system");
+    let standalone = alone.run(multiprogram_sources(&programs[..1], n, 1), Mode::Hp);
+    assert_eq!(solo, standalone, "a width-1 chain is a 1-core machine");
 
     println!("4 cores over one shared 16KB L2, 80-cycle memory, HP mode:");
     for (core, (program, run)) in programs.iter().zip(&report.per_core).enumerate() {
