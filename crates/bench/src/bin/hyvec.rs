@@ -3,13 +3,12 @@
 //! ```text
 //! hyvec <command> [--instructions N] [--seed S] [--jobs J]
 //!                 [--sim-threads T] [--format text|json|csv]
-//!                 [--filter GLOB] [--bench-out PATH] [--force-slow-path]
+//!                 [--filter GLOB] [--force-slow-path]
 //!
 //! commands:
 //!   run-all       the full evaluation matrix, fanned across cores
 //!                 with deterministic per-job seeds (the one entry
-//!                 point that regenerates every table and figure);
-//!                 also writes the BENCH_sweep.json perf artifact
+//!                 point that regenerates every table and figure)
 //!   list          print the experiment ids the registry knows
 //!   fig3          Figure 3: HP-mode EPI (scenarios A and B)
 //!   fig4          Figure 4: ULE-mode EPI breakdowns
@@ -44,6 +43,10 @@
 //! the rendered report, only wall time. Both flags land in the sweep's
 //! one `SimOptions` value, which every experiment passes to the
 //! builder of each machine it assembles (`SystemBuilder::options`).
+//!
+//! The experiment commands, `run-all` included, print the report to
+//! stdout and write no file; wall time is measured by the benchmark
+//! package under the repository's `benches/` directory.
 
 use std::process::ExitCode;
 
@@ -78,7 +81,7 @@ fn command_artifacts(command: &str) -> Option<&'static [&'static str]> {
 fn usage() -> String {
     format!(
         "usage: hyvec <run-all|list|serve|trace|fig3|fig4|methodology|performance|area\
-         |reliability|soft-errors|ablations|all> {FLAGS_USAGE} [--bench-out PATH]\n\
+         |reliability|soft-errors|ablations|all> {FLAGS_USAGE}\n\
          \x20      hyvec serve {}\n\
          \x20      hyvec {}",
         hyvec_serve::SERVE_USAGE,
@@ -190,83 +193,7 @@ fn main() -> ExitCode {
         eprintln!("unknown command {command}\n{}", usage());
         return ExitCode::FAILURE;
     };
-    let outcome = sweep_for(&options, artifacts).run();
-    print!("{}", render(&outcome.report, options.format));
-
-    // Per-job wall times feed the perf trajectory; they are kept out
-    // of the report so rendered output stays deterministic. run-all
-    // always writes them; other commands only on explicit --bench-out.
-    let run_all = command == "run-all" || command == "all";
-    let default_bench = run_all.then(|| "BENCH_sweep.json".to_string());
-    if let Some(path) = options.bench_out.clone().or(default_bench) {
-        match hyvec_bench::cli::write_bench(&outcome, &path) {
-            Ok(()) => eprintln!("wrote per-job wall times to {path}"),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // An unfiltered run-all also refreshes the hot-path throughput
-    // artifact (fast vs forced-slow accesses/sec; see
-    // hyvec_bench::hotpath). Like the wall times it goes to a file +
-    // stderr, never the report; filtered runs skip the measurement so
-    // quick single-experiment checks stay quick.
-    if run_all && options.globs.is_empty() {
-        let hot = hyvec_bench::hotpath::measure(hyvec_bench::hotpath::RUN_ALL_INSTRUCTIONS);
-        let path = "BENCH_hotpath.json";
-        match std::fs::write(path, hot.json()) {
-            Ok(()) => eprintln!(
-                "wrote hot-path throughput to {path} (L1-hit fast path {:.2}x)",
-                hot.l1_hit_speedup().unwrap_or(0.0)
-            ),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // And the epoch-parallel scaling artifact: serial vs threaded
-        // wall time per core count (the measurement asserts the two
-        // paths' reports are identical before trusting any timing).
-        let scaling = hyvec_bench::multicore::measure(
-            hyvec_bench::multicore::RUN_ALL_INSTRUCTIONS,
-            hyvec_bench::multicore::default_threads(),
-        );
-        let path = "BENCH_multicore.json";
-        match std::fs::write(path, scaling.json()) {
-            Ok(()) => {
-                let best = scaling
-                    .rows
-                    .iter()
-                    .map(|r| r.speedup())
-                    .fold(0.0f64, f64::max);
-                eprintln!(
-                    "wrote epoch-parallel scaling to {path} (best speedup {best:.2}x at {} sim threads)",
-                    scaling.sim_threads
-                );
-            }
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // And the trace-format throughput artifact: binary vs text
-        // encode/decode/replay rates and the size ratio (the
-        // measurement asserts the two replay paths' reports are
-        // identical before trusting any timing).
-        let trace = hyvec_bench::tracebench::measure(hyvec_bench::tracebench::RUN_ALL_INSTRUCTIONS);
-        let path = "BENCH_trace.json";
-        match std::fs::write(path, trace.json()) {
-            Ok(()) => eprintln!(
-                "wrote trace-format throughput to {path} (binary/text size ratio {:.3})",
-                trace.size_ratio()
-            ),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let report = sweep_for(&options, artifacts).run().report;
+    print!("{}", render(&report, options.format));
     ExitCode::SUCCESS
 }

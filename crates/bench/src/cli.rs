@@ -23,10 +23,6 @@ pub struct CliOptions {
     pub format: Format,
     /// Glob filters over experiment ids (`--filter`, repeatable).
     pub globs: Vec<String>,
-    /// Where to write the per-job wall-time artifact (`--bench-out`).
-    /// Honored by every entry point; `hyvec run-all` additionally
-    /// defaults it to `BENCH_sweep.json`.
-    pub bench_out: Option<String>,
     /// Route every access through the full EDC slow path
     /// (`--force-slow-path`). Purely diagnostic: the report is
     /// byte-identical with or without it.
@@ -45,7 +41,6 @@ impl Default for CliOptions {
             jobs: default_jobs(),
             format: Format::Text,
             globs: Vec::new(),
-            bench_out: None,
             force_slow_path: false,
             sim_threads: 1,
         }
@@ -71,8 +66,7 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
         match flag.as_str() {
             "--instructions" | "-n" => {
-                options.params.instructions = value
-                    .parse()
+                options.params.instructions = ExperimentParams::parse_instructions(&value)
                     .map_err(|e| format!("bad --instructions: {e}"))?;
             }
             "--seed" | "-s" => {
@@ -98,9 +92,6 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
             "--filter" => {
                 options.globs.push(value);
             }
-            "--bench-out" => {
-                options.bench_out = Some(value);
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -122,11 +113,6 @@ pub fn sweep_for(options: &CliOptions, artifacts: &[&str]) -> SweepBuilder {
         builder = builder.filter(glob.clone());
     }
     builder
-}
-
-/// Writes the per-job wall-time artifact of `outcome` to `path`.
-pub fn write_bench(outcome: &hyvec_core::sweep::SweepOutcome, path: &str) -> Result<(), String> {
-    std::fs::write(path, outcome.bench_json()).map_err(|e| format!("could not write {path}: {e}"))
 }
 
 #[cfg(test)]
@@ -191,6 +177,8 @@ mod tests {
         assert!(parse(&["--format", "yaml"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--wat", "1"]).is_err());
+        assert!(parse(&["--instructions", "0"]).is_err());
+        assert!(parse(&["--bench-out", "x"]).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # hyvec-bench — figure/table regeneration and micro-benchmarks
+//! # hyvec-bench — the `hyvec` command-line front-end
 //!
 //! The `hyvec` binary (`src/bin/hyvec.rs`) regenerates every artifact
 //! of the paper's evaluation, one command per artifact family
@@ -6,23 +6,16 @@
 //! of them at once (`hyvec run-all`). Its experiment commands are
 //! thin shells over the [`cli`] module: experiments are selected from
 //! the standard registry, run by the core sweep engine, and rendered
-//! by the shared text/JSON/CSV backends (`--format`). The `benches/`
-//! directory holds Criterion micro-benchmarks of the substrates (EDC
-//! throughput, simulator speed, yield math, trace generation).
+//! by the shared text/JSON/CSV backends (`--format`). The [`tracecmd`]
+//! module implements the `hyvec trace` subcommand
+//! (generate/encode/decode/info/replay over trace files).
 //!
-//! The [`hotpath`], [`multicore`], and [`tracebench`] modules are
-//! in-process bench harnesses with JSON artifacts of their own
-//! (`BENCH_hotpath.json`, `BENCH_multicore.json`, `BENCH_trace.json`),
-//! all written by `hyvec run-all`. The [`tracecmd`] module implements
-//! the `hyvec trace` subcommand (generate/encode/decode/info/replay
-//! over trace files).
+//! Performance is measured outside this crate, by the benchmark
+//! package under the repository's `benches/` directory.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod hotpath;
-pub mod multicore;
-pub mod tracebench;
 pub mod tracecmd;

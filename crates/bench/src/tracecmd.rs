@@ -275,8 +275,7 @@ fn is_binary(path: &str) -> Result<bool, String> {
 }
 
 /// The standard single-core replay machine: hybrid L1 geometry, a
-/// 16KB unified L2, latency-80 memory — the same shape as the bench
-/// harnesses, so replay figures line up with BENCH_trace.json.
+/// 16KB unified L2, latency-80 memory.
 fn build_standard_machine() -> Result<System, String> {
     let l1s = SystemConfig::uniform_6t();
     System::builder()

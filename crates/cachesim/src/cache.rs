@@ -499,9 +499,10 @@ impl HybridCache {
 
     /// Forces every access through the full EDC slow path even when
     /// the cache is fault-free. Counters are bit-identical either way
-    /// (asserted by the equivalence property suite); this knob exists
-    /// so tests and `benches/hotpath.rs` can measure the armed slow
-    /// path against the fast path on the same fault-free workload.
+    /// (asserted by the equivalence property suite in
+    /// `tests/fastpath.rs`); this knob exists so those tests, and the
+    /// CLI's `--force-slow-path`, can run the armed slow path against
+    /// the fast path on the same fault-free workload.
     /// [`SystemBuilder::options`](crate::engine::SystemBuilder::options)
     /// sets it on every L1 a build creates.
     pub fn set_force_slow_path(&mut self, force: bool) {

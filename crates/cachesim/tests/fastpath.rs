@@ -177,10 +177,30 @@ proptest! {
     }
 }
 
+/// Arms stuck-at bits on word 0 of the first two ways of sets 0-3 of
+/// the unprotected 6T DL1, which delivers them silently: the costliest
+/// decode outcome, and an armed fault map that keeps the DL1 off its
+/// fast path in both runs.
+fn arm_stuck_bits(sys: &mut System) {
+    for set in 0..4 {
+        for way in 0..2 {
+            sys.dl1_mut().set_stuck_bits(
+                WordSlot { way, set, slot: 0 },
+                StuckBits {
+                    mask: 1 << set,
+                    value: 0,
+                },
+            );
+        }
+    }
+}
+
 proptest! {
     /// Arbitrary synthetic traces — including line-crossing and
     /// sub-word accesses — replay identically on both tiers, with and
-    /// without an L2 in the chain.
+    /// without an L2 in the chain, and with and without stuck bits
+    /// armed on the DL1 (the fault-map-armed path must equal the
+    /// forced one, which decodes every word).
     #[test]
     fn forced_slow_replay_matches_fast_path(
         ops in prop::collection::vec(
@@ -189,6 +209,7 @@ proptest! {
         ),
         mode_sel: bool,
         with_l2: bool,
+        stuck: bool,
     ) {
         let mode = if mode_sel { Mode::Hp } else { Mode::Ule };
         let trace = || {
@@ -203,6 +224,10 @@ proptest! {
         };
         let mut fast = build(with_l2, false);
         let mut slow = build(with_l2, false);
+        if stuck {
+            arm_stuck_bits(&mut fast);
+            arm_stuck_bits(&mut slow);
+        }
         force_slow(&mut slow);
         let rf = fast.run(trace(), mode);
         let rs = slow.run(trace(), mode);

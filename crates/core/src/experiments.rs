@@ -56,6 +56,18 @@ impl ExperimentParams {
         ExperimentParams { seed, ..self }
     }
 
+    /// Parses an instruction budget from user input: the one parser
+    /// behind `--instructions` on every `hyvec` command, `hyvec serve
+    /// --instructions` and the daemon's `instructions=` query. Zero is
+    /// rejected: a run of no instructions has no per-instruction
+    /// figures, so every EPI cell of its report would be NaN.
+    pub fn parse_instructions(value: &str) -> Result<u64, String> {
+        match value.parse::<u64>().map_err(|e| e.to_string())? {
+            0 => Err("must be at least 1".to_string()),
+            n => Ok(n),
+        }
+    }
+
     /// The canonical field encoding hashed by
     /// [`ExperimentParams::fingerprint`]: `name=value` pairs joined
     /// with `;`, fields in fixed lexical order. Keying on field

@@ -20,14 +20,12 @@
 //! parallel sweep matches a serial one exactly. This invariant is
 //! enforced by the workspace's `tests/determinism.rs`. Wall-clock
 //! timings are deliberately kept *outside* the report (in
-//! [`SweepOutcome::timings`]) so they can feed perf artifacts without
-//! breaking that contract. The same contract is what lets the
-//! simulator's fault-free fast path (see
-//! `hyvec_cachesim::cache::HybridCache`) speed these jobs up without
-//! changing a byte of their sections: `BENCH_sweep.json` tracks the
-//! job wall times, and the companion `BENCH_hotpath.json` artifact
-//! (written by `hyvec run-all` from `hyvec_bench::hotpath`) tracks
-//! the fast-vs-slow dispatch-tier throughput directly.
+//! [`SweepOutcome::timings`]) so a caller can measure a sweep without
+//! breaking that contract; the benchmark package under the
+//! repository's `benches/` reads them for its per-job figures. The
+//! same contract is what lets the simulator's fault-free fast path
+//! (see `hyvec_cachesim::cache::HybridCache`) speed these jobs up
+//! without changing a byte of their sections.
 //!
 //! # Example
 //!
@@ -185,10 +183,9 @@ pub struct SweepOutcome {
     /// (canonical registry order, independent of which worker ran
     /// which job).
     pub timings: Vec<JobTiming>,
-    /// Elapsed wall time of the whole sweep, nanoseconds. Under
-    /// parallel execution this is *less* than the per-job sum; both
-    /// figures are recorded explicitly in
-    /// [`SweepOutcome::bench_json`].
+    /// Elapsed wall time of the whole sweep, nanoseconds: what the
+    /// caller waited. Under parallel execution this is *less* than
+    /// [`SweepOutcome::summed_job_wall_nanos`].
     pub elapsed_wall_nanos: u128,
 }
 
@@ -197,53 +194,6 @@ impl SweepOutcome {
     /// spent, as opposed to the elapsed time the sweep occupied.
     pub fn summed_job_wall_nanos(&self) -> u128 {
         self.timings.iter().map(|t| t.wall_nanos).sum()
-    }
-
-    /// Serializes the timings as the `BENCH_sweep.json` perf-trajectory
-    /// artifact (hand-rolled JSON; see `crate::render` for escaping).
-    ///
-    /// Schema v2 records both time axes explicitly:
-    /// `elapsed_wall_ms` (start-to-finish, what a user waits for) and
-    /// `summed_job_wall_ms` (total compute across workers; under
-    /// `--jobs > 1` the two legitimately disagree — v1's single
-    /// `total_wall_ms` conflated them). The job array is always in
-    /// canonical registry order, regardless of worker interleaving.
-    pub fn bench_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"hyvec-bench-sweep/v2\",\n");
-        out.push_str(&format!(
-            "  \"instructions\": {},\n",
-            self.report.instructions
-        ));
-        out.push_str(&format!(
-            "  \"base_seed\": \"{}\",\n",
-            self.report.base_seed
-        ));
-        out.push_str(&format!(
-            "  \"elapsed_wall_ms\": {:.3},\n",
-            self.elapsed_wall_nanos as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "  \"summed_job_wall_ms\": {:.3},\n",
-            self.summed_job_wall_nanos() as f64 / 1e6
-        ));
-        out.push_str("  \"jobs\": [");
-        for (i, t) in self.timings.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"wall_ms\": {:.3}}}",
-                crate::render::escape_json(&t.label),
-                t.wall_ms()
-            ));
-        }
-        if self.timings.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n  ]\n");
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -519,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_lists_every_job() {
+    fn timings_cover_every_job() {
         let outcome = SweepBuilder::new()
             .params(ExperimentParams {
                 instructions: 1_000,
@@ -528,15 +478,13 @@ mod tests {
             .artifacts(["area", "methodology"])
             .jobs(2)
             .run();
-        let json = outcome.bench_json();
-        assert!(json.contains("\"schema\": \"hyvec-bench-sweep/v2\""));
-        assert!(json.contains("\"id\": \"area/A\""));
-        assert!(json.contains("\"id\": \"methodology/B\""));
+        let labels: Vec<_> = outcome.timings.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["methodology/A", "methodology/B", "area/A", "area/B"]
+        );
         // Both time axes are explicit: elapsed (what the caller
         // waited) and the per-job sum (total compute).
-        assert!(json.contains("\"elapsed_wall_ms\""));
-        assert!(json.contains("\"summed_job_wall_ms\""));
-        assert!(!json.contains("total_wall_ms"), "v1 field must be gone");
         assert!(outcome.elapsed_wall_nanos > 0);
         assert_eq!(
             outcome.summed_job_wall_nanos(),
@@ -545,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_job_order_is_canonical_under_any_worker_count() {
+    fn job_timings_are_in_canonical_order_under_any_worker_count() {
         let params = ExperimentParams {
             instructions: 1_000,
             seed: 5,

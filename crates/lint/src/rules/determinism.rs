@@ -4,7 +4,8 @@
 //! Bans, in lib and bin code (tests exempt):
 //!
 //! * wall-clock types (`Instant`, `SystemTime`) — timing belongs in
-//!   the bench harness, never in simulation or rendering;
+//!   the benchmark package (`benches/`), never in simulation or
+//!   rendering;
 //! * hash-order collections (`HashMap`, `HashSet`, `RandomState`,
 //!   `DefaultHasher`) — iteration order varies run to run, the exact
 //!   bug class PRs 4–6 scrubbed out of render paths;
@@ -16,9 +17,10 @@
 //!   Write-once `OnceLock` registries stay allowed, and a `'static`
 //!   lifetime is not a `static` item.
 //!
-//! Legitimate wall-time capture (the sweep/hotpath bench artifacts)
-//! and CLI argv intake live behind `lint.toml` allowlists or per-line
-//! annotations, each with a recorded reason.
+//! Legitimate wall-time capture (the sweep runner's per-job timings,
+//! the daemon's socket timeouts) and CLI argv intake live behind
+//! `lint.toml` allowlists or per-line annotations, each with a
+//! recorded reason.
 
 use super::{ident_in, ident_is, punct_is, FileCtx};
 use crate::context::FileKind;

@@ -100,8 +100,7 @@ impl ServeConfig {
                     }
                 }
                 "--instructions" | "-n" => {
-                    config.warm_params.instructions = value
-                        .parse()
+                    config.warm_params.instructions = ExperimentParams::parse_instructions(&value)
                         .map_err(|e| format!("bad --instructions: {e}"))?;
                 }
                 "--seed" | "-s" => {
@@ -402,8 +401,7 @@ impl SweepServer {
                     .parse()
                     .map(|s| params.seed = s)
                     .map_err(|e| format!("bad seed {value:?}: {e}")),
-                "instructions" => value
-                    .parse()
+                "instructions" => ExperimentParams::parse_instructions(value)
                     .map(|n| params.instructions = n)
                     .map_err(|e| format!("bad instructions {value:?}: {e}")),
                 "format" => value.parse().map(|f| format = f),
@@ -517,6 +515,7 @@ mod tests {
             vec!["--addr"],
             vec!["--wat", "1"],
             vec!["--instructions", "many"],
+            vec!["--instructions", "0"],
         ] {
             assert!(
                 ServeConfig::from_args(bad.iter().map(|s| s.to_string())).is_err(),

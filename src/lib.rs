@@ -13,8 +13,8 @@
 //! * [`cachesim`] — functional + timing + power cache simulator
 //! * [`core`] — the paper's architecture, methodology, experiments,
 //!   and the typed report/render/sweep pipeline
-//! * `bench` — the CLI front-ends (thin shells over [`core::sweep`])
-//!   and Criterion micro-benchmarks
+//! * `bench` — the `hyvec` CLI front-end (a thin shell over
+//!   [`core::sweep`]) and its `trace` subcommand
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
