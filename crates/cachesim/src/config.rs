@@ -285,6 +285,22 @@ impl CacheConfig {
         self.sets()
     }
 
+    /// The part of [`SystemConfig::behaviour`] this cache contributes:
+    /// its geometry and each way's `(enabled, protection)` at `mode`.
+    fn behaviour(&self, mode: Mode) -> CacheBehaviour {
+        CacheBehaviour {
+            size_bytes: self.size_bytes,
+            line_bytes: self.line_bytes,
+            word_bits: self.word_bits,
+            tag_bits: self.tag_bits,
+            ways: self
+                .ways
+                .iter()
+                .map(|w| (w.enabled(mode), w.protection(mode)))
+                .collect(),
+        }
+    }
+
     /// Validates the geometry, reporting the first violated invariant.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.ways.is_empty() {
@@ -549,6 +565,52 @@ impl SystemConfig {
             uncore_ten_t_sizing: 2.65,
         }
     }
+
+    /// Everything of this configuration a fault-free run at `mode` can
+    /// observe: each L1's size, line size, word and tag bits, each of
+    /// its ways' `(enabled, protection)` at `mode`, and the memory
+    /// latency.
+    ///
+    /// The contract: two configurations with equal keys, no installed
+    /// faults and soft errors off give identical
+    /// [`RunStats`](crate::stats::RunStats) at `mode` on any trace, over
+    /// their own chain or any one given to
+    /// [`System::run_chains`](crate::engine::System::run_chains). What
+    /// the key leaves out (cells, sizings, `tech`, the uncore sizing)
+    /// only prices the counters, so one machine's report re-priced
+    /// under the other's power model
+    /// ([`RunReport::priced_by`](crate::engine::RunReport::priced_by))
+    /// is the other's report. The EDC latency a fill pays depends only
+    /// on the active code: 1 cycle when it has check bits, 0 otherwise
+    /// ([`hyvec_cachemodel::EdcCircuit::for_code`]).
+    pub fn behaviour(&self, mode: Mode) -> Behaviour {
+        Behaviour {
+            il1: self.il1.behaviour(mode),
+            dl1: self.dl1.behaviour(mode),
+            memory_latency: self.memory_latency,
+        }
+    }
+}
+
+/// The key of [`SystemConfig::behaviour`]: configurations with equal
+/// keys count the same events at its mode while fault-free.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Behaviour {
+    il1: CacheBehaviour,
+    dl1: CacheBehaviour,
+    memory_latency: u32,
+}
+
+/// One L1's share of a [`Behaviour`] key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CacheBehaviour {
+    size_bytes: u64,
+    line_bytes: u64,
+    word_bits: u32,
+    tag_bits: u32,
+    /// Each way's `(enabled, protection)` at the key's mode, in way
+    /// order.
+    ways: Vec<(bool, Protection)>,
 }
 
 #[cfg(test)]

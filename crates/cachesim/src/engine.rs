@@ -254,8 +254,7 @@ pub(crate) fn front_entry(
 pub(crate) struct ChainTally {
     pub stats: RunStats,
     /// Dynamic energy spent below the L1s, pJ (zero for the default
-    /// energy-free flat memory; folded into the `other` component so
-    /// the paper's breakdown categories stay stable).
+    /// energy-free flat memory); becomes [`RunReport::below_pj`].
     pub below_pj: f64,
 }
 
@@ -276,16 +275,7 @@ impl ChainTally {
         stats.edc_stall_cycles += front.edc_stall_cycles;
         stats.il1 = *il1.stats();
         stats.dl1 = *dl1.stats();
-        let mut energy = power.breakdown_at(&stats, mode, op);
-        if self.below_pj > 0.0 {
-            energy.other_pj += self.below_pj;
-        }
-        RunReport {
-            stats,
-            energy,
-            mode,
-            seconds: stats.cycles as f64 * op.cycle_s(),
-        }
+        RunReport::priced(stats, self.below_pj, mode, power, op)
     }
 }
 
@@ -448,16 +438,29 @@ fn inject_random_seu(cache: &mut HybridCache, rng: &mut SmallRng) {
     cache.inject_soft_error(WordSlot { way, set, slot }, bit);
 }
 
-/// Result of one simulation run.
+/// Result of one simulation run: its counters, and their price under
+/// one power model at one operating point.
+///
+/// The counters decide the price and not the other way round, so a
+/// report can be re-priced under another machine's power model and
+/// operating point ([`RunReport::priced_by`]). Every report, from any
+/// engine, is priced by the one function behind that method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
     /// Timing and event statistics.
     pub stats: RunStats,
-    /// Energy breakdown over the whole run.
+    /// Energy breakdown over the whole run. The energy spent below the
+    /// L1s ([`RunReport::below_pj`]) is folded into `other_pj`, so the
+    /// paper's breakdown categories stay stable whatever hierarchy is
+    /// configured.
     pub energy: EnergyBreakdown,
+    /// Dynamic energy the chain below the L1s (L2, memory) reported,
+    /// pJ: the part of `energy.other_pj` no L1 power model prices.
+    pub below_pj: f64,
     /// The mode the run executed in.
     pub mode: Mode,
-    /// Wall-clock execution time in seconds at the mode's frequency.
+    /// Wall-clock execution time in seconds at the operating point's
+    /// frequency.
     pub seconds: f64,
 }
 
@@ -465,6 +468,37 @@ impl RunReport {
     /// Energy per instruction, pJ.
     pub fn epi_pj(&self) -> f64 {
         self.energy.epi_pj(self.stats.instructions)
+    }
+
+    /// This run's counters priced by `power` at `op`: bit for bit the
+    /// report a run of `power`'s machine at `op` returns, when its
+    /// configuration shares this run's
+    /// [`SystemConfig::behaviour`] key at [`RunReport::mode`] and both
+    /// machines run fault-free with soft errors off.
+    pub fn priced_by(&self, power: &PowerModel, op: OperatingPoint) -> RunReport {
+        RunReport::priced(self.stats, self.below_pj, self.mode, power, op)
+    }
+
+    /// The one pricing function: `stats` at `mode` priced by `power` at
+    /// `op`, plus the `below_pj` the chain below the L1s spent.
+    fn priced(
+        stats: RunStats,
+        below_pj: f64,
+        mode: Mode,
+        power: &PowerModel,
+        op: OperatingPoint,
+    ) -> RunReport {
+        let mut energy = power.breakdown_at(&stats, mode, op);
+        if below_pj > 0.0 {
+            energy.other_pj += below_pj;
+        }
+        RunReport {
+            stats,
+            energy,
+            below_pj,
+            mode,
+            seconds: stats.cycles as f64 * op.cycle_s(),
+        }
     }
 }
 

@@ -64,7 +64,8 @@ pub mod stats;
 
 pub use cache::HybridCache;
 pub use config::{
-    CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology, WaySpec,
+    Behaviour, CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode, SystemConfig,
+    Topology, WaySpec,
 };
 pub use engine::{RunReport, SimOptions, System, SystemBuilder};
 pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s};

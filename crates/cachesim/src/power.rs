@@ -20,7 +20,8 @@
 //!
 //! Energy spent *below* the L1s (an optional unified L2, main-memory
 //! accesses — see [`crate::hierarchy`]) is accumulated by the engine
-//! from each level's [`AccessOutcome`](crate::hierarchy::AccessOutcome)
+//! from each level's [`AccessOutcome`](crate::hierarchy::AccessOutcome),
+//! kept on the report ([`RunReport::below_pj`](crate::engine::RunReport::below_pj))
 //! and folded into [`EnergyBreakdown::other_pj`], so the paper's
 //! Figure 3/4 component categories stay stable whatever hierarchy is
 //! configured.

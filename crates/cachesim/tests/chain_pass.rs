@@ -96,6 +96,7 @@ fn same_report(a: &RunReport, b: &RunReport) -> bool {
             e.l1_leakage_pj,
             e.edc_pj,
             e.other_pj,
+            r.below_pj,
             r.seconds,
         ]
         .map(f64::to_bits)

@@ -15,9 +15,29 @@
 //! | [`ablation_l2`] | unified-L2 sweep over the open memory hierarchy |
 //! | [`ablation_cores`] | multi-core scaling behind a fixed shared L2 |
 //! | [`ablation_cores_mesi`] | private MESI-coherent L2s per core |
+//!
+//! # One simulation per behaviour
+//!
+//! Baseline against proposal, 7+1 ways against 6+2, and the ULE-voltage
+//! sweep change cells, sizings and operating points. In a fault-free
+//! run those only price the counters. So [`fig3_hp_epi`],
+//! [`fig4_ule_epi`], [`ule_performance`], [`ablation_ways`],
+//! [`ablation_voltage`] and [`ablation_memory_latency`] hand their
+//! design points to one helper. It simulates one machine per distinct
+//! [`SystemConfig::behaviour`] key at the run's mode, and prices that
+//! machine's runs under each design point's power model and operating
+//! point ([`RunReport::priced_by`]). At HP the baseline and proposal
+//! of either scenario behave alike, and so do both way splits; at ULE
+//! the voltage sweep's baselines behave alike at every supply, and so
+//! do its proposals. The
+//! experiments that install stuck bits or soft errors ([`reliability`],
+//! [`soft_error_study`]) and those that change what sits below or
+//! beside the L1s ([`ablation_l2`], [`ablation_cores`],
+//! [`ablation_workloads`]) build their own machines.
 
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
+use hyvec_cachemodel::OperatingPoint;
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mode, SystemConfig};
 use hyvec_cachesim::engine::{RunReport, SimOptions, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
@@ -101,63 +121,123 @@ fn machine(config: &SystemConfig, options: SimOptions) -> System {
         .expect("valid cache configuration")
 }
 
-/// One suite's summed energy breakdown, instructions and cycles, plus
-/// each benchmark's `(benchmark, EPI, cycles)`.
-type Suite = (EnergyBreakdown, u64, u64, Vec<(Benchmark, f64, u64)>);
+/// One design point of a fault-free experiment: its machine, and the
+/// operating point that machine's runs are priced at.
+type Point<'a> = (&'a SystemConfig, OperatingPoint);
 
-/// Adds benchmark `b`'s run to `suite`.
-fn add_run(suite: &mut Suite, b: Benchmark, report: &RunReport) {
-    let (total, instructions, cycles, per_bench) = suite;
-    total.l1_dynamic_pj += report.energy.l1_dynamic_pj;
-    total.l1_leakage_pj += report.energy.l1_leakage_pj;
-    total.edc_pj += report.energy.edc_pj;
-    total.other_pj += report.energy.other_pj;
-    *instructions += report.stats.instructions;
-    *cycles += report.stats.cycles;
-    per_bench.push((b, report.epi_pj(), report.stats.cycles));
+/// `archs` as design points priced at `op`.
+fn points_at(archs: &[Architecture], op: OperatingPoint) -> Vec<Point<'_>> {
+    archs.iter().map(|arch| (&arch.config, op)).collect()
 }
 
-/// Runs `benchmarks` on `arch` at `mode`, returning the summed energy
-/// breakdown, instructions and cycles.
-fn run_suite(
-    arch: &Architecture,
+/// For each of `configs`, the index of the first config that shares
+/// its [`SystemConfig::behaviour`] key at `mode`: the machine
+/// [`price_points`] simulates in its place.
+fn shared_machines<'a>(
+    configs: impl IntoIterator<Item = &'a SystemConfig>,
+    mode: Mode,
+) -> Vec<usize> {
+    let keys: Vec<_> = configs.into_iter().map(|c| c.behaviour(mode)).collect();
+    keys.iter()
+        .enumerate()
+        .map(|(p, key)| keys[..p].iter().position(|k| k == key).unwrap_or(p))
+        .collect()
+}
+
+/// The chain [`machine`] puts below `config`'s L1s (a flat memory of
+/// its latency), for [`price_points`] callers that price one chain.
+fn own_memory(config: &SystemConfig) -> [Box<dyn MemoryLevel>; 1] {
+    [Box::new(MainMemory::new(MemoryConfig::with_latency(
+        config.memory_latency,
+    )))]
+}
+
+/// Runs `benchmarks`, in order, at `mode` under every design point of
+/// `points`, each L1 pass priced against the `K` chains `chains` builds
+/// for the simulated config: `runs[p][j][i]` is benchmark `i` of point
+/// `p` over chain `j`, bit for bit what point `p`'s own machine returns
+/// ([`System::run_chains`], priced at `p`'s operating point).
+///
+/// Points that share a machine ([`shared_machines`]) are simulated
+/// once: the others re-price its runs under their own power model
+/// ([`RunReport::priced_by`]). The behaviour key's contract makes that
+/// exact, because [`machine`] installs no faults and no soft errors.
+fn price_points<const K: usize>(
+    points: &[Point],
     benchmarks: &[Benchmark],
     mode: Mode,
     params: ExperimentParams,
     options: SimOptions,
-) -> Suite {
-    let mut system = machine(&arch.config, options);
-    let mut suite = Suite::default();
-    for &b in benchmarks {
-        let report = system.run(b.trace(params.instructions, params.seed), mode);
-        add_run(&mut suite, b, &report);
+    chains: impl Fn(&SystemConfig) -> [Box<dyn MemoryLevel>; K],
+) -> Vec<[Vec<RunReport>; K]> {
+    let machines = shared_machines(points.iter().map(|(config, _)| *config), mode);
+    let mut runs: Vec<[Vec<RunReport>; K]> = Vec::with_capacity(points.len());
+    for (p, &(config, op)) in points.iter().enumerate() {
+        let priced = |runs: &[Vec<RunReport>; K], power: &PowerModel| {
+            runs.each_ref()
+                .map(|chain| chain.iter().map(|r| r.priced_by(power, op)).collect())
+        };
+        let point = if machines[p] == p {
+            let mut system = machine(config, options);
+            let mut chains = chains(config);
+            let mut simulated: [Vec<RunReport>; K] = std::array::from_fn(|_| Vec::new());
+            for b in benchmarks {
+                let reports = system
+                    .run_chains(b.trace(params.instructions, params.seed), mode, &mut chains)
+                    // hyvec-lint: allow(no-panic, "machine() never enables soft errors, the only run_chains error")
+                    .expect("soft errors are off");
+                for (chain, report) in simulated.iter_mut().zip(reports) {
+                    chain.push(report);
+                }
+            }
+            priced(&simulated, system.power())
+        } else {
+            priced(&runs[machines[p]], &PowerModel::new(config))
+        };
+        runs.push(point);
     }
-    suite
+    runs
 }
 
-/// [`run_suite`] once per chain of `chains`, from one L1 pass per
-/// benchmark ([`System::run_chains`]): suite `j` is what `run_suite`
-/// returns on `arch` with `chains[j]` below its L1s.
-fn run_suite_chains<const K: usize>(
-    arch: &Architecture,
+/// The summed energy breakdown and instructions of `runs`.
+fn suite(runs: &[RunReport]) -> (EnergyBreakdown, u64) {
+    let mut total = EnergyBreakdown::default();
+    let mut instructions = 0;
+    for r in runs {
+        total.l1_dynamic_pj += r.energy.l1_dynamic_pj;
+        total.l1_leakage_pj += r.energy.l1_leakage_pj;
+        total.edc_pj += r.energy.edc_pj;
+        total.other_pj += r.energy.other_pj;
+        instructions += r.stats.instructions;
+    }
+    (total, instructions)
+}
+
+/// The proposal's EPI saving over the baseline, each summed over its
+/// runs of one suite.
+fn epi_saving(baseline: &[RunReport], proposal: &[RunReport]) -> f64 {
+    let (be, bi) = suite(baseline);
+    let (pe, pi) = suite(proposal);
+    1.0 - pe.epi_pj(pi) / be.epi_pj(bi)
+}
+
+/// The paper's two pinned design points of `scenario`, baseline first.
+fn pinned_pair(scenario: Scenario) -> [Architecture; 2] {
+    DesignPoint::ALL.map(|point| Architecture::build_pinned(scenario, point))
+}
+
+/// `benchmarks` at `mode` under [`pinned_pair`] (Figures 3 and 4 and
+/// the execution-time overhead): `runs[0]` is the baseline's.
+fn pinned_runs(
+    scenario: Scenario,
     benchmarks: &[Benchmark],
     mode: Mode,
     params: ExperimentParams,
     options: SimOptions,
-    mut chains: [Box<dyn MemoryLevel>; K],
-) -> [Suite; K] {
-    let mut system = machine(&arch.config, options);
-    let mut suites: [Suite; K] = std::array::from_fn(|_| Suite::default());
-    for &b in benchmarks {
-        let reports = system
-            .run_chains(b.trace(params.instructions, params.seed), mode, &mut chains)
-            // hyvec-lint: allow(no-panic, "machine() never enables soft errors, the only run_chains error")
-            .expect("soft errors are off");
-        for (suite, report) in suites.iter_mut().zip(&reports) {
-            add_run(suite, b, report);
-        }
-    }
-    suites
+) -> Vec<[Vec<RunReport>; 1]> {
+    let archs = pinned_pair(scenario);
+    let points = points_at(&archs, mode.operating_point());
+    price_points(&points, benchmarks, mode, params, options, own_memory)
 }
 
 // ---------------------------------------------------------------------
@@ -187,16 +267,16 @@ pub fn fig3_hp_epi(
     params: ExperimentParams,
     options: SimOptions,
 ) -> Fig3Result {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let (be, bi, _, bb) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params, options);
-    let (pe, pi, _, pb) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params, options);
+    let runs = pinned_runs(scenario, &Benchmark::BIG, Mode::Hp, params, options);
+    let ([base], [prop]) = (&runs[0], &runs[1]);
+    let (be, bi) = suite(base);
+    let (pe, pi) = suite(prop);
     let base_epi = be.epi_pj(bi);
     let prop_epi = pe.epi_pj(pi);
-    let per_benchmark = bb
+    let per_benchmark = Benchmark::BIG
         .iter()
-        .zip(&pb)
-        .map(|((b, base, _), (_, prop, _))| (*b, prop / base))
+        .zip(base.iter().zip(prop))
+        .map(|(b, (base, prop))| (*b, prop.epi_pj() / base.epi_pj()))
         .collect();
     Fig3Result {
         scenario,
@@ -241,15 +321,11 @@ pub fn fig4_ule_epi(
     params: ExperimentParams,
     options: SimOptions,
 ) -> Fig4Result {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = machine(&baseline.config, options);
-    let mut prop_sys = machine(&proposal.config, options);
+    let runs = pinned_runs(scenario, &Benchmark::SMALL, Mode::Ule, params, options);
+    let ([base], [prop]) = (&runs[0], &runs[1]);
     let mut rows = Vec::new();
     let mut savings = 0.0;
-    for b in Benchmark::SMALL {
-        let br = base_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        let pr = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
+    for ((b, br), pr) in Benchmark::SMALL.into_iter().zip(base).zip(prop) {
         let base_total = br.energy.total_pj();
         let saving = 1.0 - pr.energy.total_pj() / base_total;
         savings += saving;
@@ -308,21 +384,16 @@ pub fn ule_performance(
     params: ExperimentParams,
     options: SimOptions,
 ) -> Vec<PerfRow> {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut base_sys = machine(&baseline.config, options);
-    let mut prop_sys = machine(&proposal.config, options);
+    let runs = pinned_runs(scenario, &Benchmark::SMALL, Mode::Ule, params, options);
+    let ([base], [prop]) = (&runs[0], &runs[1]);
     Benchmark::SMALL
-        .iter()
-        .map(|&b| {
-            let br = base_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            let pr = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            PerfRow {
-                benchmark: b,
-                baseline_cycles: br.stats.cycles,
-                proposal_cycles: pr.stats.cycles,
-                overhead: pr.stats.cycles as f64 / br.stats.cycles as f64 - 1.0,
-            }
+        .into_iter()
+        .zip(base.iter().zip(prop))
+        .map(|(b, (br, pr))| PerfRow {
+            benchmark: b,
+            baseline_cycles: br.stats.cycles,
+            proposal_cycles: pr.stats.cycles,
+            overhead: pr.stats.cycles as f64 / br.stats.cycles as f64 - 1.0,
         })
         .collect()
 }
@@ -542,19 +613,14 @@ pub struct VoltageRow {
     pub ule_saving: f64,
 }
 
-/// Sweeps the ULE supply voltage, re-running the sizing methodology
-/// and the ULE evaluation at each point. Frequency is scaled with the
-/// cell-delay model so each point stays timing-feasible.
-///
-/// The paper fixes 350mV ("our architecture is not limited to any
-/// particular Vcc level"); this sweep substantiates that sentence.
-pub fn ablation_voltage(
-    scenario: Scenario,
-    params: ExperimentParams,
-    options: SimOptions,
-) -> Vec<VoltageRow> {
-    use hyvec_cachemodel::OperatingPoint;
-    [0.32f64, 0.35, 0.40, 0.45]
+/// ULE supplies swept by the voltage ablation, volts.
+const ABLATION_VOLTAGES: [f64; 4] = [0.32, 0.35, 0.40, 0.45];
+
+/// The voltage ablation's design points: for each ULE supply of
+/// [`ABLATION_VOLTAGES`] the methodology can size, the supply, its
+/// operating point, and the baseline and proposal sized for it.
+fn voltage_points(scenario: Scenario) -> Vec<(f64, OperatingPoint, [Architecture; 2])> {
+    ABLATION_VOLTAGES
         .iter()
         .filter_map(|&vdd| {
             let inputs = MethodologyInputs {
@@ -564,32 +630,53 @@ pub fn ablation_voltage(
             let model = FailureModel::default();
             let build =
                 |point| Architecture::build_with(scenario, point, &model, &inputs, 7, 1, 20).ok();
-            let baseline = build(DesignPoint::Baseline)?;
-            let proposal = build(DesignPoint::Proposal)?;
+            let archs = [build(DesignPoint::Baseline)?, build(DesignPoint::Proposal)?];
             // Keep 5MHz at 350mV and scale roughly with the voltage
             // headroom (a simple DVS curve).
             let freq = 5.0e6 * (vdd / 0.35).powi(3);
-            let op = OperatingPoint::new(vdd, freq);
-            let mut base_sys = machine(&baseline.config, options);
-            let mut prop_sys = machine(&proposal.config, options);
-            let mut base_e = 0.0;
-            let mut prop_e = 0.0;
-            for b in Benchmark::SMALL {
-                base_e += base_sys
-                    .run_at(b.trace(params.instructions, params.seed), Mode::Ule, op)
-                    .energy
-                    .total_pj();
-                prop_e += prop_sys
-                    .run_at(b.trace(params.instructions, params.seed), Mode::Ule, op)
-                    .energy
-                    .total_pj();
-            }
-            Some(VoltageRow {
-                ule_vdd: vdd,
-                sizing_10t: baseline.design.sizing_10t,
-                sizing_8t: proposal.design.sizing_8t,
-                ule_saving: 1.0 - prop_e / base_e,
-            })
+            Some((vdd, OperatingPoint::new(vdd, freq), archs))
+        })
+        .collect()
+}
+
+/// Sweeps the ULE supply voltage, re-running the sizing methodology
+/// and the ULE evaluation at each point. Frequency is scaled with the
+/// cell-delay model so each point stays timing-feasible.
+///
+/// The voltage changes the cells' sizings and the operating point,
+/// never what the L1s do, so all the baselines share one simulation
+/// and all the proposals another, each priced at every supply.
+///
+/// The paper fixes 350mV ("our architecture is not limited to any
+/// particular Vcc level"); this sweep substantiates that sentence.
+pub fn ablation_voltage(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<VoltageRow> {
+    let sweep = voltage_points(scenario);
+    let points: Vec<Point> = sweep
+        .iter()
+        .flat_map(|(_, op, archs)| points_at(archs, *op))
+        .collect();
+    let runs = price_points(
+        &points,
+        &Benchmark::SMALL,
+        Mode::Ule,
+        params,
+        options,
+        own_memory,
+    );
+    let energy =
+        |[runs]: &[Vec<RunReport>; 1]| runs.iter().map(|r| r.energy.total_pj()).sum::<f64>();
+    sweep
+        .iter()
+        .zip(runs.chunks(2))
+        .map(|((vdd, _, [baseline, proposal]), pair)| VoltageRow {
+            ule_vdd: *vdd,
+            sizing_10t: baseline.design.sizing_10t,
+            sizing_8t: proposal.design.sizing_8t,
+            ule_saving: 1.0 - energy(&pair[1]) / energy(&pair[0]),
         })
         .collect()
 }
@@ -696,17 +783,16 @@ pub struct WaySplitRow {
     pub ule_saving: f64,
 }
 
-/// Compares 7+1 against 6+2 (paper: "did not provide further
-/// insights").
-pub fn ablation_ways(
-    scenario: Scenario,
-    params: ExperimentParams,
-    options: SimOptions,
-) -> Vec<WaySplitRow> {
-    [(7usize, 1usize), (6, 2)]
+/// The way splits of the way-split ablation, `(HP ways, ULE ways)`.
+const WAY_SPLITS: [(usize, usize); 2] = [(7, 1), (6, 2)];
+
+/// The way-split ablation's design points: the baseline and proposal
+/// of each split of [`WAY_SPLITS`], in that order.
+fn way_split_points(scenario: Scenario) -> Vec<Architecture> {
+    WAY_SPLITS
         .iter()
-        .map(|&(hp, ule)| {
-            let build = |point| {
+        .flat_map(|&(hp, ule)| {
+            DesignPoint::ALL.map(|point| {
                 Architecture::build_with(
                     scenario,
                     point,
@@ -718,24 +804,41 @@ pub fn ablation_ways(
                 )
                 // hyvec-lint: allow(no-panic, "every way split in the ablation range sizes with default models; the sweep itself is the regression test")
                 .expect("ablation arch")
-            };
-            let baseline = build(DesignPoint::Baseline);
-            let proposal = build(DesignPoint::Proposal);
-            let (be, bi, _, _) = run_suite(&baseline, &Benchmark::BIG, Mode::Hp, params, options);
-            let (pe, pi, _, _) = run_suite(&proposal, &Benchmark::BIG, Mode::Hp, params, options);
-            let hp_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
-            let (be, bi, _, _) =
-                run_suite(&baseline, &Benchmark::SMALL, Mode::Ule, params, options);
-            let (pe, pi, _, _) =
-                run_suite(&proposal, &Benchmark::SMALL, Mode::Ule, params, options);
-            let ule_saving = 1.0 - pe.epi_pj(pi) / be.epi_pj(bi);
-            WaySplitRow {
-                hp_ways: hp,
-                ule_ways: ule,
+            })
+        })
+        .collect()
+}
+
+/// Compares 7+1 against 6+2 (paper: "did not provide further
+/// insights"). At HP every way of either split is on and HP-coded, so
+/// the four design points share one simulation of BigBench; at ULE
+/// each runs SmallBench on its own.
+pub fn ablation_ways(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<WaySplitRow> {
+    let archs = way_split_points(scenario);
+    let savings = |mode: Mode, benchmarks: &[Benchmark]| -> Vec<f64> {
+        let points = points_at(&archs, mode.operating_point());
+        price_points(&points, benchmarks, mode, params, options, own_memory)
+            .chunks(2)
+            .map(|pair| epi_saving(&pair[0][0], &pair[1][0]))
+            .collect()
+    };
+    let hp = savings(Mode::Hp, &Benchmark::BIG);
+    let ule = savings(Mode::Ule, &Benchmark::SMALL);
+    WAY_SPLITS
+        .iter()
+        .zip(hp.into_iter().zip(ule))
+        .map(
+            |(&(hp_ways, ule_ways), (hp_saving, ule_saving))| WaySplitRow {
+                hp_ways,
+                ule_ways,
                 hp_saving,
                 ule_saving,
-            }
-        })
+            },
+        )
         .collect()
 }
 
@@ -755,17 +858,12 @@ pub struct MemLatRow {
 /// Memory latencies swept by the memory-latency ablation, cycles.
 const MEMLAT_LATENCIES: [u32; 4] = [10, 20, 40, 80];
 
-/// Sweeps the memory latency (paper: "other memory latencies do not
-/// change the trends"). The latency lives in the chain alone, so each
-/// design point's L1s make one pass per benchmark, priced against all
-/// four memories.
-pub fn ablation_memory_latency(
-    scenario: Scenario,
-    params: ExperimentParams,
-    options: SimOptions,
-) -> Vec<MemLatRow> {
-    let suites = |point| {
-        let arch = Architecture::build_with(
+/// The memory-latency ablation's design points: the 7+1 baseline and
+/// proposal, built for the sweep's first latency (the chains below set
+/// the rest).
+fn memlat_points(scenario: Scenario) -> [Architecture; 2] {
+    DesignPoint::ALL.map(|point| {
+        Architecture::build_with(
             scenario,
             point,
             &FailureModel::default(),
@@ -775,20 +873,34 @@ pub fn ablation_memory_latency(
             MEMLAT_LATENCIES[0],
         )
         // hyvec-lint: allow(no-panic, "the 7+1 split sizes with default models at any latency (the latency only reaches the memory); the sweep itself is the regression test")
-        .expect("ablation arch");
-        let chains = MEMLAT_LATENCIES.map(|lat| -> Box<dyn MemoryLevel> {
+        .expect("ablation arch")
+    })
+}
+
+/// Sweeps the memory latency (paper: "other memory latencies do not
+/// change the trends"). The latency lives in the chain alone, and at
+/// HP the baseline's and proposal's L1s behave alike, so one L1 pass
+/// per benchmark is priced against all four memories and both power
+/// models.
+pub fn ablation_memory_latency(
+    scenario: Scenario,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> Vec<MemLatRow> {
+    let archs = memlat_points(scenario);
+    let points = points_at(&archs, Mode::Hp.operating_point());
+    let chains = |_: &SystemConfig| {
+        MEMLAT_LATENCIES.map(|lat| -> Box<dyn MemoryLevel> {
             Box::new(MainMemory::new(MemoryConfig::with_latency(lat)))
-        });
-        run_suite_chains(&arch, &Benchmark::BIG, Mode::Hp, params, options, chains)
+        })
     };
-    let baseline = suites(DesignPoint::Baseline);
-    let proposal = suites(DesignPoint::Proposal);
+    let runs = price_points(&points, &Benchmark::BIG, Mode::Hp, params, options, chains);
     MEMLAT_LATENCIES
         .iter()
-        .zip(baseline.iter().zip(&proposal))
-        .map(|(&latency, ((be, bi, _, _), (pe, pi, _, _)))| MemLatRow {
+        .zip(runs[0].iter().zip(&runs[1]))
+        .map(|(&latency, (base, prop))| MemLatRow {
             latency,
-            hp_saving: 1.0 - pe.epi_pj(*pi) / be.epi_pj(*bi),
+            hp_saving: epi_saving(base, prop),
         })
         .collect()
 }
@@ -1942,6 +2054,73 @@ mod tests {
             ..p
         };
         assert_ne!(p.fingerprint(), more.fingerprint());
+    }
+
+    /// Single-core L1 passes [`price_points`] makes for `archs` running
+    /// `benchmarks` at `mode`: one per benchmark per distinct machine.
+    fn passes(archs: &[Architecture], mode: Mode, benchmarks: &[Benchmark]) -> usize {
+        let machines = shared_machines(archs.iter().map(|a| &a.config), mode);
+        let distinct = machines.iter().enumerate().filter(|&(p, &m)| p == m);
+        distinct.count() * benchmarks.len()
+    }
+
+    #[test]
+    fn fault_free_experiments_simulate_each_behaviour_once() {
+        // Work counts per scenario, at any instruction budget; the
+        // comments give the passes of one machine per design point.
+        for s in Scenario::ALL {
+            let pinned = pinned_pair(s);
+            // fig3 (12): baseline and proposal alike at HP.
+            assert_eq!(passes(&pinned, Mode::Hp, &Benchmark::BIG), 6, "{s}");
+            // fig4 and performance (8 each): the ULE ways' codes differ.
+            assert_eq!(passes(&pinned, Mode::Ule, &Benchmark::SMALL), 8, "{s}");
+            // ablation-ways (40): one HP machine for both splits.
+            let ways = way_split_points(s);
+            assert_eq!(ways.len(), 4);
+            assert_eq!(passes(&ways, Mode::Hp, &Benchmark::BIG), 6, "{s}");
+            assert_eq!(passes(&ways, Mode::Ule, &Benchmark::SMALL), 16, "{s}");
+            // ablation-voltage (32): a baseline and a proposal machine.
+            let voltage: Vec<Architecture> = voltage_points(s)
+                .into_iter()
+                .flat_map(|(_, _, archs)| archs)
+                .collect();
+            assert_eq!(voltage.len(), 8, "{s}: every supply sizes");
+            assert_eq!(passes(&voltage, Mode::Ule, &Benchmark::SMALL), 8, "{s}");
+            // ablation-memlat (12): one HP machine for all four memories.
+            let memlat = memlat_points(s);
+            assert_eq!(passes(&memlat, Mode::Hp, &Benchmark::BIG), 6, "{s}");
+        }
+    }
+
+    #[test]
+    fn shared_machines_report_what_each_point_runs_alone() {
+        // The voltage sweep: two machines for eight design points, each
+        // priced at its own supply and frequency.
+        let params = ExperimentParams {
+            instructions: 3_000,
+            seed: 3,
+        };
+        let options = SimOptions::default();
+        let sweep = voltage_points(Scenario::B);
+        let points: Vec<Point> = sweep
+            .iter()
+            .flat_map(|(_, op, archs)| points_at(archs, *op))
+            .collect();
+        let runs = price_points(
+            &points,
+            &Benchmark::SMALL,
+            Mode::Ule,
+            params,
+            options,
+            own_memory,
+        );
+        for ((config, op), [runs]) in points.iter().zip(&runs) {
+            let mut alone = machine(config, options);
+            for (b, report) in Benchmark::SMALL.iter().zip(runs) {
+                let trace = b.trace(params.instructions, params.seed);
+                assert_eq!(*report, alone.run_at(trace, Mode::Ule, *op), "{b}");
+            }
+        }
     }
 
     #[test]

@@ -112,7 +112,9 @@ impl ServeConfig {
                     if mb == 0 {
                         return Err("--cache-mb must be at least 1".to_string());
                     }
-                    config.max_cache_bytes = mb * 1024 * 1024;
+                    config.max_cache_bytes = mb
+                        .checked_mul(1024 * 1024)
+                        .ok_or_else(|| format!("bad --cache-mb: {mb} MB overflows a byte count"))?;
                 }
                 other => return Err(format!("unknown serve flag {other}")),
             }
@@ -512,6 +514,8 @@ mod tests {
         for bad in [
             vec!["--threads", "0"],
             vec!["--cache-mb", "0"],
+            // 2^44 MB is 2^64 bytes: the byte count would wrap to 0.
+            vec!["--cache-mb", "17592186044416"],
             vec!["--addr"],
             vec!["--wat", "1"],
             vec!["--instructions", "many"],
