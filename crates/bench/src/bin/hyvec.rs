@@ -33,14 +33,16 @@
 //! so a job's output is byte-identical whether it is produced by its
 //! single-artifact command, by `run-all`, serially or in parallel.
 //! `--filter` narrows any command by glob over experiment ids
-//! (e.g. `--filter 'fig*/A'`); `--format` selects the render backend.
+//! (e.g. `--filter 'fig*/A'`); an experiment command whose filters
+//! select none of its experiments exits 1 instead of printing an empty
+//! report. `--format` selects the render backend.
 //! `--force-slow-path` routes every simulated access through the full
 //! EDC decode path even while fault-free — a diagnostic knob; the
 //! rendered report is byte-identical with or without it.
-//! `--sim-threads` sets the worker-thread count of the epoch-parallel
-//! multi-core engine (default 1 = the serial reference loop); like
-//! `--jobs` and `--force-slow-path` it never changes a single byte of
-//! the rendered report, only wall time. Both flags land in the sweep's
+//! `--sim-threads` sets how many threads run the L1 fronts of each
+//! multi-core simulation (default 1 = inline on the job's own thread);
+//! like `--jobs` and `--force-slow-path` it never changes a single byte
+//! of the rendered report, only wall time. Both flags land in the sweep's
 //! one `SimOptions` value, which every experiment passes to the
 //! builder of each machine it assembles (`SystemBuilder::options`).
 //!
@@ -50,33 +52,11 @@
 
 use std::process::ExitCode;
 
-use hyvec_bench::cli::{parse_flags, sweep_for, CliOptions, FLAGS_USAGE};
+use hyvec_bench::cli::{
+    command_artifacts, command_sweep, parse_flags, sweep_for, CliOptions, FLAGS_USAGE,
+};
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{csv_field as escape_csv, render, Format};
-
-/// Artifact families of each named command; `None` = the full matrix.
-fn command_artifacts(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "run-all" | "all" => &[],
-        "methodology" => &["methodology"],
-        "fig3" => &["fig3"],
-        "fig4" => &["fig4"],
-        "performance" => &["performance"],
-        "area" => &["area"],
-        "reliability" => &["reliability"],
-        "soft-errors" => &["soft-errors"],
-        "ablations" => &[
-            "ablation-ways",
-            "ablation-memlat",
-            "ablation-voltage",
-            "ablation-l2",
-            "ablation-cores",
-            "ablation-workloads",
-            "ablation-granularity",
-        ],
-        _ => return None,
-    })
-}
 
 fn usage() -> String {
     format!(
@@ -193,7 +173,13 @@ fn main() -> ExitCode {
         eprintln!("unknown command {command}\n{}", usage());
         return ExitCode::FAILURE;
     };
-    let report = sweep_for(&options, artifacts).run().report;
-    print!("{}", render(&report, options.format));
+    let sweep = match command_sweep(&command, &options, artifacts) {
+        Ok(sweep) => sweep,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    print!("{}", render(&sweep.run().report, options.format));
     ExitCode::SUCCESS
 }

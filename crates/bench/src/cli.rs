@@ -1,14 +1,14 @@
 //! Command-line plumbing of the `hyvec` front-end.
 //!
 //! Every experiment command runs the same pipeline: parse the common
-//! flags, select experiments from the standard
-//! [`Registry`](hyvec_core::registry::Registry) with a
+//! flags, select experiments from the standard [`Registry`] with a
 //! [`SweepBuilder`], run, and hand the typed report to the requested
 //! [`Format`] backend. A job's output is therefore byte-identical
 //! whether it is produced by a single-artifact `hyvec` command or by
 //! `hyvec run-all`, serially or in parallel.
 
 use hyvec_core::experiments::ExperimentParams;
+use hyvec_core::registry::Registry;
 use hyvec_core::render::Format;
 use hyvec_core::sweep::{default_jobs, SweepBuilder};
 
@@ -27,8 +27,8 @@ pub struct CliOptions {
     /// (`--force-slow-path`). Purely diagnostic: the report is
     /// byte-identical with or without it.
     pub force_slow_path: bool,
-    /// Worker threads of the epoch-parallel multi-core engine
-    /// (`--sim-threads`; default 1 = the serial reference loop).
+    /// Threads that run the L1 fronts of each multi-core simulation
+    /// (`--sim-threads`; default 1 = inline on the job's own thread).
     /// Orthogonal to `--jobs`, which parallelizes across experiments;
     /// the report is byte-identical at every value.
     pub sim_threads: usize,
@@ -98,6 +98,59 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
     Ok(options)
 }
 
+/// Artifact families of each experiment command (empty = the full
+/// matrix); `None` when `command` is not an experiment command.
+pub fn command_artifacts(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "run-all" | "all" => &[],
+        "methodology" => &["methodology"],
+        "fig3" => &["fig3"],
+        "fig4" => &["fig4"],
+        "performance" => &["performance"],
+        "area" => &["area"],
+        "reliability" => &["reliability"],
+        "soft-errors" => &["soft-errors"],
+        "ablations" => &[
+            "ablation-ways",
+            "ablation-memlat",
+            "ablation-voltage",
+            "ablation-l2",
+            "ablation-cores",
+            "ablation-workloads",
+            "ablation-granularity",
+        ],
+        _ => return None,
+    })
+}
+
+/// The sweep experiment command `command` runs over `artifacts`, or an
+/// error when its `--filter` globs leave it no experiment of the
+/// standard registry: a mistyped filter must not pass for an empty
+/// report.
+pub fn command_sweep(
+    command: &str,
+    options: &CliOptions,
+    artifacts: &[&str],
+) -> Result<SweepBuilder, String> {
+    let builder = sweep_for(options, artifacts);
+    if Registry::standard()
+        .ids()
+        .into_iter()
+        .any(|id| builder.selects(id))
+    {
+        return Ok(builder);
+    }
+    let filters: Vec<String> = options
+        .globs
+        .iter()
+        .map(|glob| format!("--filter '{glob}'"))
+        .collect();
+    Err(format!(
+        "no experiment of `hyvec {command}` matches {}; `hyvec list` prints the experiment ids",
+        filters.join(" ")
+    ))
+}
+
 /// Builds the sweep for `options`, restricted to `artifacts` (empty =
 /// everything).
 pub fn sweep_for(options: &CliOptions, artifacts: &[&str]) -> SweepBuilder {
@@ -121,6 +174,12 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<CliOptions, String> {
         parse_flags(args.iter().map(|s| s.to_string()))
+    }
+
+    /// The sweep `hyvec <command> <args>` runs, or why it runs none.
+    fn sweep(command: &str, args: &[&str]) -> Result<SweepBuilder, String> {
+        let artifacts = command_artifacts(command).ok_or("unknown command")?;
+        command_sweep(command, &parse(args)?, artifacts)
     }
 
     #[test]
@@ -179,6 +238,18 @@ mod tests {
         assert!(parse(&["--wat", "1"]).is_err());
         assert!(parse(&["--instructions", "0"]).is_err());
         assert!(parse(&["--bench-out", "x"]).is_err());
+        // Filters that leave a command no experiment.
+        let err = sweep("run-all", &["--filter", "nonesuch"]).unwrap_err();
+        assert!(err.contains("--filter 'nonesuch'") && err.contains("hyvec list"));
+        let err = sweep("ablations", &["--filter", "fig3/*"]).unwrap_err();
+        assert!(err.contains("hyvec ablations") && err.contains("--filter 'fig3/*'"));
+    }
+
+    #[test]
+    fn filters_that_select_something_pass() {
+        assert!(sweep("run-all", &[]).is_ok());
+        assert!(sweep("ablations", &["--filter", "ablation-cores/*"]).is_ok());
+        assert!(sweep("fig3", &["--filter", "nonesuch", "--filter", "*/A"]).is_ok());
     }
 
     #[test]

@@ -936,8 +936,8 @@ impl HybridCache {
     }
 }
 
-// The epoch-parallel multi-core engine moves each core's L1 pair onto
-// scoped worker threads; this pins the `Send` bound at compile time so
+// The multi-core engine can run each core's L1 pair on a scoped
+// worker thread; this pins the `Send` bound at compile time so
 // a non-`Send` field (an `Rc`, a raw pointer) added later fails here,
 // next to the type, rather than deep inside the thread scope.
 const fn assert_send<T: Send>() {}

@@ -176,10 +176,10 @@ pub(crate) struct ChainRequest {
 /// The L1s never observe the chain and the chain never observes the
 /// L1s, so *when* a miss is resolved moves only when a counter is
 /// incremented, never by how much, and one pass of the L1s can feed
-/// any number of chains. The serial loops of both engines resolve each
-/// miss on the spot against every chain ([`step`]); the epoch workers
-/// of [`MultiCoreSystem`] log them, and the coordinator replays the
-/// logs against the chains at the epoch barrier.
+/// any number of chains. [`System`] resolves each miss on the spot
+/// against every chain ([`step`]); [`MultiCoreSystem`] logs a core's
+/// misses for a whole epoch and then replays every core's log against
+/// the chains in canonical order.
 #[inline]
 pub(crate) fn front_entry(
     il1: &mut HybridCache,
@@ -313,30 +313,14 @@ pub(crate) fn apply_fill(
     stall
 }
 
-/// One request priced against each of `K` chains: `chain(j, ..)`
-/// serves it from chain `j`, or declines with `None` (a chain whose
-/// width leaves the issuing core out). Each served fill is charged to
-/// `tallies[j]` by [`apply_fill`] and its stall added to `stalls[j]`.
-#[inline]
-pub(crate) fn fill_chains<const K: usize>(
-    timing: CoreTiming,
-    req: ChainRequest,
-    tallies: &mut [ChainTally; K],
-    stalls: &mut [u64; K],
-    mut chain: impl FnMut(usize, AccessRequest) -> Option<AccessOutcome>,
-) {
-    for (j, (tally, stall)) in tallies.iter_mut().zip(stalls.iter_mut()).enumerate() {
-        if let Some(fill) = chain(j, req.access) {
-            *stall += apply_fill(timing, req.kind, fill, tally);
-        }
-    }
-}
-
 /// One instruction of one core through the whole machine: the
 /// [`front_entry`] phase over `front`, with each miss sent down every
-/// chain on the spot ([`fill_chains`]). Adds the instruction's cycles
-/// to each tally and returns them as `(local, totals)`: the core-local
-/// cycles, and per chain the total including that chain's fill stalls.
+/// chain on the spot: `chain(j, ..)` serves it from chain `j`, or
+/// declines with `None` (a chain whose width leaves the issuing core
+/// out), and [`apply_fill`] charges each served fill to `tallies[j]`.
+/// Adds the instruction's cycles to each tally and returns them as
+/// `(local, totals)`: the core-local cycles, and per chain the total
+/// including that chain's fill stalls.
 #[inline]
 pub(crate) fn step<const K: usize>(
     il1: &mut HybridCache,
@@ -349,7 +333,11 @@ pub(crate) fn step<const K: usize>(
 ) -> (u64, [u64; K]) {
     let mut totals = [0u64; K];
     let local = front_entry(il1, dl1, timing, front, entry, |req| {
-        fill_chains(timing, req, tallies, &mut totals, &mut chain);
+        for (j, (tally, total)) in tallies.iter_mut().zip(&mut totals).enumerate() {
+            if let Some(fill) = chain(j, req.access) {
+                *total += apply_fill(timing, req.kind, fill, tally);
+            }
+        }
     });
     for (tally, total) in tallies.iter_mut().zip(totals.iter_mut()) {
         *total += local;
@@ -388,7 +376,8 @@ pub(crate) fn ule_exposure_bits(il1: &CacheConfig, dl1: &CacheConfig) -> u64 {
 /// passes the instruction's total cycles (fill stalls included) and
 /// its one stream, which persists across runs; the multi-core engine
 /// passes core-local cycles and per-core streams re-derived every run,
-/// which keeps its serial and threaded schedules bit-identical.
+/// so a core draws its upsets before its misses reach the chain, on
+/// whichever thread runs it.
 #[inline]
 pub(crate) fn maybe_inject_seu(
     il1: &mut HybridCache,
@@ -536,8 +525,9 @@ pub struct SimOptions {
     /// Route every L1 access through the full EDC slow path even while
     /// fault-free ([`HybridCache::set_force_slow_path`]).
     pub force_slow_path: bool,
-    /// Worker threads of the epoch-parallel multi-core engine
-    /// ([`MultiCoreSystem::set_sim_threads`]); 1 is serial, 0 counts as 1.
+    /// Threads that run the L1 fronts of the multi-core engine
+    /// ([`MultiCoreSystem::set_sim_threads`]); 1 runs them inline on
+    /// the calling thread, 0 counts as 1.
     pub sim_threads: usize,
 }
 
@@ -1302,9 +1292,9 @@ mod tests {
                 "core {core}"
             );
         }
-        let mut serial = builder().build_multi(2).expect("2 cores");
-        assert_eq!(serial.sim_threads(), 1);
-        assert!(serial.core_mut(1).0.fast_path_ready());
+        let mut plain = builder().build_multi(2).expect("2 cores");
+        assert_eq!(plain.sim_threads(), 1);
+        assert!(plain.core_mut(1).0.fast_path_ready());
     }
 
     #[test]

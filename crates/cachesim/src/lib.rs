@@ -27,8 +27,8 @@
 //! * [`multicore`] — the multi-core shape on top of the same pieces:
 //!   N private split-L1 front ends in a canonical round-robin
 //!   interleaving over a shared L2/memory chain or per-core private
-//!   L2s (optionally MESI-coherent), simulated epoch-parallel on
-//!   worker threads with a deterministic merge
+//!   L2s (optionally MESI-coherent), simulated an epoch of each core
+//!   at a time, optionally across threads, with a deterministic merge
 //!   ([`SystemBuilder::build_multi`](engine::SystemBuilder::build_multi));
 //! * [`power`] — Wattch-style event-based energy accounting on top of
 //!   the [`hyvec_cachemodel`] arrays, producing the EPI breakdowns of

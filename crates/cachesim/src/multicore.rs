@@ -1,5 +1,5 @@
 //! The multi-core engine: N private split-L1 front ends over a
-//! shared-L2 or private-L2 topology, simulated epoch-parallel.
+//! shared-L2 or private-L2 topology, simulated an epoch at a time.
 //!
 //! The paper's evaluation is single-core, but the composable
 //! [`MemoryLevel`] chain was built so
@@ -15,9 +15,9 @@
 //! # Execution model
 //!
 //! The canonical order is a round-robin interleaving of the N
-//! independent [`TraceSource`]s at instruction granularity (one
-//! instruction per core per round, core 0 first, via
-//! [`hyvec_mediabench::Interleave`]); cores whose trace ends drop out
+//! independent [`TraceSource`]s at instruction granularity: one
+//! instruction per core per round, core 0 first, the order of
+//! [`hyvec_mediabench::Interleave`]; cores whose trace ends drop out
 //! of the rotation. Each core keeps its own cycle count — cores
 //! execute concurrently, so per-core time is what IPC means here —
 //! while *contention* appears architecturally: the cores' miss
@@ -27,31 +27,39 @@
 //! different widths (see [One front pass, many
 //! chains](#one-front-pass-many-chains)).
 //!
-//! # Epoch-parallel simulation
+//! # Epoch simulation
 //!
 //! An L1 hit or miss depends only on the issuing core's own address
-//! stream, never on the chain below — so the expensive part of the
-//! simulation (driving the bit-accurate L1s) parallelizes. With
-//! [`SimOptions::sim_threads`](crate::engine::SimOptions) (passed to
-//! [`SystemBuilder::options`](crate::engine::SystemBuilder::options))
-//! or [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1, a
-//! run proceeds in epochs of [`EPOCH_INSTRUCTIONS`] per core:
+//! stream, never on the chain below, and the chain never observes the
+//! L1s. So a run need not switch cores on every instruction to follow
+//! the canonical order. It proceeds in epochs of
+//! [`EPOCH_INSTRUCTIONS`] rounds:
 //!
-//! 1. each core's [`EpochSource`] hands it a bounded slice of its
-//!    trace; worker threads drive the private L1 front ends through
-//!    their slices, logging every chain-bound fill request
-//!    (`front_entry`) and charging chain-independent stats;
-//! 2. at the epoch barrier, one merge pass replays the logs against
-//!    the chain (or every chain, see below) in canonical
-//!    core-then-round order (`apply_fill`), charging fill stalls and
-//!    energy.
+//! 1. each core's L1 front runs a whole epoch of its own trace
+//!    (`front_entry`). It logs only its chain-bound fill requests,
+//!    each tagged with its round, and sums its core-local cycles;
+//! 2. one merge pass replays the logged requests against the chain
+//!    (or every chain, see below) in canonical (round, core, program)
+//!    order (`apply_fill`), charging fill stalls and energy.
 //!
-//! Every live core contributes entries to consecutive rounds from the
-//! start of each epoch until it drains, so the merge visits the chain
-//! in exactly the serial interleaving order — counters are
-//! **bit-identical** to the serial loop at any core count and
-//! invariant across `--sim-threads 1/2/8` (pinned by the determinism
-//! suite and the `epoch_merge` proptests).
+//! Each core's summed core-local cycles join its tallies once, at the
+//! end of the run. A core pulls entries from its source directly and
+//! never polls it again after its first `None`, since
+//! [`TraceSource`] is not fused.
+//!
+//! This is the one loop at every simulation-thread count
+//! ([`SimOptions::sim_threads`](crate::engine::SimOptions), passed to
+//! [`SystemBuilder::options`](crate::engine::SystemBuilder::options),
+//! or [`set_sim_threads`](MultiCoreSystem::set_sim_threads)). At one
+//! thread the fronts run inline on the calling thread, one core after
+//! another. Above one, that many scoped worker threads share out the
+//! cores of each epoch, and the calling thread merges at the epoch
+//! barrier while they wait for the next epoch. The merge visits every
+//! chain in exactly the round-robin order, so counters are
+//! **bit-identical** to an instruction-interleaved reference loop
+//! (kept as test code in this module) at any core count and invariant
+//! across `--sim-threads 1/2/8` (pinned by this module's proptests,
+//! the `epoch_merge` suite and the determinism suite).
 //!
 //! # One front pass, many chains
 //!
@@ -65,14 +73,13 @@
 //! Report `j` therefore equals a standalone `w_j`-core run, with soft
 //! errors on or off, and a core-count sweep costs one pass of its
 //! widest machine's L1s. [`run`](MultiCoreSystem::run) is the K = 1
-//! instance at full width: both the serial loop and the epoch
-//! coordinator exist once, generic over K.
+//! instance at full width: the loop exists once, generic over K.
 //!
 //! Soft-error draws come from *per-core* RNG streams seeded with
 //! [`per_core_seed`], and exposure integrates each instruction's
 //! core-local cycles (base + bubbles, excluding chain fill stalls),
-//! so injection happens inline on the worker and lands identically in
-//! the serial and threaded schedules.
+//! so injection happens inside the core's front pass and lands
+//! identically at any thread count.
 //!
 //! Bandwidth arbitration (queueing at the shared L2 port) is *not*
 //! modeled; the contention cost is the architectural one above. Nor
@@ -96,7 +103,7 @@
 //!     .memory(MemoryConfig::with_latency(80))
 //!     .build_multi(2)
 //!     .expect("valid configuration");
-//! system.set_sim_threads(2); // epoch-parallel; same counters as 1
+//! system.set_sim_threads(2); // fronts on 2 workers; same counters as 1
 //! let traces = vec![
 //!     Benchmark::GsmC.trace(5_000, 1),
 //!     Benchmark::Mpeg2C.trace(5_000, 2),
@@ -110,26 +117,29 @@
 use crate::cache::HybridCache;
 use crate::config::{CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode};
 use crate::engine::{
-    chain_below, fill_chains, front_entry, maybe_inject_seu, step, ule_exposure_bits, ChainRequest,
+    apply_fill, chain_below, front_entry, maybe_inject_seu, ule_exposure_bits, ChainRequest,
     ChainTally, CoreTiming, RunReport,
 };
 use crate::hierarchy::{AccessOutcome, AccessRequest, MainMemory, MemoryLevel, PrivateL2s};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
-use hyvec_mediabench::{per_core_seed, EpochSource, Interleave, TraceEntry, TraceSource};
+use hyvec_mediabench::{per_core_seed, TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
-/// Instructions each core simulates per epoch between merge barriers.
+/// Rounds of one epoch: the instructions each core's L1 front runs
+/// between two merges.
 ///
-/// Large enough that per-epoch coordination (two barrier waits plus
-/// one lock per core) amortizes to noise against ~4k instructions of
-/// bit-accurate L1 simulation; small enough that the per-core logs
-/// stay cache-resident. Results do not depend on this value — the
-/// merge replays the canonical order exactly at any epoch length.
+/// Large enough that a core keeps its L1 arrays and generator state
+/// hot in the host's caches for ~4k bit-accurate instructions, and
+/// that per-epoch coordination (one lock per core, plus two barrier
+/// waits above one thread) amortizes to noise; small enough that the
+/// request logs stay cache-resident. Results do not depend on this
+/// value — the merge replays the canonical order exactly at any epoch
+/// length.
 pub const EPOCH_INSTRUCTIONS: usize = 4096;
 
 /// The chain below the L1s of a multi-core machine: one shared chain
@@ -268,47 +278,40 @@ impl MultiCoreReport {
     }
 }
 
-/// Per-instruction record of one core's epoch log: the core-local
-/// cycles the L1 front charged, and how many of the epoch's
-/// chain-bound requests this instruction issued.
-#[derive(Debug, Clone, Copy)]
-struct InstrRecord {
-    local_cycles: u64,
-    requests: u32,
-}
-
-/// Everything one core owns during an epoch-parallel run: its L1
-/// front end, its chunked trace, its SEU stream, and the epoch log
-/// the merge pass replays. Wrapped in a `Mutex` purely as a
-/// thread-safe cell — the worker phase and the merge phase never
-/// overlap, so locks are uncontended by construction.
+/// Everything one core owns during a run: its L1 front end, its
+/// trace, its SEU stream, its core-local counters, and the epoch log
+/// the merge replays. Wrapped in a `Mutex` purely as a thread-safe
+/// cell: see [`lock`].
 #[derive(Debug)]
 struct CoreWork<T> {
     il1: HybridCache,
     dl1: HybridCache,
-    source: EpochSource<T>,
+    source: T,
+    /// Set at the source's first `None`; a drained source is never
+    /// polled again, since [`TraceSource`] is not fused.
+    drained: bool,
     rng: SmallRng,
     /// The chain-independent counters of [`front_entry`].
     front: RunStats,
-    /// This epoch's trace slice (reused across epochs).
-    slice: Vec<TraceEntry>,
-    /// This epoch's per-instruction records (reused across epochs).
-    instrs: Vec<InstrRecord>,
-    /// This epoch's chain-bound requests, in program order (reused).
-    requests: Vec<ChainRequest>,
+    /// Core-local cycles so far (base + bubbles, no fill stalls); they
+    /// join every lane's tally once, at the end of the run.
+    local_cycles: u64,
+    /// This epoch's chain-bound requests in program order, each with
+    /// its round: the issuing instruction's index in the epoch.
+    requests: Vec<(usize, ChainRequest)>,
 }
 
 impl<T: TraceSource> CoreWork<T> {
-    /// The worker phase of one epoch: pull a slice, drive the L1s,
-    /// log chain-bound requests, draw SEUs from the core's own stream
-    /// over core-local cycles.
+    /// The front phase of one epoch: drive the L1s through up to
+    /// [`EPOCH_INSTRUCTIONS`] entries, log chain-bound requests with
+    /// their round, sum core-local cycles and draw SEUs from the core's
+    /// own stream over them.
     fn run_epoch(&mut self, timing: CoreTiming, seu_rate: f64, ule_bits: u64) {
-        self.instrs.clear();
         self.requests.clear();
-        self.source.next_epoch(EPOCH_INSTRUCTIONS, &mut self.slice);
-        for i in 0..self.slice.len() {
-            let entry = self.slice[i];
-            let before = self.requests.len();
+        for round in 0..EPOCH_INSTRUCTIONS {
+            let Some(entry) = self.next_entry() else {
+                break;
+            };
             let requests = &mut self.requests;
             let local = front_entry(
                 &mut self.il1,
@@ -316,12 +319,9 @@ impl<T: TraceSource> CoreWork<T> {
                 timing,
                 &mut self.front,
                 entry,
-                |req| requests.push(req),
+                |req| requests.push((round, req)),
             );
-            self.instrs.push(InstrRecord {
-                local_cycles: local,
-                requests: (self.requests.len() - before) as u32,
-            });
+            self.local_cycles += local;
             maybe_inject_seu(
                 &mut self.il1,
                 &mut self.dl1,
@@ -331,6 +331,17 @@ impl<T: TraceSource> CoreWork<T> {
                 local,
             );
         }
+    }
+
+    /// The core's next trace entry; `None` for good once its source has
+    /// returned `None`.
+    fn next_entry(&mut self) -> Option<TraceEntry> {
+        if self.drained {
+            return None;
+        }
+        let entry = self.source.next_entry();
+        self.drained = entry.is_none();
+        entry
     }
 }
 
@@ -358,7 +369,8 @@ pub struct MultiCoreSystem {
     /// streams are re-derived at the start of every run, so warm
     /// re-runs are reproducible.
     seu_seed: u64,
-    /// Worker threads for the epoch-parallel engine; 1 = serial.
+    /// Worker threads that run the L1 fronts of each epoch; 1 = inline
+    /// on the calling thread.
     sim_threads: usize,
 }
 
@@ -403,14 +415,15 @@ impl MultiCoreSystem {
         self.fronts.len()
     }
 
-    /// Worker threads the next run will use (1 = the serial loop).
+    /// Threads the next run will drive the L1 fronts on (1 = inline on
+    /// the calling thread).
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
     }
 
-    /// Sets the worker-thread count of the epoch-parallel engine
-    /// (clamped to at least 1). Counters are bit-identical at any
-    /// value; only wall time changes. New instances start with the
+    /// Sets how many threads run the L1 fronts of each epoch (clamped
+    /// to at least 1). Counters are bit-identical at any value; only
+    /// wall time changes. New instances start with the
     /// [`SimOptions::sim_threads`](crate::engine::SimOptions) of their
     /// builder (1 by default).
     pub fn set_sim_threads(&mut self, threads: usize) {
@@ -424,11 +437,11 @@ impl MultiCoreSystem {
         (il1, dl1)
     }
 
-    /// Runs one trace per core to completion at `mode`, in the
-    /// canonical round-robin order (core 0 first). With
+    /// Runs one trace per core to completion at `mode`, with the
+    /// counters of the canonical round-robin order (core 0 first). With
     /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1
-    /// the epoch-parallel engine runs the L1 front ends on worker
-    /// threads; counters are bit-identical either way.
+    /// the L1 fronts run on worker threads; counters are bit-identical
+    /// either way.
     ///
     /// # Panics
     ///
@@ -518,12 +531,10 @@ impl MultiCoreSystem {
             .collect()
     }
 
-    /// The one multi-core run: a mode transition (every L1 flushed
-    /// and reset, one fresh chain per width), one pass of the L1
-    /// fronts over `sources` whose misses are priced against every
-    /// lane in canonical round-robin order — serially, or
-    /// epoch-parallel above one simulation thread — and one report per
-    /// lane.
+    /// The one multi-core run: a mode transition, one epoch-by-epoch
+    /// pass of the L1 fronts over `sources` whose misses are priced
+    /// against every lane in canonical round-robin order, and one
+    /// report per lane.
     fn price<T, const K: usize>(
         &mut self,
         sources: Vec<T>,
@@ -534,9 +545,23 @@ impl MultiCoreSystem {
     where
         T: TraceSource + Send,
     {
+        let (mut lanes, timing, ule_bits) = self.transition(sources.len(), mode, widths);
+        let (front, tallies) = self.epochs(sources, timing, ule_bits, &mut lanes);
+        self.reports(&lanes, &front, &tallies, mode, op)
+    }
+
+    /// The start of every run: every L1 flushed and reset into `mode`,
+    /// one fresh chain per width, and the run's timing and SEU
+    /// exposure constants.
+    fn transition<const K: usize>(
+        &mut self,
+        sources: usize,
+        mode: Mode,
+        widths: [usize; K],
+    ) -> ([Lane; K], CoreTiming, u64) {
         // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one trace source per core")
         assert_eq!(
-            sources.len(),
+            sources,
             self.fronts.len(),
             "need exactly one trace source per core"
         );
@@ -546,17 +571,22 @@ impl MultiCoreSystem {
             il1.reset_stats();
             dl1.reset_stats();
         }
-        let mut lanes = widths.map(|width| (self.recipe.build(width), width));
+        let lanes = widths.map(|width| (self.recipe.build(width), width));
         let (il1, dl1) = self.shared_core_config();
         let timing = CoreTiming::new(&self.power, mode, dl1);
-        let ule_bits = ule_exposure_bits(il1, dl1);
+        (lanes, timing, ule_exposure_bits(il1, dl1))
+    }
 
-        let (front, tallies) = if self.sim_threads <= 1 {
-            self.serial(sources, timing, ule_bits, &mut lanes)
-        } else {
-            self.epochs(sources, timing, ule_bits, &mut lanes)
-        };
-
+    /// One report per lane from each core's `front` counters and its
+    /// `tallies`, priced at `op`.
+    fn reports<const K: usize>(
+        &self,
+        lanes: &[Lane; K],
+        front: &[RunStats],
+        tallies: &[[ChainTally; K]],
+        mode: Mode,
+        op: OperatingPoint,
+    ) -> [MultiCoreReport; K] {
         std::array::from_fn(|j| {
             let (chain, width) = &lanes[j];
             let chain = chain.as_dyn().chain_stats();
@@ -576,44 +606,11 @@ impl MultiCoreSystem {
         })
     }
 
-    /// The serial loop: the canonical round-robin interleaving, each
-    /// miss resolved on the spot against every lane whose width takes
-    /// the core in. Returns each core's front counters and its tally
-    /// per lane.
-    fn serial<T: TraceSource, const K: usize>(
-        &mut self,
-        sources: Vec<T>,
-        timing: CoreTiming,
-        ule_bits: u64,
-        lanes: &mut [Lane; K],
-    ) -> (Vec<RunStats>, Vec<[ChainTally; K]>) {
-        let rate = self.seu_rate_per_bit_cycle;
-        let mut rngs = self.core_rngs();
-        let n = self.fronts.len();
-        let mut front = vec![RunStats::default(); n];
-        let mut tallies = vec![[ChainTally::default(); K]; n];
-        for (core, entry) in Interleave::new(sources) {
-            let (il1, dl1) = &mut self.fronts[core];
-            let (local, _) = step(
-                il1,
-                dl1,
-                timing,
-                &mut front[core],
-                &mut tallies[core],
-                entry,
-                |j, req| lane_fill(lanes, j, core, req),
-            );
-            // Exposure integrates core-local cycles, as on the epoch
-            // workers, from the core's own stream.
-            maybe_inject_seu(il1, dl1, &mut rngs[core], rate, ule_bits, local);
-        }
-        (front, tallies)
-    }
-
-    /// The epoch-parallel path: worker threads drive the L1 front
-    /// ends through per-core trace slices; the coordinator replays
-    /// each epoch's request logs against the lanes in canonical order.
-    /// See the module docs for the full protocol.
+    /// The one run loop: an epoch of every core's L1 front — inline
+    /// on the calling thread at one simulation thread, on scoped worker
+    /// threads above that — then a merge of its logs against the lanes,
+    /// until every source is drained. Returns each core's front
+    /// counters and its tally per lane.
     fn epochs<T, const K: usize>(
         &mut self,
         sources: Vec<T>,
@@ -627,7 +624,6 @@ impl MultiCoreSystem {
         let rate = self.seu_rate_per_bit_cycle;
         let n = self.fronts.len();
         let threads = self.sim_threads.min(n);
-
         let rngs = self.core_rngs();
         let works: Vec<Mutex<CoreWork<T>>> = std::mem::take(&mut self.fronts)
             .into_iter()
@@ -637,21 +633,27 @@ impl MultiCoreSystem {
                 Mutex::new(CoreWork {
                     il1,
                     dl1,
-                    source: EpochSource::new(source),
+                    source,
+                    drained: false,
                     rng,
                     front: RunStats::default(),
-                    slice: Vec::with_capacity(EPOCH_INSTRUCTIONS),
-                    instrs: Vec::with_capacity(EPOCH_INSTRUCTIONS),
+                    local_cycles: 0,
                     requests: Vec::new(),
                 })
             })
             .collect();
         let mut tallies = vec![[ChainTally::default(); K]; n];
 
-        {
+        if threads <= 1 {
+            merge_epochs(&works, lanes, &mut tallies, timing, || {
+                for work in &works {
+                    lock(work).run_epoch(timing, rate, ule_bits);
+                }
+            });
+        } else {
             let works = &works;
             // Barrier A releases the workers into an epoch; barrier B
-            // tells the coordinator the worker phase is over. Workers
+            // tells the coordinator the front phase is over. Workers
             // then block at the next A while the coordinator merges.
             let barrier = &Barrier::new(threads + 1);
             let next_core = &AtomicUsize::new(0);
@@ -663,30 +665,35 @@ impl MultiCoreSystem {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        loop {
-                            let core = next_core.fetch_add(1, Ordering::Relaxed);
-                            if core >= works.len() {
-                                break;
-                            }
-                            works[core]
-                                .lock()
-                                // hyvec-lint: allow(no-panic, "poisoned only if a sibling worker already panicked; propagating is the only sane option")
-                                .expect("a worker thread panicked")
-                                .run_epoch(timing, rate, ule_bits);
+                        while let Some(work) = works.get(next_core.fetch_add(1, Ordering::Relaxed))
+                        {
+                            lock(work).run_epoch(timing, rate, ule_bits);
                         }
                         barrier.wait(); // B
                     });
                 }
-                coordinate(works, barrier, next_core, stop, lanes, &mut tallies, timing);
+                // Dropped last, on return or unwind alike: the workers
+                // parked at the next barrier observe `stop` and exit, so
+                // a panic in the merge propagates out of the scope
+                // instead of deadlocking it.
+                let _release = ReleaseWorkers { barrier, stop };
+                merge_epochs(works, lanes, &mut tallies, timing, || {
+                    next_core.store(0, Ordering::Relaxed);
+                    barrier.wait(); // A: workers start the epoch
+                    barrier.wait(); // B: workers are done, parked before next A
+                });
             });
         }
 
         let mut front = Vec::with_capacity(n);
-        for work in works {
+        for (work, tallies) in works.into_iter().zip(&mut tallies) {
             let work = work
                 .into_inner()
                 // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked, which the scope already propagated")
                 .expect("a worker thread panicked");
+            for tally in tallies.iter_mut() {
+                tally.stats.cycles += work.local_cycles;
+            }
             self.fronts.push((work.il1, work.dl1));
             front.push(work.front);
         }
@@ -694,61 +701,46 @@ impl MultiCoreSystem {
     }
 }
 
-/// The coordinator side of the epoch protocol: release the workers
-/// into an epoch, wait for them, then replay every core's log against
-/// the lanes in canonical core-then-round order. Runs entirely while
-/// the workers are parked at the next epoch's barrier, so the locks
-/// are uncontended and every chain sees exactly the serial order.
-fn coordinate<T: TraceSource, const K: usize>(
+/// One core's work, locked. The front phase and the merge never
+/// overlap, so the lock is uncontended.
+fn lock<T>(work: &Mutex<CoreWork<T>>) -> MutexGuard<'_, CoreWork<T>> {
+    work.lock()
+        // hyvec-lint: allow(no-panic, "poisoned only if a worker thread panicked; propagating is the only sane option")
+        .expect("a worker thread panicked")
+}
+
+/// The loop of a run: `fronts` runs one epoch of every core's L1
+/// front, then the merge replays the epoch's logged requests against
+/// the lanes in canonical (round, core, program) order, charging each
+/// fill and its stall to the issuing core's tally on every lane whose
+/// width takes the core in — until every source is drained.
+fn merge_epochs<T, const K: usize>(
     works: &[Mutex<CoreWork<T>>],
-    barrier: &Barrier,
-    next_core: &AtomicUsize,
-    stop: &AtomicBool,
     lanes: &mut [Lane; K],
     tallies: &mut [[ChainTally; K]],
     timing: CoreTiming,
+    mut fronts: impl FnMut(),
 ) {
-    // Dropped last, on return or unwind alike: the workers parked at
-    // the next barrier observe `stop` and exit, so a panic in the merge
-    // propagates out of the scope instead of deadlocking it.
-    let _release = ReleaseWorkers { barrier, stop };
-    let mut cursors = vec![0usize; works.len()];
+    let mut order: Vec<(usize, usize, ChainRequest)> = Vec::new();
     loop {
-        next_core.store(0, Ordering::Relaxed);
-        barrier.wait(); // A: workers start the epoch
-        barrier.wait(); // B: workers are done, parked before next A
-
-        let guards: Vec<MutexGuard<'_, CoreWork<T>>> = works
-            .iter()
-            .map(|w| {
-                w.lock()
-                    // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked; propagating is the only sane option")
-                    .expect("a worker thread panicked")
-            })
-            .collect();
-        let rounds = guards.iter().map(|g| g.instrs.len()).max().unwrap_or(0);
-        cursors.iter_mut().for_each(|c| *c = 0);
-        for round in 0..rounds {
-            for (core, work) in guards.iter().enumerate() {
-                let Some(rec) = work.instrs.get(round).copied() else {
-                    continue;
-                };
-                let mut stalls = [0u64; K];
-                for _ in 0..rec.requests {
-                    let req = work.requests[cursors[core]];
-                    cursors[core] += 1;
-                    fill_chains(timing, req, &mut tallies[core], &mut stalls, |j, access| {
-                        lane_fill(lanes, j, core, access)
-                    });
-                }
-                for (tally, stall) in tallies[core].iter_mut().zip(stalls) {
-                    tally.stats.cycles += rec.local_cycles + stall;
+        fronts();
+        order.clear();
+        let mut drained = true;
+        for (core, work) in works.iter().enumerate() {
+            let work = lock(work);
+            drained &= work.drained;
+            order.extend(work.requests.iter().map(|&(round, req)| (round, core, req)));
+        }
+        // Stable, so each round keeps core order and then program order.
+        order.sort_by_key(|&(round, _, _)| round);
+        for &(_, core, req) in &order {
+            for (j, tally) in tallies[core].iter_mut().enumerate() {
+                if let Some(fill) = lane_fill(lanes, j, core, req.access) {
+                    tally.stats.cycles += apply_fill(timing, req.kind, fill, tally);
                 }
             }
         }
-        let done = guards.iter().all(|g| g.source.is_done());
-        drop(guards);
-        if done {
+        if drained {
             break;
         }
     }
@@ -771,14 +763,169 @@ impl Drop for ReleaseWorkers<'_> {
 mod tests {
     use super::*;
     use crate::config::{ConfigError, L2Config, MemoryConfig, Mesi, SystemConfig, Topology};
-    use crate::engine::System;
-    use hyvec_mediabench::Benchmark;
+    use crate::engine::{step, System};
+    use hyvec_mediabench::{Benchmark, Interleave};
+    use proptest::prelude::*;
 
     fn builder() -> crate::engine::SystemBuilder {
         System::builder()
             .config(SystemConfig::uniform_6t())
             .memory(MemoryConfig::with_latency(80))
             .l2(L2Config::unified(16))
+    }
+
+    /// The reference the one loop is pinned against: the canonical
+    /// round-robin order followed instruction by instruction
+    /// ([`Interleave`]), each miss resolved on the spot ([`step`])
+    /// against every lane whose width takes the core in. Same start and
+    /// reports as [`MultiCoreSystem::run_widths`].
+    fn reference<T: TraceSource, const K: usize>(
+        sys: &mut MultiCoreSystem,
+        sources: Vec<T>,
+        mode: Mode,
+        widths: [usize; K],
+    ) -> [MultiCoreReport; K] {
+        let (mut lanes, timing, ule_bits) = sys.transition(sources.len(), mode, widths);
+        let rate = sys.seu_rate_per_bit_cycle;
+        let mut rngs = sys.core_rngs();
+        let mut front = vec![RunStats::default(); sys.cores()];
+        let mut tallies = vec![[ChainTally::default(); K]; sys.cores()];
+        for (core, entry) in Interleave::new(sources) {
+            let (il1, dl1) = &mut sys.fronts[core];
+            let (local, _) = step(
+                il1,
+                dl1,
+                timing,
+                &mut front[core],
+                &mut tallies[core],
+                entry,
+                |j, req| lane_fill(&mut lanes, j, core, req),
+            );
+            // Exposure integrates core-local cycles from the core's own
+            // stream, as in the one loop.
+            maybe_inject_seu(il1, dl1, &mut rngs[core], rate, ule_bits, local);
+        }
+        sys.reports(&lanes, &front, &tallies, mode, mode.operating_point())
+    }
+
+    /// The chain below the cores of a proptest machine.
+    #[derive(Debug, Clone, Copy)]
+    enum Below {
+        SharedL2,
+        Memory,
+        PrivateL2s,
+        MesiL2s,
+    }
+
+    /// A `cores`-core machine over `below`, soft errors on or off.
+    fn machine(cores: usize, below: Below, seu: bool) -> MultiCoreSystem {
+        let mut builder = System::builder()
+            .config(SystemConfig::uniform_6t())
+            .memory(MemoryConfig::with_latency(40));
+        let private = |coherence| Topology::PrivateL2 { coherence };
+        builder = match below {
+            Below::SharedL2 => builder.l2(L2Config::unified(16)),
+            Below::Memory => builder,
+            Below::PrivateL2s => builder.l2(L2Config::unified(16)).topology(private(None)),
+            Below::MesiL2s => builder
+                .l2(L2Config::unified(16))
+                .topology(private(Some(Mesi::default()))),
+        };
+        if seu {
+            builder = builder.seu(5e-8, 17);
+        }
+        builder.build_multi(cores).expect("valid configuration")
+    }
+
+    /// One trace per core, of unequal lengths, over one shared address
+    /// space (so the cores' lines meet in a shared L2 and in MESI).
+    fn traces(lengths: &[usize], seed: u64) -> Vec<hyvec_mediabench::Trace> {
+        lengths
+            .iter()
+            .enumerate()
+            .map(|(core, &len)| {
+                let program = Benchmark::BIG[core % Benchmark::BIG.len()];
+                program.trace(len as u64, per_core_seed(seed, core))
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The one loop prices every lane exactly as the reference
+        /// does: at 1, 2 and 8 simulation threads, soft errors on and
+        /// off, over a shared L2, bare memory and private L2s with and
+        /// without coherence, with unequal trace lengths and a
+        /// narrower lane beside the full-width one.
+        #[test]
+        fn one_loop_matches_the_reference(
+            cores in 1usize..5,
+            threads in prop::sample::select(vec![1usize, 2, 8]),
+            below in prop::sample::select(vec![
+                Below::SharedL2,
+                Below::Memory,
+                Below::PrivateL2s,
+                Below::MesiL2s,
+            ]),
+            seu: bool,
+            hp: bool,
+            narrow in 1usize..5,
+            base in 50usize..600,
+            seed in 0u64..1_000,
+        ) {
+            let mode = if hp { Mode::Hp } else { Mode::Ule };
+            let lengths: Vec<usize> = (0..cores).map(|core| base + 211 * core).collect();
+            let widths = [narrow.min(cores), cores];
+            let expected = reference(&mut machine(cores, below, seu), traces(&lengths, seed), mode, widths);
+            let mut sys = machine(cores, below, seu);
+            sys.set_sim_threads(threads);
+            let got = sys.run_widths(traces(&lengths, seed), mode, widths).expect("widths fit");
+            prop_assert_eq!(got, expected, "{} threads, {:?}, seu {}", threads, below, seu);
+        }
+    }
+
+    /// A trace that panics when polled again after it returned `None`:
+    /// [`TraceSource`] is not fused, so the loop must not do that.
+    struct Unfused {
+        trace: hyvec_mediabench::Trace,
+        drained: bool,
+    }
+
+    impl TraceSource for Unfused {
+        fn next_entry(&mut self) -> Option<TraceEntry> {
+            assert!(!self.drained, "a drained source was polled again");
+            let entry = self.trace.next_entry();
+            self.drained = entry.is_none();
+            entry
+        }
+    }
+
+    #[test]
+    fn drained_sources_are_never_polled_again() {
+        // Unequal lengths, one an exact multiple of the epoch: that
+        // core drains on the first poll of an epoch of its own.
+        let lengths = [2 * EPOCH_INSTRUCTIONS, 700, EPOCH_INSTRUCTIONS + 333];
+        let unfused = || -> Vec<Unfused> {
+            traces(&lengths, 4)
+                .into_iter()
+                .map(|trace| Unfused {
+                    trace,
+                    drained: false,
+                })
+                .collect()
+        };
+        let build = || machine(3, Below::SharedL2, true);
+        let expected = reference(&mut build(), unfused(), Mode::Ule, [2, 3]);
+        for threads in [1, 2] {
+            let mut sys = build();
+            sys.set_sim_threads(threads);
+            assert_eq!(
+                sys.run(unfused(), Mode::Ule),
+                expected[1],
+                "{threads} threads"
+            );
+            let got = sys.run_widths(unfused(), Mode::Ule, [2, 3]);
+            assert_eq!(got.expect("widths fit"), expected, "{threads} threads");
+        }
     }
 
     #[test]
@@ -840,11 +987,11 @@ mod tests {
 
     #[test]
     fn threaded_epochs_match_the_serial_reference() {
-        // The flagship invariant: the epoch-parallel engine is
-        // bit-identical to the serial loop at every thread count,
+        // The flagship invariant: the one loop is bit-identical to the
+        // instruction-interleaved reference at every thread count,
         // including with soft errors active and unequal trace lengths
-        // (cores drain mid-epoch). The epoch_merge proptests sweep
-        // the grid; this is the fast deterministic anchor.
+        // that span two epochs (cores drain mid-epoch). The proptests
+        // above sweep the grid; this is the fast deterministic anchor.
         let build = || {
             System::builder()
                 .config(SystemConfig::uniform_6t())
@@ -861,17 +1008,15 @@ mod tests {
                 Benchmark::Mpeg2C.trace(2_600, 3),
             ]
         };
-        let mut serial = build();
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(), Mode::Ule);
-        for threads in [2, 8] {
-            let mut parallel = build();
-            parallel.set_sim_threads(threads);
-            assert_eq!(parallel.sim_threads(), threads);
-            let r = parallel.run(sources(), Mode::Ule);
+        let [expected] = reference(&mut build(), sources(), Mode::Ule, [3]);
+        for threads in [1, 2, 8] {
+            let mut sys = build();
+            sys.set_sim_threads(threads);
+            assert_eq!(sys.sim_threads(), threads);
+            let r = sys.run(sources(), Mode::Ule);
             assert_eq!(
-                r, reference,
-                "sim-threads {threads} must match the serial reference"
+                r, expected,
+                "sim-threads {threads} must match the reference"
             );
         }
     }

@@ -64,9 +64,9 @@ fn system_run_counters_match_text_replay() {
 
 #[test]
 fn epoch_merge_is_bit_identical_from_binary_streams() {
-    // The multi-core engine (serial reference loop vs epoch-threaded)
-    // fed from binary streams: same merge contract as the synthetic
-    // sources, now across decode chunk boundaries too.
+    // The multi-core engine fed from binary streams, its L1 fronts
+    // inline on one thread vs split across 2 or 8: same merge contract
+    // as the synthetic sources, now across decode chunk boundaries too.
     let cores = 4;
     let binary_sources = || -> Vec<_> {
         (0..cores)
@@ -93,9 +93,9 @@ fn epoch_merge_is_bit_identical_from_binary_streams() {
             .expect("valid configuration")
     };
 
-    let mut serial = build();
-    serial.set_sim_threads(1);
-    let reference = serial.run(binary_sources(), Mode::Hp);
+    let mut inline = build();
+    inline.set_sim_threads(1);
+    let reference = inline.run(binary_sources(), Mode::Hp);
 
     for threads in [2, 8] {
         let mut parallel = build();
@@ -103,7 +103,7 @@ fn epoch_merge_is_bit_identical_from_binary_streams() {
         let threaded = parallel.run(binary_sources(), Mode::Hp);
         assert_eq!(
             reference, threaded,
-            "sim-threads {threads} diverged from serial on binary streams"
+            "sim-threads {threads} diverged from 1 on binary streams"
         );
     }
 

@@ -1,14 +1,17 @@
-//! Epoch-merge determinism properties: the epoch-parallel multi-core
-//! engine must be **bit-identical** to the retained serial reference
-//! loop — same per-core counters, same chain counters, same energy —
-//! for every core count, worker-thread count, topology, and SEU
-//! setting, including cores that drain mid-epoch.
+//! Thread-count invariance of the multi-core engine: a run with its
+//! L1 fronts split across 2 or 8 threads must be **bit-identical** to
+//! the same run with the fronts inline on one thread — same per-core
+//! counters, same chain counters, same energy — for every core count,
+//! topology and SEU setting, with cores that drain at different
+//! rounds.
 //!
 //! This is the contract that makes `--sim-threads` a pure wall-time
 //! knob: `hyvec run-all` output stays byte-identical at any value
 //! (the render-format byte-identity itself is pinned by the
 //! workspace-level determinism suite; these properties pin the
-//! underlying reports).
+//! underlying reports). That the one loop follows the canonical
+//! round-robin order at all is pinned against an instruction-
+//! interleaved reference by the unit tests of `multicore.rs`.
 
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mesi, Mode, SystemConfig, Topology};
 use hyvec_cachesim::engine::System;
@@ -34,8 +37,8 @@ fn build(cores: usize, topology: Topology, seu: bool, l2: bool) -> MultiCoreSyst
     builder.build_multi(cores).expect("valid configuration")
 }
 
-/// Per-core traces of deliberately unequal lengths (so cores drain in
-/// different epochs and the round-robin drop-out order is exercised),
+/// Per-core traces of deliberately unequal lengths (so cores drain at
+/// different rounds and the round-robin drop-out order is exercised),
 /// over a shared address space to keep private-L2 coherence busy.
 fn sources(cores: usize, base_len: usize, seed: u64) -> Vec<impl hyvec_mediabench::TraceSource> {
     (0..cores)
@@ -51,7 +54,7 @@ proptest! {
     /// topology, with an L2 or over bare memory, fault-free and with
     /// accelerated soft errors active.
     #[test]
-    fn threaded_merge_matches_serial_shared_l2(
+    fn shared_chain_counters_are_thread_count_invariant(
         cores_sel in prop::sample::select(vec![1usize, 2, 4, 8]),
         threads in prop::sample::select(vec![2usize, 8]),
         base_len in 300usize..900,
@@ -61,23 +64,23 @@ proptest! {
         l2: bool,
     ) {
         let mode = if mode_sel { Mode::Hp } else { Mode::Ule };
-        let mut serial = build(cores_sel, Topology::SharedL2, seu, l2);
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(cores_sel, base_len, seed), mode);
+        let mut inline = build(cores_sel, Topology::SharedL2, seu, l2);
+        inline.set_sim_threads(1);
+        let one = inline.run(sources(cores_sel, base_len, seed), mode);
         let mut parallel = build(cores_sel, Topology::SharedL2, seu, l2);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), mode);
         prop_assert_eq!(
-            reference, threaded,
-            "sim-threads {} diverged from serial on {} cores (seu {}, l2 {})",
+            one, threaded,
+            "sim-threads {} diverged from 1 on {} cores (seu {}, l2 {})",
             threads, cores_sel, seu, l2
         );
     }
 
-    /// Same invariance over private MESI-coherent L2s: the merge also
-    /// replays coherence probes in canonical order.
+    /// Same invariance over private L2s, MESI-coherent or not: the
+    /// merge also replays coherence probes in canonical order.
     #[test]
-    fn threaded_merge_matches_serial_private_mesi(
+    fn private_l2_counters_are_thread_count_invariant(
         cores_sel in prop::sample::select(vec![2usize, 4, 8]),
         threads in prop::sample::select(vec![2usize, 8]),
         base_len in 300usize..900,
@@ -87,15 +90,15 @@ proptest! {
         let topology = Topology::PrivateL2 {
             coherence: coherent.then(Mesi::default),
         };
-        let mut serial = build(cores_sel, topology, false, true);
-        serial.set_sim_threads(1);
-        let reference = serial.run(sources(cores_sel, base_len, seed), Mode::Hp);
+        let mut inline = build(cores_sel, topology, false, true);
+        inline.set_sim_threads(1);
+        let one = inline.run(sources(cores_sel, base_len, seed), Mode::Hp);
         let mut parallel = build(cores_sel, topology, false, true);
         parallel.set_sim_threads(threads);
         let threaded = parallel.run(sources(cores_sel, base_len, seed), Mode::Hp);
         prop_assert_eq!(
-            reference, threaded,
-            "sim-threads {} diverged from serial on {} private L2s (coherent {})",
+            one, threaded,
+            "sim-threads {} diverged from 1 on {} private L2s (coherent {})",
             threads, cores_sel, coherent
         );
     }
@@ -121,14 +124,14 @@ proptest! {
 #[test]
 fn sixty_four_cores_stay_deterministic() {
     let sources = || sources(64, 120, 9);
-    let mut serial = build(64, Topology::SharedL2, false, true);
-    serial.set_sim_threads(1);
-    let reference = serial.run(sources(), Mode::Hp);
+    let mut inline = build(64, Topology::SharedL2, false, true);
+    inline.set_sim_threads(1);
+    let one = inline.run(sources(), Mode::Hp);
     let mut parallel = build(64, Topology::SharedL2, false, true);
     parallel.set_sim_threads(8);
     let threaded = parallel.run(sources(), Mode::Hp);
-    assert_eq!(reference, threaded, "64-core epoch merge diverged");
-    assert_eq!(reference.per_core.len(), 64);
+    assert_eq!(one, threaded, "64-core epoch merge diverged");
+    assert_eq!(one.per_core.len(), 64);
 }
 
 /// An SEU-active threaded run actually injects: the invariance tests

@@ -1075,8 +1075,9 @@ pub struct CoresRow {
 pub const ABLATION_CORES_L2_KB: u64 = 16;
 
 /// Core counts swept by the multi-core ablation. The 16/32/64 entries
-/// are where the epoch-parallel engine pays for itself; the report is
-/// byte-identical at every `--sim-threads` value regardless.
+/// are where splitting the L1 fronts across threads pays for itself;
+/// the report is byte-identical at every `--sim-threads` value
+/// regardless.
 pub const ABLATION_CORES_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Core counts swept by the private-L2 MESI topology scenario of the

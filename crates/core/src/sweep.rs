@@ -286,9 +286,9 @@ impl SweepBuilder {
         self
     }
 
-    /// Sets the worker-thread count of the epoch-parallel multi-core
-    /// engine (the `--sim-threads` CLI knob; values ≥ 1, default 1 =
-    /// the serial reference loop). Orthogonal to
+    /// Sets how many threads run the L1 fronts of each multi-core
+    /// simulation (the `--sim-threads` CLI knob; values ≥ 1, default 1
+    /// = inline on the job's own thread). Orthogonal to
     /// [`SweepBuilder::jobs`], which parallelizes *across*
     /// experiments: `sim_threads` parallelizes the cores *within* one
     /// multi-core simulation. Sets [`SimOptions::sim_threads`], which

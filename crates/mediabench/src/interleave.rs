@@ -139,59 +139,6 @@ impl<S: TraceSource> Iterator for Interleave<S> {
     }
 }
 
-/// A per-core epoch chunker: hands out one bounded slice of a trace
-/// at a time, for the epoch-parallel multi-core engine.
-///
-/// The serial interleaver ([`Interleave`]) pulls one entry per live
-/// core per round. The epoch-parallel engine instead gives every core
-/// a bounded *slice* of its own trace to simulate privately on a
-/// worker thread, then merges the chain-bound requests at an epoch
-/// barrier. `EpochSource` is the chunker side of that split: each
-/// [`next_epoch`](EpochSource::next_epoch) call refills a caller-owned
-/// buffer with up to `max` entries, and [`is_done`](EpochSource::is_done)
-/// reports when the underlying source is drained.
-///
-/// Because every live core contributes entries to *consecutive* rounds
-/// from the start of each epoch until it drains, slicing preserves the
-/// canonical round-robin global order: replaying round `k` of an epoch
-/// across cores in ascending core order visits exactly the entries
-/// [`Interleave`] would have yielded, in the same order.
-#[derive(Debug, Clone)]
-pub struct EpochSource<S> {
-    source: S,
-    done: bool,
-}
-
-impl<S: TraceSource> EpochSource<S> {
-    /// Wraps `source` as an epoch chunker.
-    pub fn new(source: S) -> EpochSource<S> {
-        EpochSource {
-            source,
-            done: false,
-        }
-    }
-
-    /// `true` once the underlying source has returned its last entry.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Refills `out` with the next epoch: up to `max` entries of the
-    /// underlying trace, in program order. Clears `out` first and
-    /// returns the number of entries delivered (less than `max` only
-    /// on the final epoch).
-    pub fn next_epoch(&mut self, max: usize, out: &mut Vec<TraceEntry>) -> usize {
-        out.clear();
-        while out.len() < max && !self.done {
-            match self.source.next_entry() {
-                Some(entry) => out.push(entry),
-                None => self.done = true,
-            }
-        }
-        out.len()
-    }
-}
-
 /// Builds the multi-program trace sources for `benchmarks` (one per
 /// core): synthetic traces of `instructions` entries each, seeded per
 /// core via [`per_core_seed`] and relocated into disjoint address
@@ -346,74 +293,6 @@ mod tests {
             based.push(entry);
         }
         assert_eq!(plain, based);
-    }
-
-    #[test]
-    fn epoch_chunks_reconstruct_the_interleaved_order() {
-        // Chunking each core's trace into epochs and replaying round
-        // k (core 0 first) within each epoch must visit exactly the
-        // entries Interleave yields, in the same global order — with
-        // unequal trace lengths so cores drain mid-epoch.
-        let benches = [Benchmark::AdpcmC, Benchmark::GsmC, Benchmark::Mpeg2D];
-        let mut sources = multiprogram_sources(&benches, 120, 9).into_iter();
-        // Truncate cores 0 and 2 to unequal lengths.
-        let lengths = [35usize, 120, 77];
-        let mut chunkers: Vec<EpochSource<_>> = sources
-            .by_ref()
-            .zip(lengths)
-            .map(|(s, len)| EpochSource::new(collect_n(s, len).into_iter()))
-            .collect();
-        let epoch = 16;
-        let mut merged = Vec::new();
-        let mut slices: Vec<Vec<TraceEntry>> = vec![Vec::new(); chunkers.len()];
-        while !chunkers.iter().all(EpochSource::is_done) {
-            for (chunker, slice) in chunkers.iter_mut().zip(&mut slices) {
-                chunker.next_epoch(epoch, slice);
-            }
-            let rounds = slices.iter().map(Vec::len).max().unwrap_or(0);
-            for round in 0..rounds {
-                for (core, slice) in slices.iter().enumerate() {
-                    if let Some(&entry) = slice.get(round) {
-                        merged.push((core, entry));
-                    }
-                }
-            }
-        }
-        let reference: Vec<(usize, TraceEntry)> = Interleave::new(
-            multiprogram_sources(&benches, 120, 9)
-                .into_iter()
-                .zip(lengths)
-                .map(|(s, len)| collect_n(s, len).into_iter())
-                .collect(),
-        )
-        .collect();
-        assert_eq!(merged, reference);
-    }
-
-    fn collect_n(mut source: impl TraceSource, n: usize) -> Vec<TraceEntry> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match source.next_entry() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn epoch_source_reports_drain_and_partial_final_epoch() {
-        let mut chunker = EpochSource::new(Benchmark::GsmC.trace(10, 1));
-        let mut buf = Vec::new();
-        assert!(!chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 4);
-        assert!(!chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 4);
-        // Final epoch is short and flips the done flag.
-        assert_eq!(chunker.next_epoch(4, &mut buf), 2);
-        assert!(chunker.is_done());
-        assert_eq!(chunker.next_epoch(4, &mut buf), 0);
-        assert!(buf.is_empty(), "next_epoch must clear the buffer");
     }
 
     #[test]

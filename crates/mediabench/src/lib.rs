@@ -44,7 +44,7 @@ pub mod zoo;
 pub use binfmt::{BinaryReplay, BinfmtError, EncodeStats, TraceSummary, TraceWriter};
 pub use interleave::{
     interleave_benchmarks, interleave_replay_texts, multiprogram_sources, per_core_seed, rebased,
-    EpochSource, Interleave, InterleaveError, Rebased, CORE_ADDRESS_STRIDE,
+    Interleave, InterleaveError, Rebased, CORE_ADDRESS_STRIDE,
 };
 pub use replay::{Replay, ReplayError};
 pub use spec::{BenchClass, Pattern, Region, WorkloadSpec};

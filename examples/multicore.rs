@@ -10,12 +10,13 @@
 //! a multi-programmed machine would), the cores' miss streams
 //! interleave in the shared L2, and the contention shows up as a
 //! depressed L2 hit ratio and extra memory traffic relative to the
-//! same program running alone. The second run simulates the L1 fronts
-//! on two worker threads (`set_sim_threads`) — the report is
-//! bit-identical to the serial loop, demonstrated here by asserting
-//! it against a serial re-run. The solo reference comes from the same
-//! pass of the four L1 fronts (`run_widths`): a second chain that
-//! takes only core 0's misses prices the first program alone.
+//! same program running alone. The first run splits the L1 fronts
+//! across two threads (`set_sim_threads`) — the report is
+//! bit-identical to running them inline on one thread, demonstrated
+//! here by asserting it against a one-thread re-run. The solo
+//! reference comes from the same pass of the four L1 fronts
+//! (`run_widths`): a second chain that takes only core 0's misses
+//! prices the first program alone.
 //!
 //! ```text
 //! cargo run --example multicore --release
@@ -43,15 +44,15 @@ fn main() {
             .l2(L2Config::unified(16))
     };
 
-    // Four cores running four programs over one shared L2 —
-    // simulated epoch-parallel on two worker threads, and asserted
-    // bit-identical to the serial reference loop.
+    // Four cores running four programs over one shared L2 — their L1
+    // fronts on two threads, and asserted bit-identical to the same
+    // run with the fronts inline on one thread.
     let mut machine = builder().build_multi(4).expect("4-core system");
     machine.set_sim_threads(2);
     let report = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
     machine.set_sim_threads(1);
-    let serial = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
-    assert_eq!(report, serial, "epoch merge must match the serial loop");
+    let inline = machine.run(multiprogram_sources(&programs, n, 1), Mode::Hp);
+    assert_eq!(report, inline, "the thread count must not change a counter");
 
     // Reference: the first program alone on a single core, priced from
     // the same pass of the four L1 fronts by a chain of width 1 — equal

@@ -44,8 +44,8 @@ fn full(jobs: usize) -> &'static Report {
 }
 
 /// The two ablation-cores sections (up to 64 cores, shared and
-/// private-L2 MESI topologies) on `jobs` workers with `sim_threads`
-/// epoch-engine threads.
+/// private-L2 MESI topologies) on `jobs` workers, each multi-core run
+/// with its L1 fronts on `sim_threads` threads.
 fn cores(jobs: usize, sim_threads: usize) -> &'static Report {
     static SLOTS: [OnceLock<Report>; 5] = [const { OnceLock::new() }; 5];
     let keys = [(1, 1), (2, 1), (4, 1), (2, 2), (2, 8)];
@@ -148,18 +148,18 @@ fn multi_core_interleaved_runs_are_jobs_invariant() {
 
 #[test]
 fn sim_threads_are_invariant_across_all_render_formats() {
-    // The epoch-parallel engine must be invisible in the output: the
-    // ablation-cores sections (up to 64 cores, shared and private-L2
-    // MESI topologies) rendered in every format must come out
-    // byte-identical between the serial reference loop and the
-    // threaded epoch merge.
+    // How many threads run the L1 fronts must be invisible in the
+    // output: the ablation-cores sections (up to 64 cores, shared and
+    // private-L2 MESI topologies) rendered in every format must come
+    // out byte-identical with the fronts inline on one thread and
+    // split across 2 or 8.
     use hyvec_core::render::{render, Format};
-    let serial = cores(2, 1);
+    let inline = cores(2, 1);
     for sim_threads in [2, 8] {
         let threaded = cores(2, sim_threads);
         for format in [Format::Text, Format::Json, Format::Csv] {
             assert_eq!(
-                render(serial, format),
+                render(inline, format),
                 render(threaded, format),
                 "--sim-threads {sim_threads} changed the {format} output"
             );

@@ -15,8 +15,9 @@ type Log = Arc<Mutex<Vec<(String, usize)>>>;
 
 /// Builds a 2-core machine under the options its sweep passed in and
 /// logs the thread count the machine got. It meets `gate` before
-/// building and again before returning, so a test can hold its sweep
-/// open while another one runs.
+/// building and again before logging, so a test can hold its sweep
+/// open while another one runs, and the log follows the order in
+/// which the test releases the sweeps.
 struct ThreadsProbe {
     id: &'static str,
     gate: Arc<Barrier>,
@@ -31,11 +32,11 @@ impl Experiment for ThreadsProbe {
     fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
         self.gate.wait();
         let threads = two_core_machine(options).sim_threads();
+        self.gate.wait();
         self.seen
             .lock()
             .expect("probe log")
             .push((self.id.to_string(), threads));
-        self.gate.wait();
         Report::single(
             params.instructions,
             params.seed,
