@@ -31,10 +31,7 @@
 //! assert_eq!(cores, [0, 1, 0, 1]);
 //! ```
 
-use crate::replay::{Replay, ReplayError};
 use crate::trace::{TraceEntry, TraceSource};
-use std::error::Error;
-use std::fmt;
 
 /// Address distance between the private windows of adjacent cores in
 /// a multi-program interleave: 1GB, clear of the whole synthetic
@@ -155,73 +152,19 @@ pub fn multiprogram_sources(
         .collect()
 }
 
-/// Interleaves `benchmarks` (one per core) round-robin — the
-/// [`multiprogram_sources`] behind a single `(core, entry)` stream.
-pub fn interleave_benchmarks(
-    benchmarks: &[crate::Benchmark],
-    instructions: u64,
-    base_seed: u64,
-) -> Interleave<Rebased<crate::Trace>> {
-    Interleave::new(multiprogram_sources(benchmarks, instructions, base_seed))
-}
-
-/// Why a multi-program replay could not be interleaved: one of the
-/// sources failed to parse. The simulation never starts — a malformed
-/// line surfaces here as a typed error instead of truncating one
-/// core's stream mid-run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InterleaveError {
-    /// Index of the offending source (the core it was destined for).
-    pub source: usize,
-    /// What was wrong with it.
-    pub error: ReplayError,
-}
-
-impl fmt::Display for InterleaveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace source {}: {}", self.source, self.error)
-    }
-}
-
-impl Error for InterleaveError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-/// Parses one replay text per core and interleaves them round-robin.
-///
-/// Parsing is eager (as in [`Replay::from_text`]), so every format
-/// error in every source is surfaced before any entry is yielded.
-///
-/// # Errors
-///
-/// Returns an [`InterleaveError`] naming the first source that failed
-/// to parse and the underlying [`ReplayError`].
-pub fn interleave_replay_texts<'a>(
-    texts: impl IntoIterator<Item = &'a str>,
-) -> Result<Interleave<Replay>, InterleaveError> {
-    let sources = texts
-        .into_iter()
-        .enumerate()
-        .map(|(source, text)| {
-            Replay::from_text(text).map_err(|error| InterleaveError { source, error })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Interleave::new(sources))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::write_trace;
+    use crate::replay::Replay;
     use crate::Benchmark;
 
     #[test]
     fn round_robin_rotates_and_drains() {
-        let texts = ["10\n14\n18\n", "20\n", "30\n34\n"];
-        let tagged: Vec<(usize, u64)> = interleave_replay_texts(texts)
-            .expect("well-formed sources")
+        let sources: Vec<Replay> = ["10\n14\n18\n", "20\n", "30\n34\n"]
+            .into_iter()
+            .map(|text| Replay::from_text(text).expect("well-formed source"))
+            .collect();
+        let tagged: Vec<(usize, u64)> = Interleave::new(sources)
             .map(|(core, e)| (core, e.pc))
             .collect();
         // Full first round, then source 1 drops out, then source 2.
@@ -261,7 +204,7 @@ mod tests {
     fn interleaved_benchmarks_cover_every_core() {
         let benches = [Benchmark::AdpcmC, Benchmark::GsmC, Benchmark::Mpeg2D];
         let mut counts = [0u64; 3];
-        for (core, _) in interleave_benchmarks(&benches, 100, 5) {
+        for (core, _) in Interleave::new(multiprogram_sources(&benches, 100, 5)) {
             counts[core] += 1;
         }
         assert_eq!(counts, [100, 100, 100]);
@@ -270,7 +213,7 @@ mod tests {
     #[test]
     fn rebasing_gives_each_core_a_private_window() {
         let benches = [Benchmark::GsmC, Benchmark::GsmC];
-        for (core, entry) in interleave_benchmarks(&benches, 2_000, 3) {
+        for (core, entry) in Interleave::new(multiprogram_sources(&benches, 2_000, 3)) {
             let window = core as u64 * CORE_ADDRESS_STRIDE;
             assert!(
                 entry.pc >= window && entry.pc < window + CORE_ADDRESS_STRIDE,
@@ -293,23 +236,5 @@ mod tests {
             based.push(entry);
         }
         assert_eq!(plain, based);
-    }
-
-    #[test]
-    fn malformed_source_is_a_typed_error_not_a_truncation() {
-        // Source 1 of 3 carries a malformed line: the interleaver must
-        // refuse to start, naming the source and the line.
-        let good = write_trace(Benchmark::AdpcmC.trace(50, 1));
-        let bad = format!("{good}not-a-line x\n");
-        let texts = [good.as_str(), bad.as_str(), good.as_str()];
-        let err = interleave_replay_texts(texts).expect_err("must surface the parse error");
-        assert_eq!(err.source, 1);
-        match &err.error {
-            ReplayError::Malformed { line, .. } => assert_eq!(*line, 51),
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        assert!(err.to_string().contains("trace source 1"));
-        use std::error::Error as _;
-        assert!(err.source().is_some(), "the ReplayError must be chained");
     }
 }

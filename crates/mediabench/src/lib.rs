@@ -36,6 +36,8 @@
 
 pub mod binfmt;
 pub mod interleave;
+#[cfg(test)]
+mod reference;
 pub mod replay;
 pub mod spec;
 pub mod trace;
@@ -43,8 +45,7 @@ pub mod zoo;
 
 pub use binfmt::{BinaryReplay, BinfmtError, EncodeStats, TraceSummary, TraceWriter};
 pub use interleave::{
-    interleave_benchmarks, interleave_replay_texts, multiprogram_sources, per_core_seed, rebased,
-    Interleave, InterleaveError, Rebased, CORE_ADDRESS_STRIDE,
+    multiprogram_sources, per_core_seed, rebased, Interleave, Rebased, CORE_ADDRESS_STRIDE,
 };
 pub use replay::{Replay, ReplayError};
 pub use spec::{BenchClass, Pattern, Region, WorkloadSpec};

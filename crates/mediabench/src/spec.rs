@@ -312,6 +312,7 @@ mod tests {
             let s = b.spec();
             assert_eq!(s.name, b.name());
             assert_eq!(s.class, b.class());
+            assert!(s.hot_code_bytes > 0, "{b}: empty hot loop");
             assert!(s.hot_code_bytes <= s.code_bytes, "{b}");
             assert!(s.code_bytes % 4 == 0 && s.hot_code_bytes % 4 == 0, "{b}");
             assert!(s.access_ratio > 0.0 && s.access_ratio < 1.0, "{b}");
@@ -321,9 +322,14 @@ mod tests {
             for r in &s.regions {
                 assert_eq!(r.base % 32, 0, "{b}: region base unaligned");
                 assert!(r.size > 0, "{b}: empty region");
-                if let Pattern::BlockRandom { block, stride } = r.pattern {
-                    assert!(r.size % block == 0, "{b}: block does not tile region");
-                    assert!(stride > 0 && stride <= block, "{b}: bad block stride");
+                match r.pattern {
+                    Pattern::Random => assert!(r.size >= 4, "{b}: random region under a word"),
+                    Pattern::BlockRandom { block, stride } => {
+                        assert!(block > 0 && block <= r.size, "{b}: block outside region");
+                        assert!(r.size % block == 0, "{b}: block does not tile region");
+                        assert!(stride > 0 && stride <= block, "{b}: bad block stride");
+                    }
+                    Pattern::Sequential { .. } => {}
                 }
             }
         }
