@@ -256,6 +256,11 @@ pub struct HybridCache {
     /// Which ways participate in the current mode (recomputed on mode
     /// switches); only victim choice needs it.
     enabled_now: Vec<bool>,
+    /// The first enabled way and one past the last, in the current
+    /// mode (recomputed on mode switches). Every valid line sits in
+    /// between, so the fast lookup scans only these ways: one at ULE
+    /// in a design with one ULE way.
+    enabled_span: (usize, usize),
     /// Per-way: the active tag codec is [`Protection::None`]
     /// (recomputed on mode switches). A plain way's tag decode is a
     /// mask-and-compare, so the slow path never touches the (large)
@@ -295,6 +300,14 @@ pub struct HybridCache {
 /// The plain tag of an invalid line. [`CacheConfig::validate`] caps
 /// `tag_bits` at 63, so no masked tag can equal it.
 const INVALID_TAG: u64 = u64::MAX;
+
+/// The first `true` of `enabled` and one past the last.
+/// [`CacheConfig::validate`] guarantees an enabled way in every mode.
+fn span_of(enabled: &[bool]) -> (usize, usize) {
+    let first = enabled.iter().position(|&e| e).unwrap_or(0);
+    let end = enabled.iter().rposition(|&e| e).map_or(first, |w| w + 1);
+    (first, end)
+}
 
 /// The deterministic payload written for a given word address; reads
 /// are checked against it to expose silent corruption.
@@ -346,7 +359,8 @@ impl HybridCache {
             .collect();
         let num_ways = ways.len();
         let lines = sets * num_ways;
-        let enabled_now = ways.iter().map(|w| w.spec.enabled(mode)).collect();
+        let enabled_now: Vec<bool> = ways.iter().map(|w| w.spec.enabled(mode)).collect();
+        let enabled_span = span_of(&enabled_now);
         let tag_plain_now = ways
             .iter()
             .map(|w| matches!(w.tag_code(mode), Codec::None(_)))
@@ -389,6 +403,7 @@ impl HybridCache {
             words: vec![0; lines * words_per_line],
             fault_masks: vec![0; lines],
             enabled_now,
+            enabled_span,
             tag_plain_now,
             data_plain_now,
             word_mask,
@@ -550,6 +565,7 @@ impl HybridCache {
         for (enabled, way) in self.enabled_now.iter_mut().zip(&self.ways) {
             *enabled = way.spec.enabled(mode);
         }
+        self.enabled_span = span_of(&self.enabled_now);
         for (plain, way) in self.tag_plain_now.iter_mut().zip(&self.ways) {
             *plain = matches!(way.tag_code(mode), Codec::None(_));
         }
@@ -701,9 +717,7 @@ impl HybridCache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         self.lru_clock += 1;
         self.stats.accesses += 1;
-        if is_write {
-            self.stats.writes += 1;
-        }
+        self.stats.writes += u64::from(is_write);
         if self.fast_path_ready() {
             self.access_fast(addr, is_write)
         } else {
@@ -725,26 +739,31 @@ impl HybridCache {
             _ => {
                 let set = line_addr & self.set_mask;
                 let tag = (line_addr >> self.set_shift) & self.tag_mask;
-                let base = set as usize * self.num_ways;
+                let (first, end) = self.enabled_span;
+                let base = set as usize * self.num_ways + first;
                 // Last match wins, mirroring the slow lookup's scan
                 // order: a slow refill can leave duplicate plain tags.
-                let ways = &self.tags[base..base + self.num_ways];
-                let li = match ways.iter().rposition(|&t| t == tag) {
-                    Some(w) => base + w,
-                    None => return self.miss_fast(addr, is_write),
+                // A fixed-trip pass with no early exit compiles to
+                // selects, not to a branch per way.
+                let mut hit = None;
+                for (w, &t) in self.tags[base..base + end - first].iter().enumerate() {
+                    if t == tag {
+                        hit = Some(w);
+                    }
+                }
+                let Some(w) = hit else {
+                    return self.miss_fast(addr, is_write);
                 };
-                self.memo = Some((line_addr, li));
-                li
+                self.memo = Some((line_addr, base + w));
+                base + w
             }
         };
         self.stats.hits += 1;
-        if is_write {
-            // The stored word already holds the encoded deterministic
-            // payload (the fill materialized it, and a fault-free
-            // store would rewrite the identical codeword), so only
-            // the dirty bit moves.
-            self.dirty[li] = true;
-        }
+        // The stored word already holds the encoded deterministic
+        // payload (the fill materialized it, and a fault-free store
+        // would rewrite the identical codeword), so only the dirty bit
+        // moves.
+        self.dirty[li] |= is_write;
         self.lru_stamps[li] = self.lru_clock;
         AccessOutcome {
             hit: true,
@@ -1024,9 +1043,11 @@ mod tests {
         let sets = c.config().sets();
         let line = c.config().line_bytes;
         c.access(0, true); // miss + fill + dirty
+        c.access(4, false); // a load hit keeps the line dirty
         let out = c.access(sets * line, false); // evicts dirty line
         assert!(out.writeback);
         assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.stats().writes, 1, "one store among three accesses");
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub enum ConfigError {
     },
     /// The tag is 64 bits or wider. Tags are compared masked to
     /// `tag_bits`, and a full 64-bit mask would leave no value free to
-    /// mark an invalid line.
+    /// mark an invalid line. An [`L2Config`] of one set of one-byte
+    /// lines has 64-bit tags too: each is the whole address.
     TagTooWide {
         /// The offending tag width in bits.
         tag_bits: u32,
@@ -442,6 +443,11 @@ impl L2Config {
                 line_bytes: self.line_bytes,
             });
         }
+        if self.sets() * self.line_bytes == 1 {
+            // One set of one-byte lines tags each line with its whole
+            // address, leaving no tag free to mark an invalid line.
+            return Err(ConfigError::TagTooWide { tag_bits: 64 });
+        }
         Ok(())
     }
 }
@@ -499,11 +505,11 @@ impl Default for Mesi {
 /// private split-L1 front ends over one shared L2 (or straight to
 /// memory when no L2 is configured). [`Topology::PrivateL2`] gives
 /// every core its own L2 of the configured geometry over one shared
-/// memory; with `coherence` set, a directory tracked across the
-/// private tag arrays keeps the L2s MESI-coherent and counts
-/// invalidations and interventions, and with `coherence: None` the
-/// private L2s are incoherent (disjoint working sets assumed, every
-/// miss fills from memory).
+/// memory; with `coherence` set, each miss and each write upgrade
+/// snoops the peers' lines of its set, which keeps the L2s
+/// MESI-coherent and counts invalidations and interventions, and with
+/// `coherence: None` the private L2s are incoherent (disjoint working
+/// sets assumed, every miss fills from memory).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Topology {
     /// One L2 (or flat memory) shared by every core.
@@ -721,6 +727,15 @@ mod tests {
         cfg.line_bytes = 24;
         cfg.size_bytes = 24 * 8 * 128;
         assert!(cfg.validate().is_err());
+        cfg.line_bytes = 1;
+        cfg.size_bytes = 8;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TagTooWide { tag_bits: 64 })
+        );
+        cfg.size_bytes = 16;
+        cfg.validate()
+            .expect("two sets of one-byte lines leave a free tag");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::cache::HybridCache;
 use crate::config::{L2Config, MemoryConfig};
 use crate::stats::CacheStats;
 use std::fmt;
+use std::ops::Range;
 
 /// One memory request descending the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -386,22 +387,23 @@ impl<N: MemoryLevel> MemoryLevel for L2Cache<N> {
     }
 }
 
-/// MESI state of one line in a private L2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// MESI state of one line in a private L2. A line is [`Invalid`]
+/// exactly when its tag is [`INVALID_TAG`].
+///
+/// [`Invalid`]: LineState::Invalid
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineState {
-    #[default]
     Invalid,
     Shared,
     Exclusive,
     Modified,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CohLine {
-    state: LineState,
-    tag: u64,
-    lru: u64,
-}
+/// The tag of an invalid private-L2 line. [`L2Config::validate`]
+/// rejects the one geometry whose tags span all 64 bits (a single set
+/// of one-byte lines), so no line address's tag can equal it, and a
+/// holder test is a tag compare alone.
+const INVALID_TAG: u64 = u64::MAX;
 
 /// A private L2 per core over one shared [`MainMemory`] — the
 /// `PrivateL2 { .. }` side of the multi-core
@@ -410,26 +412,35 @@ struct CohLine {
 /// Every core owns an L2 of the same [`L2Config`] geometry; requests
 /// enter through [`access_from`](PrivateL2s::access_from) with the
 /// issuing core's index. With a [`Mesi`](crate::config::Mesi) policy
-/// installed, a directory distributed across the per-core tag arrays
-/// keeps the L2s coherent: a write invalidates every peer copy
-/// (counted in [`CacheStats::invalidations`]), and a miss whose line a
-/// peer holds is supplied cache-to-cache (counted in
-/// [`CacheStats::interventions`], at `hit_latency +
-/// intervention_latency` instead of the memory round trip; a modified
-/// owner first writes the line back). Without a policy the private
-/// L2s are incoherent: no probing, every miss fills from memory.
+/// installed, the L2s stay coherent by snooping: each miss and each
+/// write upgrade makes one pass over the set's lines of every peer, in
+/// core order. A write invalidates every peer copy (counted in
+/// [`CacheStats::invalidations`]). A miss whose line a peer holds is
+/// supplied cache-to-cache by the first holder in core order (counted
+/// in [`CacheStats::interventions`], at `hit_latency +
+/// intervention_latency` instead of the memory round trip). A write
+/// miss takes a Modified holder's line with no writeback; only a read
+/// that shares a dirty line writes it back. Without a policy the
+/// private L2s are incoherent: no snooping, every miss fills from
+/// memory.
 ///
 /// Like [`L2Cache`], this is a timing/energy model over tags and LRU
 /// only — the bit-accurate storage stays in the L1 ways. Counters are
 /// aggregated across all cores into one [`CacheStats`] (the multi-core
 /// report's `l2` entry), with memory keeping its own.
+///
+/// Line state is struct-of-arrays, set-major: slot `(set * cores +
+/// core) * ways + way`, so one set's lines of every core are
+/// contiguous and a snoop is one fixed-trip pass over them.
 #[derive(Debug)]
 pub struct PrivateL2s {
     config: L2Config,
     coherence: Option<crate::config::Mesi>,
-    /// Per core: `sets * ways` line metadata, flattened
-    /// (`set * ways + way`).
-    lines: Vec<Vec<CohLine>>,
+    cores: usize,
+    /// Plain tags, or [`INVALID_TAG`] for an invalid line.
+    tags: Vec<u64>,
+    states: Vec<LineState>,
+    lru: Vec<u64>,
     lru_clock: u64,
     stats: CacheStats,
     memory: MainMemory,
@@ -455,11 +466,14 @@ impl PrivateL2s {
         }
         // hyvec-lint: allow(no-panic, "documented panicking constructor; SystemBuilder::build_multi rejects zero cores on the fallible path")
         assert!(cores > 0, "private L2 topology needs at least one core");
-        let per_core = (config.sets() as usize) * config.ways;
+        let lines = (config.sets() as usize) * cores * config.ways;
         PrivateL2s {
             config,
             coherence,
-            lines: vec![vec![CohLine::default(); per_core]; cores],
+            cores,
+            tags: vec![INVALID_TAG; lines],
+            states: vec![LineState::Invalid; lines],
+            lru: vec![0; lines],
             lru_clock: 0,
             stats: CacheStats::default(),
             memory,
@@ -478,7 +492,7 @@ impl PrivateL2s {
 
     /// Number of private L2s (cores).
     pub fn cores(&self) -> usize {
-        self.lines.len()
+        self.cores
     }
 
     /// Aggregate counters across all private L2s.
@@ -498,34 +512,45 @@ impl PrivateL2s {
         (tag * self.config.sets() + set) * self.config.line_bytes
     }
 
-    /// Index of `tag` in `core`'s set, if that core holds the line.
-    fn holder_way(&self, core: usize, base: usize, tag: u64) -> Option<usize> {
-        (0..self.config.ways).find(|&w| {
-            let line = self.lines[core][base + w];
-            line.state != LineState::Invalid && line.tag == tag
-        })
+    /// Slots of `core`'s ways in `set`.
+    fn slots(&self, set: u64, core: usize) -> Range<usize> {
+        let start = (set as usize * self.cores + core) * self.config.ways;
+        start..start + self.config.ways
+    }
+
+    /// Slots of every core's ways in `set`, in core order.
+    fn set_slots(&self, set: u64) -> Range<usize> {
+        let start = set as usize * self.cores * self.config.ways;
+        start..start + self.cores * self.config.ways
+    }
+
+    /// Invalidates the line in `slot`. Its LRU stamp stays: victim
+    /// choice orders invalid lines by it too.
+    fn invalidate(&mut self, slot: usize) {
+        self.tags[slot] = INVALID_TAG;
+        self.states[slot] = LineState::Invalid;
     }
 
     /// One request from `core`'s L1s into its private L2.
     pub fn access_from(&mut self, core: usize, req: AccessRequest) -> AccessOutcome {
         let (set, tag) = self.index(req.addr);
-        let base = set as usize * self.config.ways;
+        let own = self.slots(set, core);
         self.lru_clock += 1;
         self.stats.accesses += 1;
         if req.is_write {
             self.stats.writes += 1;
         }
 
-        if let Some(way) = self.holder_way(core, base, tag) {
+        if let Some(slot) = own.clone().find(|&i| self.tags[i] == tag) {
             self.stats.hits += 1;
-            if req.is_write && self.lines[core][base + way].state != LineState::Modified {
+            if req.is_write && self.states[slot] != LineState::Modified {
                 // Write upgrade: peers' copies die before we own it.
                 if self.coherence.is_some() {
                     self.invalidate_peers(core, set, tag);
                 }
-                self.lines[core][base + way].state = LineState::Modified;
+                self.states[slot] = LineState::Modified;
             }
-            self.lines[core][base + way].lru = self.lru_clock;
+            self.lru[slot] = self.lru_clock;
             let energy = if req.is_write {
                 self.config.write_energy_pj
             } else {
@@ -543,23 +568,19 @@ impl PrivateL2s {
         // Miss in the own L2: evict, then either a peer supplies the
         // line (coherent topologies) or memory does.
         self.stats.misses += 1;
-        let victim = (0..self.config.ways)
-            .min_by_key(|&w| {
-                let line = self.lines[core][base + w];
-                (line.state != LineState::Invalid, line.lru)
-            })
+        let victim = own
+            .min_by_key(|&i| (self.tags[i] != INVALID_TAG, self.lru[i]))
             // hyvec-lint: allow(no-panic, "L2Config::validate rejects ways == 0, so the range is never empty")
             .expect("private L2 has at least one way");
         let mut energy = self.config.read_energy_pj + self.config.write_energy_pj;
-        let victim_line = self.lines[core][base + victim];
-        if victim_line.state == LineState::Modified {
+        if self.states[victim] == LineState::Modified {
             self.stats.writebacks += 1;
-            let addr = self.line_addr(set, victim_line.tag);
+            let addr = self.line_addr(set, self.tags[victim]);
             energy += self.memory.access(AccessRequest::write(addr)).energy_pj;
         }
 
         let supplied = match self.coherence {
-            Some(_) => self.probe_peers(core, set, tag, req.is_write),
+            Some(_) => self.probe_peers(set, tag, req.is_write),
             None => None,
         };
         let (latency, depth, install) = match supplied {
@@ -592,11 +613,9 @@ impl PrivateL2s {
                 )
             }
         };
-        self.lines[core][base + victim] = CohLine {
-            state: install,
-            tag,
-            lru: self.lru_clock,
-        };
+        self.tags[victim] = tag;
+        self.states[victim] = install;
+        self.lru[victim] = self.lru_clock;
         self.stats.fills += 1;
 
         AccessOutcome {
@@ -608,56 +627,50 @@ impl PrivateL2s {
         }
     }
 
-    /// Invalidates every peer copy of `(set, tag)` (a write upgrade or
-    /// write-miss broadcast), counting one invalidation per victim.
+    /// Invalidates every peer copy of `(set, tag)` (a write upgrade),
+    /// counting one invalidation per victim.
     fn invalidate_peers(&mut self, core: usize, set: u64, tag: u64) {
-        let base = set as usize * self.config.ways;
-        for peer in 0..self.lines.len() {
-            if peer == core {
-                continue;
-            }
-            if let Some(way) = self.holder_way(peer, base, tag) {
-                self.lines[peer][base + way].state = LineState::Invalid;
+        let own = self.slots(set, core);
+        for slot in self.set_slots(set) {
+            if self.tags[slot] == tag && !own.contains(&slot) {
+                self.invalidate(slot);
                 self.stats.invalidations += 1;
             }
         }
     }
 
-    /// Probes the peers for `(set, tag)` on a coherent miss from
-    /// `core`. Returns the supply energy if some peer intervened
-    /// (counting the intervention, demoting or invalidating holders,
-    /// and writing back a modified owner on reads); `None` sends the
-    /// request to memory.
-    fn probe_peers(&mut self, core: usize, set: u64, tag: u64, is_write: bool) -> Option<f64> {
-        let base = set as usize * self.config.ways;
+    /// Snoops the peers for `(set, tag)` on a coherent miss. Returns
+    /// the supply energy if some peer intervened (counting the
+    /// intervention, demoting or invalidating holders, and writing
+    /// back a modified owner on reads); `None` sends the request to
+    /// memory.
+    fn probe_peers(&mut self, set: u64, tag: u64, is_write: bool) -> Option<f64> {
         let mut supplied = false;
         let mut energy = 0.0;
-        for peer in 0..self.lines.len() {
-            if peer == core {
+        // The requester missed, so every holder is a peer; and a core
+        // holds a line in at most one way, so slot order is core order.
+        for slot in self.set_slots(set) {
+            if self.tags[slot] != tag {
                 continue;
             }
-            let Some(way) = self.holder_way(peer, base, tag) else {
-                continue;
-            };
             if !supplied {
                 // First holder in core order supplies the line.
                 self.stats.interventions += 1;
                 energy += self.config.read_energy_pj;
                 supplied = true;
             }
-            let line = &mut self.lines[peer][base + way];
             if is_write {
-                line.state = LineState::Invalid;
+                self.invalidate(slot);
                 self.stats.invalidations += 1;
-            } else if line.state == LineState::Modified {
+            } else if self.states[slot] == LineState::Modified {
                 // Sharing a dirty line: the owner writes it back and
                 // keeps a clean copy.
-                line.state = LineState::Shared;
+                self.states[slot] = LineState::Shared;
                 self.stats.writebacks += 1;
                 let addr = self.line_addr(set, tag);
                 energy += self.memory.access(AccessRequest::write(addr)).energy_pj;
             } else {
-                line.state = LineState::Shared;
+                self.states[slot] = LineState::Shared;
             }
         }
         supplied.then_some(energy)
@@ -674,18 +687,17 @@ impl MemoryLevel for PrivateL2s {
 
     fn flush(&mut self) {
         // Dirty lines leave through the writeback path, like L2Cache.
-        for core in 0..self.lines.len() {
-            for idx in 0..self.lines[core].len() {
-                let line = self.lines[core][idx];
-                if line.state == LineState::Modified {
-                    self.stats.writebacks += 1;
-                    let set = (idx / self.config.ways) as u64;
-                    let addr = self.line_addr(set, line.tag);
-                    self.memory.access(AccessRequest::write(addr));
-                }
-                self.lines[core][idx] = CohLine::default();
+        let set_lines = self.cores * self.config.ways;
+        for slot in 0..self.tags.len() {
+            if self.states[slot] == LineState::Modified {
+                self.stats.writebacks += 1;
+                let addr = self.line_addr((slot / set_lines) as u64, self.tags[slot]);
+                self.memory.access(AccessRequest::write(addr));
             }
         }
+        self.tags.fill(INVALID_TAG);
+        self.states.fill(LineState::Invalid);
+        self.lru.fill(0);
         MemoryLevel::flush(&mut self.memory);
     }
 
@@ -701,9 +713,297 @@ impl MemoryLevel for PrivateL2s {
     }
 }
 
+/// The private L2s as one heap vector of lines per core, each snoop
+/// walking every peer's vector: the reference the set-major
+/// [`PrivateL2s`] is checked against, access for access.
+#[cfg(test)]
+mod reference {
+    use super::{AccessOutcome, AccessRequest, HitDepth, MainMemory, MemoryLevel};
+    use crate::config::L2Config;
+    use crate::stats::CacheStats;
+
+    /// MESI state of one line in a private L2.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    enum LineState {
+        #[default]
+        Invalid,
+        Shared,
+        Exclusive,
+        Modified,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct CohLine {
+        state: LineState,
+        tag: u64,
+        lru: u64,
+    }
+
+    /// The per-core private L2s the set-major [`super::PrivateL2s`]
+    /// replaced, kept as its oracle.
+    #[derive(Debug)]
+    pub(super) struct PrivateL2s {
+        config: L2Config,
+        coherence: Option<crate::config::Mesi>,
+        /// Per core: `sets * ways` line metadata, flattened
+        /// (`set * ways + way`).
+        lines: Vec<Vec<CohLine>>,
+        lru_clock: u64,
+        stats: CacheStats,
+        memory: MainMemory,
+    }
+
+    impl PrivateL2s {
+        /// Builds one empty private L2 per core over `memory`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the configuration is invalid (see
+        /// [`L2Config::validate`]) or `cores` is zero; the fallible path
+        /// is [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi).
+        pub(super) fn new(
+            config: L2Config,
+            cores: usize,
+            coherence: Option<crate::config::Mesi>,
+            memory: MainMemory,
+        ) -> Self {
+            if let Err(e) = config.validate() {
+                // hyvec-lint: allow(no-panic, "documented panicking constructor; SystemBuilder::build_multi validates on the fallible path")
+                panic!("invalid private L2 config: {e}");
+            }
+            // hyvec-lint: allow(no-panic, "documented panicking constructor; SystemBuilder::build_multi rejects zero cores on the fallible path")
+            assert!(cores > 0, "private L2 topology needs at least one core");
+            let per_core = (config.sets() as usize) * config.ways;
+            PrivateL2s {
+                config,
+                coherence,
+                lines: vec![vec![CohLine::default(); per_core]; cores],
+                lru_clock: 0,
+                stats: CacheStats::default(),
+                memory,
+            }
+        }
+
+        fn index(&self, addr: u64) -> (u64, u64) {
+            let line_addr = addr / self.config.line_bytes;
+            (
+                line_addr % self.config.sets(),
+                line_addr / self.config.sets(),
+            )
+        }
+
+        fn line_addr(&self, set: u64, tag: u64) -> u64 {
+            (tag * self.config.sets() + set) * self.config.line_bytes
+        }
+
+        /// Index of `tag` in `core`'s set, if that core holds the line.
+        fn holder_way(&self, core: usize, base: usize, tag: u64) -> Option<usize> {
+            (0..self.config.ways).find(|&w| {
+                let line = self.lines[core][base + w];
+                line.state != LineState::Invalid && line.tag == tag
+            })
+        }
+
+        /// One request from `core`'s L1s into its private L2.
+        pub(super) fn access_from(&mut self, core: usize, req: AccessRequest) -> AccessOutcome {
+            let (set, tag) = self.index(req.addr);
+            let base = set as usize * self.config.ways;
+            self.lru_clock += 1;
+            self.stats.accesses += 1;
+            if req.is_write {
+                self.stats.writes += 1;
+            }
+
+            if let Some(way) = self.holder_way(core, base, tag) {
+                self.stats.hits += 1;
+                if req.is_write && self.lines[core][base + way].state != LineState::Modified {
+                    // Write upgrade: peers' copies die before we own it.
+                    if self.coherence.is_some() {
+                        self.invalidate_peers(core, set, tag);
+                    }
+                    self.lines[core][base + way].state = LineState::Modified;
+                }
+                self.lines[core][base + way].lru = self.lru_clock;
+                let energy = if req.is_write {
+                    self.config.write_energy_pj
+                } else {
+                    self.config.read_energy_pj
+                };
+                return AccessOutcome {
+                    latency_cycles: self.config.hit_latency,
+                    energy_pj: energy,
+                    corrected: 0,
+                    detected: 0,
+                    depth: HitDepth::L2,
+                };
+            }
+
+            // Miss in the own L2: evict, then either a peer supplies the
+            // line (coherent topologies) or memory does.
+            self.stats.misses += 1;
+            let victim = (0..self.config.ways)
+                .min_by_key(|&w| {
+                    let line = self.lines[core][base + w];
+                    (line.state != LineState::Invalid, line.lru)
+                })
+                // hyvec-lint: allow(no-panic, "L2Config::validate rejects ways == 0, so the range is never empty")
+                .expect("private L2 has at least one way");
+            let mut energy = self.config.read_energy_pj + self.config.write_energy_pj;
+            let victim_line = self.lines[core][base + victim];
+            if victim_line.state == LineState::Modified {
+                self.stats.writebacks += 1;
+                let addr = self.line_addr(set, victim_line.tag);
+                energy += self.memory.access(AccessRequest::write(addr)).energy_pj;
+            }
+
+            let supplied = match self.coherence {
+                Some(_) => self.probe_peers(core, set, tag, req.is_write),
+                None => None,
+            };
+            let (latency, depth, install) = match supplied {
+                Some(supply_energy) => {
+                    energy += supply_energy;
+                    let mesi = self.coherence.unwrap_or_default();
+                    let state = if req.is_write {
+                        LineState::Modified
+                    } else {
+                        LineState::Shared
+                    };
+                    (
+                        self.config.hit_latency + mesi.intervention_latency,
+                        HitDepth::L2,
+                        state,
+                    )
+                }
+                None => {
+                    let below = self.memory.access(AccessRequest::read(req.addr));
+                    energy += below.energy_pj;
+                    let state = if req.is_write {
+                        LineState::Modified
+                    } else {
+                        LineState::Exclusive
+                    };
+                    (
+                        self.config.hit_latency + below.latency_cycles,
+                        below.depth,
+                        state,
+                    )
+                }
+            };
+            self.lines[core][base + victim] = CohLine {
+                state: install,
+                tag,
+                lru: self.lru_clock,
+            };
+            self.stats.fills += 1;
+
+            AccessOutcome {
+                latency_cycles: latency,
+                energy_pj: energy,
+                corrected: 0,
+                detected: 0,
+                depth,
+            }
+        }
+
+        /// Invalidates every peer copy of `(set, tag)` (a write upgrade or
+        /// write-miss broadcast), counting one invalidation per victim.
+        fn invalidate_peers(&mut self, core: usize, set: u64, tag: u64) {
+            let base = set as usize * self.config.ways;
+            for peer in 0..self.lines.len() {
+                if peer == core {
+                    continue;
+                }
+                if let Some(way) = self.holder_way(peer, base, tag) {
+                    self.lines[peer][base + way].state = LineState::Invalid;
+                    self.stats.invalidations += 1;
+                }
+            }
+        }
+
+        /// Probes the peers for `(set, tag)` on a coherent miss from
+        /// `core`. Returns the supply energy if some peer intervened
+        /// (counting the intervention, demoting or invalidating holders,
+        /// and writing back a modified owner on reads); `None` sends the
+        /// request to memory.
+        fn probe_peers(&mut self, core: usize, set: u64, tag: u64, is_write: bool) -> Option<f64> {
+            let base = set as usize * self.config.ways;
+            let mut supplied = false;
+            let mut energy = 0.0;
+            for peer in 0..self.lines.len() {
+                if peer == core {
+                    continue;
+                }
+                let Some(way) = self.holder_way(peer, base, tag) else {
+                    continue;
+                };
+                if !supplied {
+                    // First holder in core order supplies the line.
+                    self.stats.interventions += 1;
+                    energy += self.config.read_energy_pj;
+                    supplied = true;
+                }
+                let line = &mut self.lines[peer][base + way];
+                if is_write {
+                    line.state = LineState::Invalid;
+                    self.stats.invalidations += 1;
+                } else if line.state == LineState::Modified {
+                    // Sharing a dirty line: the owner writes it back and
+                    // keeps a clean copy.
+                    line.state = LineState::Shared;
+                    self.stats.writebacks += 1;
+                    let addr = self.line_addr(set, tag);
+                    energy += self.memory.access(AccessRequest::write(addr)).energy_pj;
+                } else {
+                    line.state = LineState::Shared;
+                }
+            }
+            supplied.then_some(energy)
+        }
+    }
+
+    impl MemoryLevel for PrivateL2s {
+        /// Routed through core 0 — present so a `PrivateL2s` can stand in
+        /// any `MemoryLevel` slot; the multi-core engine always calls
+        /// [`access_from`](PrivateL2s::access_from) with the real core.
+        fn access(&mut self, req: AccessRequest) -> AccessOutcome {
+            self.access_from(0, req)
+        }
+
+        fn flush(&mut self) {
+            // Dirty lines leave through the writeback path, like L2Cache.
+            for core in 0..self.lines.len() {
+                for idx in 0..self.lines[core].len() {
+                    let line = self.lines[core][idx];
+                    if line.state == LineState::Modified {
+                        self.stats.writebacks += 1;
+                        let set = (idx / self.config.ways) as u64;
+                        let addr = self.line_addr(set, line.tag);
+                        self.memory.access(AccessRequest::write(addr));
+                    }
+                    self.lines[core][idx] = CohLine::default();
+                }
+            }
+            MemoryLevel::flush(&mut self.memory);
+        }
+
+        fn reset_stats(&mut self) {
+            self.stats = CacheStats::default();
+            MemoryLevel::reset_stats(&mut self.memory);
+        }
+
+        fn chain_stats(&self) -> Vec<(&'static str, CacheStats)> {
+            let mut chain = vec![("l2", self.stats)];
+            chain.extend(self.memory.chain_stats());
+            chain
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn memory(latency: u32) -> Box<dyn MemoryLevel> {
         Box::new(MainMemory::new(MemoryConfig::with_latency(latency)))
@@ -973,6 +1273,146 @@ mod tests {
             p.access_from(0, AccessRequest::read(0x500)).depth,
             HitDepth::Memory
         );
+    }
+
+    /// A set-major machine and its reference: `cores` private L2s of
+    /// `sets` sets of `ways` 32-byte lines over a memory with energy,
+    /// so every writeback moves the energy sums.
+    fn oracle_pair(
+        cores: usize,
+        sets: u64,
+        ways: usize,
+        mesi: bool,
+    ) -> (PrivateL2s, reference::PrivateL2s) {
+        let config = L2Config {
+            size_bytes: sets * ways as u64 * 32,
+            line_bytes: 32,
+            ways,
+            hit_latency: 4,
+            read_energy_pj: 2.1,
+            write_energy_pj: 3.3,
+        };
+        let memory = MemoryConfig {
+            latency: 20,
+            access_energy_pj: 0.7,
+        };
+        let coherence = mesi.then(crate::config::Mesi::default);
+        (
+            PrivateL2s::new(config.clone(), cores, coherence, MainMemory::new(memory)),
+            reference::PrivateL2s::new(config, cores, coherence, MainMemory::new(memory)),
+        )
+    }
+
+    /// Sends one request from `core` (or, with `None`, a flush) to
+    /// both machines and compares the outcomes and every counter.
+    fn step_both(
+        got: &mut PrivateL2s,
+        want: &mut reference::PrivateL2s,
+        core: usize,
+        req: Option<AccessRequest>,
+    ) -> Result<(), String> {
+        let bits = |o: AccessOutcome| {
+            (
+                o.latency_cycles,
+                o.energy_pj.to_bits(),
+                o.corrected,
+                o.detected,
+                o.depth,
+            )
+        };
+        if let Some(req) = req {
+            let (g, w) = (got.access_from(core, req), want.access_from(core, req));
+            if bits(g) != bits(w) {
+                return Err(format!("core {core} {req:?}: {g:?} vs {w:?}"));
+            }
+        } else {
+            MemoryLevel::flush(got);
+            MemoryLevel::flush(want);
+        }
+        let (g, w) = (got.chain_stats(), want.chain_stats());
+        if g != w {
+            return Err(format!("core {core} {req:?}: {g:?} vs {w:?}"));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The set-major private L2s answer every request, and move
+        /// every counter, exactly as the per-core reference does. The
+        /// pool stays small so that lines are shared, upgraded and
+        /// invalidated often.
+        #[test]
+        fn private_l2s_match_the_reference(
+            cores in 1usize..6,
+            ways in prop::sample::select(vec![1usize, 2, 4]),
+            sets in prop::sample::select(vec![1u64, 2, 4]),
+            mesi: bool,
+            pool in 1u64..13,
+            requests in prop::collection::vec((0usize..5, 0u64..12, 0u8..32, 0u64..32), 0..400),
+        ) {
+            let (mut got, mut want) = oracle_pair(cores, sets, ways, mesi);
+            for (core, line, op, offset) in requests {
+                let core = core % cores;
+                let addr = (line % pool) * 32 + offset;
+                // One op in 32 flushes; a third of the rest write.
+                let req = match op {
+                    0 => None,
+                    _ if op % 3 == 0 => Some(AccessRequest::write(addr)),
+                    _ => Some(AccessRequest::read(addr)),
+                };
+                step_both(&mut got, &mut want, core, req).map_err(TestCaseError::fail)?;
+            }
+        }
+    }
+
+    #[test]
+    fn seventy_cores_snoop_every_peer() {
+        let (mut got, mut want) = oracle_pair(70, 4, 2, true);
+        let line = 0x40;
+        for core in 0..70 {
+            step_both(&mut got, &mut want, core, Some(AccessRequest::read(line))).unwrap();
+        }
+        step_both(&mut got, &mut want, 69, Some(AccessRequest::write(line))).unwrap();
+        assert_eq!(got.stats().invalidations, 69, "one per peer copy");
+        for core in 0..70 {
+            step_both(&mut got, &mut want, core, Some(AccessRequest::read(line))).unwrap();
+        }
+        assert_eq!(
+            got.stats().interventions,
+            69 + 69,
+            "two rounds of peer supply"
+        );
+    }
+
+    /// The widest machine the multi-core ablation builds, at the
+    /// ablation's L2 geometry, over a pool twice the L2's lines. Too
+    /// slow for a debug test run; CI runs it in release.
+    #[test]
+    #[ignore = "200k requests through the reference; run in release"]
+    fn sixty_four_cores_match_the_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let config = L2Config::unified(16);
+        let memory = MemoryConfig {
+            latency: 80,
+            access_energy_pj: 0.7,
+        };
+        let mesi = Some(crate::config::Mesi::default());
+        let pool = 2 * config.size_bytes / config.line_bytes;
+        let mut got = PrivateL2s::new(config.clone(), 64, mesi, MainMemory::new(memory));
+        let mut want = reference::PrivateL2s::new(config, 64, mesi, MainMemory::new(memory));
+        let mut rng = SmallRng::seed_from_u64(64);
+        for _ in 0..200_000 {
+            let core = rng.gen_range(0..64usize);
+            let addr = rng.gen_range(0..pool) * 32;
+            let req = if rng.gen_range(0..3u32) == 0 {
+                AccessRequest::write(addr)
+            } else {
+                AccessRequest::read(addr)
+            };
+            step_both(&mut got, &mut want, core, Some(req)).unwrap();
+        }
+        assert!(got.stats().invalidations > 0 && got.stats().interventions > 0);
     }
 
     #[test]

@@ -1092,6 +1092,64 @@ mod tests {
         assert!(r.memory.accesses < l2.misses + l2.writebacks);
     }
 
+    /// The MESI sweep's shape (32 cores of one program at
+    /// `per_core_seed`, a 16 KB private MESI L2 each, an 80-cycle
+    /// memory, widths 2, 8 and 32) at a tier-1 size, every chain count
+    /// pinned. At 20k instructions per core each width also hits in
+    /// its L2s, so write upgrades are pinned beside the misses' snoops.
+    #[test]
+    fn mesi_sweep_chain_counts_are_pinned() {
+        let mut sys = builder()
+            .topology(Topology::PrivateL2 {
+                coherence: Some(Mesi::default()),
+            })
+            .build_multi(32)
+            .expect("32 cores, private MESI L2s");
+        let sources: Vec<_> = (0..32)
+            .map(|core| Benchmark::Mpeg2C.trace(20_000, per_core_seed(1, core)))
+            .collect();
+        let widths = [2, 8, 32];
+        let reports = sys
+            .run_widths(sources, Mode::Hp, widths)
+            .expect("widths fit");
+        // The L2s' accesses, writes, hits, misses (= fills),
+        // writebacks, invalidations and interventions.
+        let l2 = |c: [u64; 7]| CacheStats {
+            accesses: c[0],
+            writes: c[1],
+            hits: c[2],
+            misses: c[3],
+            fills: c[3],
+            writebacks: c[4],
+            invalidations: c[5],
+            interventions: c[6],
+            ..CacheStats::default()
+        };
+        // Memory's accesses (= hits) and writes.
+        let memory = |accesses, writes| CacheStats {
+            accesses,
+            writes,
+            hits: accesses,
+            ..CacheStats::default()
+        };
+        let expected = [
+            (l2([1137, 178, 173, 964, 86, 104, 500]), memory(550, 86)),
+            (
+                l2([4868, 838, 302, 4566, 603, 2292, 4102]),
+                memory(1067, 603),
+            ),
+            (
+                l2([18864, 3307, 44, 18820, 2532, 13210, 18356]),
+                memory(2996, 2532),
+            ),
+        ];
+        for ((report, width), (l2, memory)) in reports.iter().zip(widths).zip(expected) {
+            assert_eq!(report.per_core.len(), width);
+            assert_eq!(report.l2, Some(l2), "l2 at width {width}");
+            assert_eq!(report.memory, memory, "memory at width {width}");
+        }
+    }
+
     #[test]
     fn incoherent_private_l2s_isolate_the_cores() {
         // Multi-programmed (disjoint windows) on private L2s: no

@@ -1081,8 +1081,9 @@ pub const ABLATION_CORES_L2_KB: u64 = 16;
 pub const ABLATION_CORES_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Core counts swept by the private-L2 MESI topology scenario of the
-/// multi-core ablation (a subset — coherence probing is O(cores) per
-/// miss, and three points already show the trend).
+/// multi-core ablation (a subset — each miss and write upgrade snoops
+/// every peer's lines of its set, so a chain request costs O(cores),
+/// and three points already show the trend).
 pub const ABLATION_CORES_MESI_COUNTS: [usize; 3] = [2, 8, 32];
 
 /// The multi-program mix of the core-count ablation: core `i` runs
