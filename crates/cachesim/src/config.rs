@@ -307,6 +307,13 @@ impl CacheConfig {
         if self.ways.is_empty() {
             return Err(ConfigError::NoWays);
         }
+        // Before anything divides by the line size: this also rejects
+        // a zero-byte line.
+        if !self.line_bytes.is_power_of_two() {
+            return Err(ConfigError::LineNotPowerOfTwo {
+                line_bytes: self.line_bytes,
+            });
+        }
         if !self
             .size_bytes
             .is_multiple_of(self.line_bytes * self.ways.len() as u64)
@@ -319,11 +326,6 @@ impl CacheConfig {
         }
         if !self.sets().is_power_of_two() {
             return Err(ConfigError::SetsNotPowerOfTwo { sets: self.sets() });
-        }
-        if !self.line_bytes.is_power_of_two() {
-            return Err(ConfigError::LineNotPowerOfTwo {
-                line_bytes: self.line_bytes,
-            });
         }
         if !(self.line_bytes * 8).is_multiple_of(u64::from(self.word_bits)) {
             return Err(ConfigError::LineNotWholeWords {
@@ -362,7 +364,8 @@ impl CacheConfig {
 }
 
 /// Geometry and timing of the optional unified L2 behind both L1s
-/// (simulated by [`crate::hierarchy::L2Cache`]).
+/// (simulated by [`crate::hierarchy::L2Cache`]); under a private-L2
+/// [`Topology`], the geometry of each core's L2.
 ///
 /// The L2 is a timing/energy model, not a bit-accurate store: the
 /// paper's EDC machinery lives in the L1 ways, so the L2 carries no
@@ -425,6 +428,13 @@ impl L2Config {
         if self.ways == 0 {
             return Err(ConfigError::NoWays);
         }
+        // Before anything divides by the line size: this also rejects
+        // a zero-byte line.
+        if !self.line_bytes.is_power_of_two() {
+            return Err(ConfigError::LineNotPowerOfTwo {
+                line_bytes: self.line_bytes,
+            });
+        }
         if !self
             .size_bytes
             .is_multiple_of(self.line_bytes * self.ways as u64)
@@ -437,11 +447,6 @@ impl L2Config {
         }
         if !self.sets().is_power_of_two() {
             return Err(ConfigError::SetsNotPowerOfTwo { sets: self.sets() });
-        }
-        if !self.line_bytes.is_power_of_two() {
-            return Err(ConfigError::LineNotPowerOfTwo {
-                line_bytes: self.line_bytes,
-            });
         }
         if self.sets() * self.line_bytes == 1 {
             // One set of one-byte lines tags each line with its whole
@@ -501,15 +506,17 @@ impl Default for Mesi {
 /// The L2 arrangement of a multi-core build
 /// ([`crate::engine::SystemBuilder::build_multi`]).
 ///
-/// The default, [`Topology::SharedL2`], is the paper's shape: N
-/// private split-L1 front ends over one shared L2 (or straight to
-/// memory when no L2 is configured). [`Topology::PrivateL2`] gives
-/// every core its own L2 of the configured geometry over one shared
-/// memory; with `coherence` set, each miss and each write upgrade
-/// snoops the peers' lines of its set, which keeps the L2s
-/// MESI-coherent and counts invalidations and interventions, and with
-/// `coherence: None` the private L2s are incoherent (disjoint working
-/// sets assumed, every miss fills from memory).
+/// Both topologies simulate their L2 with one model,
+/// [`L2Cache`](crate::hierarchy::L2Cache). The default,
+/// [`Topology::SharedL2`], is the paper's shape: N private split-L1
+/// front ends over one shared L2 (or straight to memory when no L2 is
+/// configured). [`Topology::PrivateL2`] gives every core its own L2 of
+/// the configured geometry over one shared memory; with `coherence`
+/// set, each miss and each write upgrade snoops the peers' lines of
+/// its set, which keeps the L2s MESI-coherent and counts
+/// invalidations and interventions, and with `coherence: None` the
+/// private L2s are incoherent (disjoint working sets assumed, every
+/// miss fills from memory).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Topology {
     /// One L2 (or flat memory) shared by every core.
@@ -684,6 +691,14 @@ mod tests {
             })
         );
 
+        let mut zero_lines = valid.clone();
+        zero_lines.size_bytes = 0;
+        zero_lines.line_bytes = 0;
+        assert_eq!(
+            zero_lines.validate(),
+            Err(ConfigError::LineNotPowerOfTwo { line_bytes: 0 })
+        );
+
         let mut three_words = valid.clone();
         three_words.word_bits = 48;
         assert_eq!(
@@ -727,6 +742,12 @@ mod tests {
         cfg.line_bytes = 24;
         cfg.size_bytes = 24 * 8 * 128;
         assert!(cfg.validate().is_err());
+        cfg.line_bytes = 0;
+        cfg.size_bytes = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::LineNotPowerOfTwo { line_bytes: 0 })
+        );
         cfg.line_bytes = 1;
         cfg.size_bytes = 8;
         assert_eq!(

@@ -1316,6 +1316,19 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_zero_byte_lines() {
+        use crate::config::{ConfigError, L2Config};
+        let zero_lines = ConfigError::LineNotPowerOfTwo { line_bytes: 0 };
+        let base = System::builder().config(SystemConfig::uniform_6t());
+        let mut il1 = SystemConfig::uniform_6t().il1;
+        (il1.size_bytes, il1.line_bytes) = (0, 0);
+        assert_eq!(base.clone().il1(il1).build().unwrap_err(), zero_lines);
+        let mut l2 = L2Config::unified(32);
+        (l2.size_bytes, l2.line_bytes) = (0, 0);
+        assert_eq!(base.l2(l2).build().unwrap_err(), zero_lines);
+    }
+
+    #[test]
     fn l2_reduces_miss_stalls_behind_slow_memory() {
         use crate::config::{L2Config, MemoryConfig};
         let cfg = baseline_a();

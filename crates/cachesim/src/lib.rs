@@ -18,7 +18,8 @@
 //!   probability;
 //! * [`hierarchy`] — the composable memory hierarchy below the L1s:
 //!   the [`hierarchy::MemoryLevel`] trait, a write-allocate unified
-//!   [`hierarchy::L2Cache`], and the terminal
+//!   [`hierarchy::L2Cache`] (one L2 shared by every core, or a private
+//!   L2 per core, optionally MESI-coherent), and the terminal
 //!   [`hierarchy::MainMemory`] model;
 //! * [`engine`] — the in-order core timing model (1 IPC base, miss
 //!   stalls, EDC fill latency) driving both L1s from any
@@ -68,7 +69,7 @@ pub use config::{
     Topology, WaySpec,
 };
 pub use engine::{RunReport, SimOptions, System, SystemBuilder};
-pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel, PrivateL2s};
+pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel};
 pub use multicore::{MultiCoreReport, MultiCoreSystem, EPOCH_INSTRUCTIONS};
 pub use power::EnergyBreakdown;
 pub use stats::{CacheStats, RunStats};

@@ -10,7 +10,7 @@
 //! missing into **one** shared L2/memory chain — plus the
 //! [`Topology::PrivateL2`](crate::config::Topology) variant: a
 //! private L2 per core over one shared memory, optionally kept
-//! MESI-coherent (see [`PrivateL2s`]).
+//! MESI-coherent (see [`L2Cache`]).
 //!
 //! # Execution model
 //!
@@ -120,7 +120,7 @@ use crate::engine::{
     apply_fill, chain_below, front_entry, maybe_inject_seu, ule_exposure_bits, ChainRequest,
     ChainTally, CoreTiming, RunReport,
 };
-use crate::hierarchy::{AccessOutcome, AccessRequest, MainMemory, MemoryLevel, PrivateL2s};
+use crate::hierarchy::{AccessOutcome, AccessRequest, L2Cache, MainMemory, MemoryLevel};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
 use hyvec_cachemodel::OperatingPoint;
@@ -150,7 +150,7 @@ pub(crate) enum MultiChain {
     Shared(Box<dyn MemoryLevel>),
     /// A private L2 per core over one shared memory
     /// ([`crate::config::Topology::PrivateL2`]).
-    Private(Box<PrivateL2s>),
+    Private(Box<L2Cache<MainMemory>>),
 }
 
 impl MultiChain {
@@ -201,7 +201,7 @@ impl ChainRecipe {
                 l2,
                 coherence,
                 memory,
-            } => MultiChain::Private(Box::new(PrivateL2s::new(
+            } => MultiChain::Private(Box::new(L2Cache::private(
                 l2.clone(),
                 cores,
                 *coherence,
@@ -813,7 +813,7 @@ mod tests {
     enum Below {
         SharedL2,
         Memory,
-        PrivateL2s,
+        IncoherentL2s,
         MesiL2s,
     }
 
@@ -826,7 +826,7 @@ mod tests {
         builder = match below {
             Below::SharedL2 => builder.l2(L2Config::unified(16)),
             Below::Memory => builder,
-            Below::PrivateL2s => builder.l2(L2Config::unified(16)).topology(private(None)),
+            Below::IncoherentL2s => builder.l2(L2Config::unified(16)).topology(private(None)),
             Below::MesiL2s => builder
                 .l2(L2Config::unified(16))
                 .topology(private(Some(Mesi::default()))),
@@ -863,7 +863,7 @@ mod tests {
             below in prop::sample::select(vec![
                 Below::SharedL2,
                 Below::Memory,
-                Below::PrivateL2s,
+                Below::IncoherentL2s,
                 Below::MesiL2s,
             ]),
             seu: bool,

@@ -696,8 +696,10 @@ pub struct SoftErrorResult {
     pub secded_detected: u64,
     /// Corrections by the DECTED proposal.
     pub dected_corrected: u64,
-    /// Detected-but-uncorrectable events under DECTED (should stay 0
-    /// at the design fault rate).
+    /// Detected-but-uncorrectable events under DECTED (three errors
+    /// in one word, such as two hard faults plus a soft error). Far
+    /// fewer than under SECDED, but not always 0: the study's
+    /// hard-fault rate is well above the design rate.
     pub dected_detected: u64,
     /// Silent corruptions under either design (must be 0: both codes
     /// at least detect).
@@ -705,9 +707,15 @@ pub struct SoftErrorResult {
 }
 
 /// Demonstrates the scenario-B argument functionally: with hard faults
-/// at the design rate *and* accelerated soft errors, SECDED-protected
-/// words containing a hard fault degrade to detection-only, while
-/// DECTED keeps correcting. Both remain silent-corruption-free.
+/// *and* accelerated soft errors, SECDED-protected words containing a
+/// hard fault degrade to detection-only, while DECTED corrects most of
+/// them. Both remain silent-corruption-free.
+///
+/// The hard faults are injected at `max(pf_8t, 2e-3)` in the ULE way,
+/// about 67x scenario B's design rate, so that a short run meets
+/// several faulty bits. At that rate a DECTED word can carry two hard
+/// faults plus a soft error, so DECTED's uncorrectable count is small
+/// but not always 0.
 pub fn soft_error_study(
     params: ExperimentParams,
     seu_rate: f64,
