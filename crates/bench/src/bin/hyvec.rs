@@ -9,17 +9,12 @@
 //!   run-all       the full evaluation matrix, fanned across cores
 //!                 with deterministic per-job seeds (the one entry
 //!                 point that regenerates every table and figure)
-//!   list          print the experiment ids the registry knows
-//!   fig3          Figure 3: HP-mode EPI (scenarios A and B)
-//!   fig4          Figure 4: ULE-mode EPI breakdowns
-//!   methodology   Sec. III-C sizing/yield table
-//!   performance   Sec. IV-B.2 execution-time overhead
-//!   area          L1 area comparison
-//!   reliability   yields + fault injection
-//!   soft-errors   hard faults + soft errors (DECTED vs SECDED)
-//!   ablations     way split, memory latency, voltage, L2, cores,
-//!                 workload zoo, granularity
 //!   all           alias of run-all
+//!   <artifact>    one artifact of `hyvec_core::experiments::ARTIFACTS`
+//!                 in each of its scenarios, for every artifact not
+//!                 named `ablation-*` (the usage line lists them)
+//!   ablations     every `ablation-*` artifact
+//!   list          print the experiment ids the registry knows
 //!   serve         long-running HTTP daemon serving any experiment on
 //!                 demand from a content-addressed result cache
 //!                 (own flags: --addr, --threads, --warm, --cache-mb;
@@ -53,17 +48,18 @@
 use std::process::ExitCode;
 
 use hyvec_bench::cli::{
-    command_artifacts, command_sweep, parse_flags, sweep_for, CliOptions, FLAGS_USAGE,
+    command_artifacts, command_sweep, experiment_commands, parse_flags, sweep_for, CliOptions,
+    FLAGS_USAGE,
 };
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{csv_field as escape_csv, render, Format};
 
 fn usage() -> String {
     format!(
-        "usage: hyvec <run-all|list|serve|trace|fig3|fig4|methodology|performance|area\
-         |reliability|soft-errors|ablations|all> {FLAGS_USAGE}\n\
+        "usage: hyvec <list|serve|trace|{}> {FLAGS_USAGE}\n\
          \x20      hyvec serve {}\n\
          \x20      hyvec {}",
+        experiment_commands().join("|"),
         hyvec_serve::SERVE_USAGE,
         hyvec_bench::tracecmd::TRACE_USAGE
     )
@@ -173,7 +169,7 @@ fn main() -> ExitCode {
         eprintln!("unknown command {command}\n{}", usage());
         return ExitCode::FAILURE;
     };
-    let sweep = match command_sweep(&command, &options, artifacts) {
+    let sweep = match command_sweep(&command, &options, &artifacts) {
         Ok(sweep) => sweep,
         Err(e) => {
             eprintln!("{e}");

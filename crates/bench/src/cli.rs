@@ -1,13 +1,15 @@
 //! Command-line plumbing of the `hyvec` front-end.
 //!
-//! Every experiment command runs the same pipeline: parse the common
-//! flags, select experiments from the standard [`Registry`] with a
-//! [`SweepBuilder`], run, and hand the typed report to the requested
-//! [`Format`] backend. A job's output is therefore byte-identical
-//! whether it is produced by a single-artifact `hyvec` command or by
-//! `hyvec run-all`, serially or in parallel.
+//! The experiment commands derive from the table of artifacts
+//! ([`ARTIFACTS`], see [`experiment_commands`]). Every one runs the
+//! same pipeline: parse the common flags, select experiments from the
+//! standard [`Registry`] with a [`SweepBuilder`], run, and hand the
+//! typed report to the requested [`Format`] backend. A job's output
+//! is therefore byte-identical whether it is produced by a
+//! single-artifact `hyvec` command or by `hyvec run-all`, serially or
+//! in parallel.
 
-use hyvec_core::experiments::ExperimentParams;
+use hyvec_core::experiments::{ExperimentParams, ARTIFACTS};
 use hyvec_core::registry::Registry;
 use hyvec_core::render::Format;
 use hyvec_core::sweep::{default_jobs, SweepBuilder};
@@ -98,29 +100,33 @@ pub fn parse_flags(args: impl Iterator<Item = String>) -> Result<CliOptions, Str
     Ok(options)
 }
 
+/// The experiment commands: `run-all` and `all` (the full matrix),
+/// each artifact of [`ARTIFACTS`] not named `ablation-*`, and
+/// `ablations` (every `ablation-*` artifact).
+pub fn experiment_commands() -> Vec<&'static str> {
+    let mut commands = vec!["run-all", "all"];
+    commands.extend(ARTIFACTS.iter().map(|a| a.name).filter(|n| !is_ablation(n)));
+    commands.push("ablations");
+    commands
+}
+
 /// Artifact families of each experiment command (empty = the full
 /// matrix); `None` when `command` is not an experiment command.
-pub fn command_artifacts(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "run-all" | "all" => &[],
-        "methodology" => &["methodology"],
-        "fig3" => &["fig3"],
-        "fig4" => &["fig4"],
-        "performance" => &["performance"],
-        "area" => &["area"],
-        "reliability" => &["reliability"],
-        "soft-errors" => &["soft-errors"],
-        "ablations" => &[
-            "ablation-ways",
-            "ablation-memlat",
-            "ablation-voltage",
-            "ablation-l2",
-            "ablation-cores",
-            "ablation-workloads",
-            "ablation-granularity",
-        ],
-        _ => return None,
-    })
+pub fn command_artifacts(command: &str) -> Option<Vec<&'static str>> {
+    let names = ARTIFACTS.iter().map(|a| a.name);
+    match command {
+        "run-all" | "all" => Some(Vec::new()),
+        "ablations" => Some(names.filter(|n| is_ablation(n)).collect()),
+        _ => names
+            .filter(|&n| n == command && !is_ablation(n))
+            .map(|n| vec![n])
+            .next(),
+    }
+}
+
+/// Whether artifact `name` runs under `hyvec ablations`.
+fn is_ablation(name: &str) -> bool {
+    name.starts_with("ablation-")
 }
 
 /// The sweep experiment command `command` runs over `artifacts`, or an
@@ -179,7 +185,7 @@ mod tests {
     /// The sweep `hyvec <command> <args>` runs, or why it runs none.
     fn sweep(command: &str, args: &[&str]) -> Result<SweepBuilder, String> {
         let artifacts = command_artifacts(command).ok_or("unknown command")?;
-        command_sweep(command, &parse(args)?, artifacts)
+        command_sweep(command, &parse(args)?, &artifacts)
     }
 
     #[test]
@@ -250,6 +256,40 @@ mod tests {
         assert!(sweep("run-all", &[]).is_ok());
         assert!(sweep("ablations", &["--filter", "ablation-cores/*"]).is_ok());
         assert!(sweep("fig3", &["--filter", "nonesuch", "--filter", "*/A"]).is_ok());
+    }
+
+    #[test]
+    fn commands_derive_from_the_artifact_table() {
+        let mut commands = experiment_commands();
+        commands.sort_unstable();
+        let mut expected = [
+            "run-all",
+            "all",
+            "methodology",
+            "fig3",
+            "fig4",
+            "performance",
+            "area",
+            "reliability",
+            "soft-errors",
+            "ablations",
+        ];
+        expected.sort_unstable();
+        assert_eq!(commands, expected);
+        assert!(command_artifacts("ablation-ways").is_none());
+        assert!(command_artifacts("list").is_none());
+        // Besides run-all and all, exactly one command runs each
+        // experiment of the standard registry; run-all runs them all.
+        let everything = sweep("run-all", &[]).unwrap();
+        for id in Registry::standard().ids() {
+            assert!(everything.selects(id), "run-all skips {id}");
+            let runners: Vec<&str> = experiment_commands()
+                .into_iter()
+                .filter(|&c| c != "run-all" && c != "all")
+                .filter(|c| sweep(c, &[]).unwrap().selects(id))
+                .collect();
+            assert_eq!(runners.len(), 1, "{id} runs under {runners:?}");
+        }
     }
 
     #[test]

@@ -459,14 +459,49 @@ impl HybridCache {
         1u64 << slot.min(63)
     }
 
+    /// The flat line index of `slot`, after checking that `slot`
+    /// names a stored word of this geometry and that a fault spanning
+    /// its low `span` bits stays within that word's stored width: its
+    /// payload plus the check bits its way stores. The one rule behind
+    /// both fault-injection entry points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the way, set or word slot is out of range, or `span`
+    /// exceeds the stored width.
+    fn fault_target(&self, slot: WordSlot, span: u32) -> usize {
+        let words = self.words_per_line as u64;
+        // hyvec-lint: allow(no-panic, "documented precondition (# Panics) of set_stuck_bits and inject_soft_error")
+        assert!(
+            slot.way < self.num_ways && slot.set < self.config.sets() && slot.slot <= words,
+            "{slot:?} is out of range for {} ways x {} sets x {} words plus the tag",
+            self.num_ways,
+            self.config.sets(),
+            words
+        );
+        let payload = if slot.slot == words {
+            self.config.tag_bits
+        } else {
+            self.config.word_bits
+        };
+        let width = payload + self.ways[slot.way].spec.stored_check_bits() as u32;
+        // hyvec-lint: allow(no-panic, "documented precondition (# Panics) of set_stuck_bits and inject_soft_error")
+        assert!(
+            span <= width,
+            "a fault over {span} bits overruns the {width}-bit stored word of {slot:?}"
+        );
+        self.line_index(slot.way, slot.set)
+    }
+
     /// Installs a stuck-at fault pattern on one stored word.
     ///
     /// # Panics
     ///
-    /// Panics if the slot's way or set is out of range for this
-    /// geometry.
+    /// Panics if the slot's way, set or word is out of range for this
+    /// geometry, or the mask reaches past the word's stored width (its
+    /// payload plus the check bits its way stores).
     pub fn set_stuck_bits(&mut self, slot: WordSlot, faults: StuckBits) {
-        let li = self.line_index(slot.way, slot.set);
+        let li = self.fault_target(slot, u64::BITS - faults.mask.leading_zeros());
         let entries = &mut self.faults[li];
         let existing = entries.iter().position(|&(s, _)| s == slot.slot);
         if faults.mask == 0 {
@@ -533,13 +568,16 @@ impl HybridCache {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is out of range.
+    /// Panics under the same rule as [`HybridCache::set_stuck_bits`]:
+    /// if the slot's way, set or word is out of range, or `bit` lies
+    /// past the word's stored width.
     pub fn inject_soft_error(&mut self, slot: WordSlot, bit: u32) {
-        let li = self.line_index(slot.way, slot.set);
+        let li = self.fault_target(slot, bit.saturating_add(1));
+        let flip = 1u64 << bit;
         if slot.slot as usize == self.words_per_line {
-            self.tag_words[li] ^= 1u64 << bit;
+            self.tag_words[li] ^= flip;
         } else {
-            self.words[li * self.words_per_line + slot.slot as usize] ^= 1u64 << bit;
+            self.words[li * self.words_per_line + slot.slot as usize] ^= flip;
         }
         self.noncanonical = true;
     }
@@ -1523,5 +1561,78 @@ mod tests {
         assert!(out.hit);
         assert_eq!(out.corrected, 1);
         assert_eq!(out.silent, 0);
+    }
+
+    /// The A proposal's word `slot` of `way` in set 0: HP ways 0-6
+    /// store bare 32-bit words and 26-bit tags, ULE way 7 stores
+    /// SECDED's 7 check bits beside each.
+    fn slot_of(way: usize, slot: u64) -> WordSlot {
+        WordSlot { way, set: 0, slot }
+    }
+
+    #[test]
+    fn faults_may_reach_the_last_stored_bit() {
+        let mut c = hybrid_a_proposal();
+        c.inject_soft_error(slot_of(7, 0), 38);
+        c.inject_soft_error(slot_of(7, 8), 32);
+        let last = StuckBits {
+            mask: 1 << 25,
+            value: 0,
+        };
+        c.set_stuck_bits(slot_of(0, 8), last);
+        assert_eq!(c.fault_bit_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn soft_error_past_the_tag_slot_panics() {
+        // Slot 9 would be word 0 of the next line.
+        hybrid_a_proposal().inject_soft_error(slot_of(0, 9), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns the 39-bit stored word")]
+    fn soft_error_at_bit_64_panics() {
+        hybrid_a_proposal().inject_soft_error(slot_of(7, 0), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns the 33-bit stored word")]
+    fn soft_error_past_the_stored_width_panics() {
+        hybrid_a_proposal().inject_soft_error(slot_of(7, 8), 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn stuck_bits_past_the_tag_slot_panic() {
+        hybrid_a_proposal().set_stuck_bits(slot_of(0, 9), StuckBits { mask: 1, value: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn stuck_bits_on_a_missing_way_panic() {
+        // Way 8 would be way 0 of the next set.
+        hybrid_a_proposal().set_stuck_bits(slot_of(8, 0), StuckBits { mask: 1, value: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn stuck_bits_on_a_missing_set_panic() {
+        let slot = WordSlot {
+            way: 0,
+            set: 32,
+            slot: 0,
+        };
+        hybrid_a_proposal().set_stuck_bits(slot, StuckBits { mask: 1, value: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns the 32-bit stored word")]
+    fn stuck_bits_past_the_stored_width_panic() {
+        let faults = StuckBits {
+            mask: 1 << 32,
+            value: 0,
+        };
+        hybrid_a_proposal().set_stuck_bits(slot_of(0, 0), faults);
     }
 }

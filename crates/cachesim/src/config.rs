@@ -32,6 +32,12 @@ pub enum ConfigError {
         /// The offending line size.
         line_bytes: u64,
     },
+    /// The line is too large for the geometry's 64-bit arithmetic: its
+    /// bits, or its bytes times the way count, overflow a `u64`.
+    LineTooLarge {
+        /// The offending line size.
+        line_bytes: u64,
+    },
     /// The line does not hold a whole number of protected words.
     LineNotWholeWords {
         /// Configured line size in bits.
@@ -106,6 +112,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::LineNotPowerOfTwo { line_bytes } => {
                 write!(f, "line size must be a power of two (got {line_bytes}B)")
+            }
+            ConfigError::LineTooLarge { line_bytes } => {
+                write!(f, "line size {line_bytes}B overflows 64-bit geometry")
             }
             ConfigError::LineNotWholeWords {
                 line_bits,
@@ -314,10 +323,15 @@ impl CacheConfig {
                 line_bytes: self.line_bytes,
             });
         }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.line_bytes * self.ways.len() as u64)
-        {
+        let line_too_large = ConfigError::LineTooLarge {
+            line_bytes: self.line_bytes,
+        };
+        let line_bits = self.line_bytes.checked_mul(8).ok_or(line_too_large)?;
+        let set_bytes = self
+            .line_bytes
+            .checked_mul(self.ways.len() as u64)
+            .ok_or(line_too_large)?;
+        if !self.size_bytes.is_multiple_of(set_bytes) {
             return Err(ConfigError::SizeNotDivisible {
                 size_bytes: self.size_bytes,
                 line_bytes: self.line_bytes,
@@ -327,9 +341,9 @@ impl CacheConfig {
         if !self.sets().is_power_of_two() {
             return Err(ConfigError::SetsNotPowerOfTwo { sets: self.sets() });
         }
-        if !(self.line_bytes * 8).is_multiple_of(u64::from(self.word_bits)) {
+        if !line_bits.is_multiple_of(u64::from(self.word_bits)) {
             return Err(ConfigError::LineNotWholeWords {
-                line_bits: self.line_bytes * 8,
+                line_bits,
                 word_bits: self.word_bits,
             });
         }
@@ -435,10 +449,14 @@ impl L2Config {
                 line_bytes: self.line_bytes,
             });
         }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.line_bytes * self.ways as u64)
-        {
+        let line_too_large = ConfigError::LineTooLarge {
+            line_bytes: self.line_bytes,
+        };
+        let set_bytes = self
+            .line_bytes
+            .checked_mul(self.ways as u64)
+            .ok_or(line_too_large)?;
+        if !self.size_bytes.is_multiple_of(set_bytes) {
             return Err(ConfigError::SizeNotDivisible {
                 size_bytes: self.size_bytes,
                 line_bytes: self.line_bytes,
@@ -699,6 +717,25 @@ mod tests {
             Err(ConfigError::LineNotPowerOfTwo { line_bytes: 0 })
         );
 
+        // Lines whose bytes across the ways, or whose bits, overflow.
+        let mut huge_line = valid.clone();
+        huge_line.line_bytes = 1 << 62;
+        assert_eq!(
+            huge_line.validate(),
+            Err(ConfigError::LineTooLarge {
+                line_bytes: 1 << 62
+            })
+        );
+        huge_line.ways.truncate(1);
+        huge_line.line_bytes = 1 << 61;
+        huge_line.size_bytes = 1 << 61;
+        assert_eq!(
+            huge_line.validate(),
+            Err(ConfigError::LineTooLarge {
+                line_bytes: 1 << 61
+            })
+        );
+
         let mut three_words = valid.clone();
         three_words.word_bits = 48;
         assert_eq!(
@@ -757,6 +794,14 @@ mod tests {
         cfg.size_bytes = 16;
         cfg.validate()
             .expect("two sets of one-byte lines leave a free tag");
+        cfg.ways = 2;
+        cfg.line_bytes = 1 << 63;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::LineTooLarge {
+                line_bytes: 1 << 63
+            })
+        );
     }
 
     #[test]

@@ -840,23 +840,6 @@ impl System {
         }
     }
 
-    /// Enables runtime soft-error injection at the given expected
-    /// upsets per stored bit per cycle, with a deterministic seed.
-    ///
-    /// Terrestrial rates are around 1e-17 per bit-second (amplified at
-    /// NST voltage); pass an accelerated figure (e.g. `1e-9`) to
-    /// observe upsets within a short simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or not finite.
-    pub fn set_soft_error_rate(&mut self, rate: f64, seed: u64) {
-        // hyvec-lint: allow(no-panic, "documented precondition (# Panics); SystemBuilder::seu is the validating path")
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be >= 0");
-        self.front.seu_rate_per_bit_cycle = rate;
-        self.front.seu_rng = SmallRng::seed_from_u64(seed);
-    }
-
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
         &mut self.front.il1
@@ -1129,13 +1112,21 @@ mod tests {
         );
     }
 
+    /// `config`'s machine with soft errors at `rate`, drawn from `seed`.
+    fn seu_machine(config: SystemConfig, rate: f64, seed: u64) -> System {
+        System::builder()
+            .config(config)
+            .seu(rate, seed)
+            .build()
+            .expect("valid machine")
+    }
+
     #[test]
     fn soft_errors_are_corrected_by_secded_but_corrupt_unprotected() {
         // Accelerated SEU rate so a 50k-instruction run sees many
         // upsets.
         let rate = 2e-8;
-        let mut prop = System::new(proposal_a());
-        prop.set_soft_error_rate(rate, 77);
+        let mut prop = seu_machine(proposal_a(), rate, 77);
         let p = prop.run(Benchmark::AdpcmC.trace(50_000, 7), Mode::Ule);
         assert!(
             p.stats.corrected() > 0,
@@ -1147,8 +1138,7 @@ mod tests {
             "SECDED must absorb single upsets"
         );
 
-        let mut base = System::new(baseline_a());
-        base.set_soft_error_rate(rate, 77);
+        let mut base = seu_machine(baseline_a(), rate, 77);
         let b = base.run(Benchmark::AdpcmC.trace(50_000, 7), Mode::Ule);
         assert!(
             b.stats.silent_corruptions() > 0,
@@ -1162,8 +1152,7 @@ mod tests {
         // cycles, fill stalls included, and draws from one stream that
         // persists across runs: the second run continues where the
         // first one's draws left off. Exact figures of both runs.
-        let mut sys = System::new(proposal_a());
-        sys.set_soft_error_rate(2e-8, 77);
+        let mut sys = seu_machine(proposal_a(), 2e-8, 77);
         let runs = [
             (Benchmark::AdpcmC, 7, (8810, 0, 0, 73_138)),
             (Benchmark::EpicC, 8, (2527, 0, 0, 79_659)),
@@ -1182,8 +1171,7 @@ mod tests {
 
     #[test]
     fn zero_rate_means_no_injection() {
-        let mut sys = System::new(proposal_a());
-        sys.set_soft_error_rate(0.0, 1);
+        let mut sys = seu_machine(proposal_a(), 0.0, 1);
         let r = sys.run(Benchmark::EpicC.trace(20_000, 1), Mode::Ule);
         assert_eq!(r.stats.corrected(), 0);
         assert_eq!(r.stats.silent_corruptions(), 0);

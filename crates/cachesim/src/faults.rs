@@ -9,15 +9,7 @@
 //! a faulty bit is stuck at a random value.
 
 use crate::cache::{HybridCache, StuckBits, WordSlot};
-use crate::config::WaySpec;
-use hyvec_sram::FailureModel;
 use rand::Rng;
-
-/// Per-bit hard-failure probability of `spec`'s cell at `vdd`, from
-/// the failure model.
-pub fn pf_for_way(model: &FailureModel, spec: &WaySpec, vdd: f64) -> f64 {
-    model.pf(&spec.cell, vdd)
-}
 
 /// Samples a stuck-at fault map for the ULE-enabled ways of `cache`,
 /// with per-way bit-failure probabilities `pf_by_way` (indexed like
@@ -70,26 +62,12 @@ pub fn sample_faults<R: Rng>(cache: &mut HybridCache, pf_by_way: &[f64], rng: &m
     injected
 }
 
-/// Expected number of faulty bits for a way geometry and failure
-/// probability (for sanity checks and tests).
-pub fn expected_faulty_bits(
-    sets: u64,
-    words_per_line: u64,
-    word_bits: u64,
-    tag_bits: u64,
-    check_bits: u64,
-    pf: f64,
-) -> f64 {
-    let bits = sets * (words_per_line * (word_bits + check_bits) + tag_bits + check_bits);
-    bits as f64 * pf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, Mode, WaySpec};
     use hyvec_edc::Protection;
-    use hyvec_sram::CellKind;
+    use hyvec_sram::{CellKind, FailureModel};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -121,9 +99,8 @@ mod tests {
         pf[7] = 0.01;
         let n = sample_faults(&mut c, &pf, &mut rng);
         // ULE way: 32 sets x (8 words x 39 bits + 33 tag bits) = 11040
-        // bits; expect ~110 faults.
-        let expect = expected_faulty_bits(32, 8, 32, 26, 7, 0.01);
-        assert!((expect - 110.4).abs() < 0.1);
+        // bits at 1%: expect 110.4 faults.
+        let expect = 110.4;
         assert!(
             (n as f64) > expect * 0.6 && (n as f64) < expect * 1.4,
             "injected {n}, expected ~{expect}"
@@ -158,8 +135,8 @@ mod tests {
     fn pf_for_way_uses_cell_and_voltage() {
         let model = FailureModel::default();
         let ule8 = WaySpec::ule_way(CellKind::Sram8T, 1.0, Protection::None, Protection::Secded);
-        let high = pf_for_way(&model, &ule8, 1.0);
-        let low = pf_for_way(&model, &ule8, 0.35);
+        let high = model.pf(&ule8.cell, 1.0);
+        let low = model.pf(&ule8.cell, 0.35);
         assert!(low > high * 1e6, "NST must be far riskier");
     }
 

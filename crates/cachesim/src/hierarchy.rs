@@ -208,10 +208,11 @@ const INVALID_TAG: u64 = u64::MAX;
 /// energy but not to the demand access's latency.
 ///
 /// [`new`](L2Cache::new) builds the shared L2, which serves every
-/// [`MemoryLevel::access`]. [`private`](L2Cache::private) builds one
-/// L2 of the same [`L2Config`] geometry per core; requests enter
-/// through [`access_from`](L2Cache::access_from) with the issuing
-/// core's index. With a [`Mesi`] policy installed, the private L2s
+/// [`MemoryLevel::access`]. A private-L2
+/// [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi)
+/// machine holds one L2 of the same [`L2Config`] geometry per core,
+/// and each request enters with the issuing core's index. With a
+/// [`Mesi`] policy installed, the private L2s
 /// stay coherent by snooping: each miss and each write upgrade makes
 /// one pass over the set's lines of every peer, in core order. A write
 /// invalidates every peer copy (counted in
@@ -274,7 +275,12 @@ impl<N: MemoryLevel> L2Cache<N> {
     /// Panics if the configuration is invalid (see
     /// [`L2Config::validate`]) or `cores` is zero; the fallible path
     /// is [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi).
-    pub fn private(config: L2Config, cores: usize, coherence: Option<Mesi>, next: N) -> Self {
+    pub(crate) fn private(
+        config: L2Config,
+        cores: usize,
+        coherence: Option<Mesi>,
+        next: N,
+    ) -> Self {
         if let Err(e) = config.validate() {
             // hyvec-lint: allow(no-panic, "documented panicking constructor; SystemBuilder::build and build_multi validate L2 configs on the fallible path")
             panic!("invalid L2 config: {e}");
@@ -337,8 +343,9 @@ impl<N: MemoryLevel> L2Cache<N> {
         self.states[slot] = LineState::Invalid;
     }
 
-    /// One request from `core`'s L1s into its L2.
-    pub fn access_from(&mut self, core: usize, req: AccessRequest) -> AccessOutcome {
+    /// One request from `core`'s L1s into its L2 (`core` below the
+    /// core count).
+    pub(crate) fn access_from(&mut self, core: usize, req: AccessRequest) -> AccessOutcome {
         let (set, tag) = self.index(req.addr);
         let own = self.slots(set, core);
         self.lru_clock += 1;
@@ -472,8 +479,8 @@ impl<N: MemoryLevel> L2Cache<N> {
 
 impl<N: MemoryLevel> MemoryLevel for L2Cache<N> {
     /// Routed through core 0: the only core of a shared L2. The
-    /// multi-core engine calls [`access_from`](L2Cache::access_from)
-    /// with the real core on private L2s.
+    /// multi-core engine routes each request of private L2s through
+    /// its issuing core instead.
     fn access(&mut self, req: AccessRequest) -> AccessOutcome {
         self.access_from(0, req)
     }

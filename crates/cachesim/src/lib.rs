@@ -59,6 +59,8 @@ pub mod config;
 pub mod engine;
 pub mod faults;
 pub mod hierarchy;
+#[cfg(test)]
+mod interleave;
 pub mod multicore;
 pub mod power;
 pub mod stats;

@@ -16,12 +16,12 @@
 //!
 //! The canonical order is a round-robin interleaving of the N
 //! independent [`TraceSource`]s at instruction granularity: one
-//! instruction per core per round, core 0 first, the order of
-//! [`hyvec_mediabench::Interleave`]; cores whose trace ends drop out
-//! of the rotation. Each core keeps its own cycle count — cores
-//! execute concurrently, so per-core time is what IPC means here —
-//! while *contention* appears architecturally: the cores' miss
-//! streams interleave in the shared L2, evicting each other's lines.
+//! instruction per core per round, core 0 first; cores whose trace
+//! ends drop out of the rotation. Each core keeps its own cycle
+//! count — cores execute concurrently, so per-core time is what IPC
+//! means here — while *contention* appears architecturally: the
+//! cores' miss streams interleave in the shared L2, evicting each
+//! other's lines.
 //! Every run builds its chain fresh from the machine's recipe, and a
 //! run may price the same L1 pass against several chains of
 //! different widths (see [One front pass, many
@@ -764,7 +764,8 @@ mod tests {
     use super::*;
     use crate::config::{ConfigError, L2Config, MemoryConfig, Mesi, SystemConfig, Topology};
     use crate::engine::{step, System};
-    use hyvec_mediabench::{Benchmark, Interleave};
+    use crate::interleave::round_robin;
+    use hyvec_mediabench::{Benchmark, TraceEntry};
     use proptest::prelude::*;
 
     fn builder() -> crate::engine::SystemBuilder {
@@ -776,7 +777,7 @@ mod tests {
 
     /// The reference the one loop is pinned against: the canonical
     /// round-robin order followed instruction by instruction
-    /// ([`Interleave`]), each miss resolved on the spot ([`step`])
+    /// ([`round_robin`]), each miss resolved on the spot ([`step`])
     /// against every lane whose width takes the core in. Same start and
     /// reports as [`MultiCoreSystem::run_widths`].
     fn reference<T: TraceSource, const K: usize>(
@@ -790,7 +791,7 @@ mod tests {
         let mut rngs = sys.core_rngs();
         let mut front = vec![RunStats::default(); sys.cores()];
         let mut tallies = vec![[ChainTally::default(); K]; sys.cores()];
-        for (core, entry) in Interleave::new(sources) {
+        for (core, entry) in round_robin(sources) {
             let (il1, dl1) = &mut sys.fronts[core];
             let (local, _) = step(
                 il1,

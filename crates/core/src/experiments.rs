@@ -1,5 +1,10 @@
 //! Regeneration of every figure and table in the paper's evaluation
-//! (Sec. IV), plus the ablations called out in `DESIGN.md`.
+//! (Sec. IV), plus this reproduction's ablations.
+//!
+//! Each artifact is one row of [`ARTIFACTS`]: its name, its
+//! scenarios, its description, and the function that turns one of
+//! the free functions below into report tables. The registry and the
+//! `hyvec` CLI read everything else from that table.
 //!
 //! | Function | Paper artifact |
 //! |---|---|
@@ -43,6 +48,7 @@ use hyvec_cachesim::engine::{RunReport, SimOptions, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
 use hyvec_cachesim::hierarchy::{MainMemory, MemoryLevel};
 use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
+use hyvec_cachesim::HybridCache;
 use hyvec_edc::Protection;
 use hyvec_mediabench::Benchmark;
 use hyvec_sram::cell::{CellKind, SizedCell};
@@ -349,14 +355,19 @@ pub fn fig4_ule_epi(
 
 /// The sizing/yield table of Sec. III-C for both scenarios.
 pub fn methodology_table() -> Vec<UleWayDesign> {
-    Scenario::ALL
-        .iter()
-        .map(|&s| {
-            design_ule_way(s, &FailureModel::default(), &MethodologyInputs::default())
-                // hyvec-lint: allow(no-panic, "default inputs converge for both scenarios; pinned by tier-1 methodology tests")
-                .expect("default methodology converges")
-        })
-        .collect()
+    Scenario::ALL.map(default_design).to_vec()
+}
+
+/// `scenario`'s Sec. III-C design under the default failure model and
+/// methodology inputs.
+fn default_design(scenario: Scenario) -> UleWayDesign {
+    design_ule_way(
+        scenario,
+        &FailureModel::default(),
+        &MethodologyInputs::default(),
+    )
+    // hyvec-lint: allow(no-panic, "default inputs converge for both scenarios; pinned by tier-1 methodology tests")
+    .expect("default methodology converges")
 }
 
 // ---------------------------------------------------------------------
@@ -496,18 +507,9 @@ pub fn reliability(
     params: ExperimentParams,
     options: SimOptions,
 ) -> ReliabilityResult {
-    let design = design_ule_way(
-        scenario,
-        &FailureModel::default(),
-        &MethodologyInputs::default(),
-    )
-    // hyvec-lint: allow(no-panic, "default inputs converge for both scenarios; pinned by tier-1 methodology tests")
-    .expect("methodology");
+    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
+    let design = proposal.design;
     let inputs = MethodologyInputs::default();
-
-    // Analytic yields (as in the methodology).
-    let analytic_baseline = design.yield_baseline;
-    let analytic_proposal = design.yield_proposal;
 
     // Monte-Carlo: sample fault maps of the proposal ULE way and
     // check the per-word fault budget.
@@ -546,54 +548,73 @@ pub fn reliability(
     // faults land in live words while staying within the one-per-word
     // budget with high probability.
     let pf_demo = design.pf_8t.max(1.5e-3);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let mut pf = vec![0.0f64; proposal.config.dl1.ways.len()];
-    if let Some(ule_idx) = proposal.config.dl1.ways.iter().position(|w| w.ule_enabled) {
-        pf[ule_idx] = pf_demo;
-    }
-    let mut prop_sys = machine(&proposal.config, options);
-    let mut rng2 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
-    sample_faults(prop_sys.dl1_mut(), &pf, &mut rng2);
-    sample_faults(prop_sys.il1_mut(), &pf, &mut rng2);
-    let mut proposal_silent = 0;
-    let mut proposal_corrected = 0;
-    for b in Benchmark::SMALL {
-        let r = prop_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        proposal_silent += r.stats.silent_corruptions();
-        proposal_corrected += r.stats.corrected();
-    }
-
-    // Strawman: identical 8T sizing and fault rate, but no EDC.
-    let mut strawman_cfg = proposal.config.clone();
-    for way in strawman_cfg
-        .il1
-        .ways
-        .iter_mut()
-        .chain(strawman_cfg.dl1.ways.iter_mut())
-    {
+    let fault_seed = params.seed ^ 0xD1E5_A171;
+    let faulty = |config: &SystemConfig| {
+        let machine = System::builder().config(config.clone());
+        faulty_small_bench(machine, pf_demo, fault_seed, params, options)
+    };
+    let proposal_run = faulty(&proposal.config);
+    // Strawman: identical 8T sizing and fault map, but no EDC.
+    let mut strawman = proposal.config.clone();
+    for way in strawman.il1.ways.iter_mut().chain(&mut strawman.dl1.ways) {
         way.protection_hp = Protection::None;
         way.protection_ule = Protection::None;
-    }
-    let mut straw_sys = machine(&strawman_cfg, options);
-    let mut rng3 = SmallRng::seed_from_u64(params.seed ^ 0xD1E5_A171);
-    sample_faults(straw_sys.dl1_mut(), &pf, &mut rng3);
-    sample_faults(straw_sys.il1_mut(), &pf, &mut rng3);
-    let mut strawman_silent = 0;
-    for b in Benchmark::SMALL {
-        let r = straw_sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-        strawman_silent += r.stats.silent_corruptions();
     }
 
     ReliabilityResult {
         scenario,
-        analytic_baseline,
-        analytic_proposal,
+        analytic_baseline: design.yield_baseline,
+        analytic_proposal: design.yield_proposal,
         mc_proposal: f64::from(good) / f64::from(dies),
         dies,
-        proposal_silent,
-        proposal_corrected,
-        strawman_silent,
+        proposal_silent: proposal_run.silent,
+        proposal_corrected: proposal_run.corrected,
+        strawman_silent: faulty(&strawman).silent,
     }
+}
+
+/// Error counts of one faulty machine, summed over SmallBench.
+#[derive(Default)]
+struct FaultyRun {
+    corrected: u64,
+    detected: u64,
+    silent: u64,
+}
+
+/// Runs SmallBench at ULE on `machine`, built under `options`, with
+/// stuck-at faults at `pf` in each L1's ULE ways, sampled into the DL1
+/// and then the IL1 from one RNG seeded with `fault_seed`.
+fn faulty_small_bench(
+    machine: SystemBuilder,
+    pf: f64,
+    fault_seed: u64,
+    params: ExperimentParams,
+    options: SimOptions,
+) -> FaultyRun {
+    let mut system = machine
+        .options(options)
+        .build()
+        // hyvec-lint: allow(no-panic, "pinned architectures and a finite positive SEU rate; exercised by every run-all")
+        .expect("valid faulty machine");
+    // `sample_faults` skips the HP ways, so one rate per way puts
+    // faults in the ULE ways alone.
+    let mut rng = SmallRng::seed_from_u64(fault_seed);
+    let mut sample = |cache: &mut HybridCache| {
+        let pf_by_way = vec![pf; cache.config().ways.len()];
+        sample_faults(cache, &pf_by_way, &mut rng);
+    };
+    sample(system.dl1_mut());
+    sample(system.il1_mut());
+    let mut run = FaultyRun::default();
+    for b in Benchmark::SMALL {
+        let stats = system
+            .run(b.trace(params.instructions, params.seed), Mode::Ule)
+            .stats;
+        run.corrected += stats.corrected();
+        run.detected += stats.detected();
+        run.silent += stats.silent_corruptions();
+    }
+    run
 }
 
 // ---------------------------------------------------------------------
@@ -722,45 +743,27 @@ pub fn soft_error_study(
     options: SimOptions,
 ) -> SoftErrorResult {
     let proposal = Architecture::build_pinned(Scenario::B, DesignPoint::Proposal);
-    let design = proposal.design;
-
+    // Hard faults at a rate that guarantees several faulty bits.
+    let pf = proposal.design.pf_8t.max(2e-3);
     let run = |prot: Protection| {
-        let mut cfg = proposal.config.clone();
-        for way in cfg.il1.ways.iter_mut().chain(cfg.dl1.ways.iter_mut()) {
+        let mut config = proposal.config.clone();
+        for way in config.il1.ways.iter_mut().chain(&mut config.dl1.ways) {
             if way.ule_enabled {
                 way.protection_ule = prot;
             }
         }
-        let mut sys = machine(&cfg, options);
-        // Hard faults at a rate that guarantees several faulty bits.
-        let mut pf = vec![0.0f64; cfg.dl1.ways.len()];
-        if let Some(i) = cfg.dl1.ways.iter().position(|w| w.ule_enabled) {
-            pf[i] = design.pf_8t.max(2e-3);
-        }
-        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x050F_7E44);
-        sample_faults(sys.dl1_mut(), &pf, &mut rng);
-        sample_faults(sys.il1_mut(), &pf, &mut rng);
-        sys.set_soft_error_rate(seu_rate, params.seed ^ 0xABCD);
-        let mut corrected = 0;
-        let mut detected = 0;
-        let mut silent = 0;
-        for b in Benchmark::SMALL {
-            let r = sys.run(b.trace(params.instructions, params.seed), Mode::Ule);
-            corrected += r.stats.corrected();
-            detected += r.stats.detected();
-            silent += r.stats.silent_corruptions();
-        }
-        (corrected, detected, silent)
+        let machine = System::builder()
+            .config(config)
+            .seu(seu_rate, params.seed ^ 0xABCD);
+        faulty_small_bench(machine, pf, params.seed ^ 0x050F_7E44, params, options)
     };
-
-    let (secded_corrected, secded_detected, s1) = run(Protection::Secded);
-    let (dected_corrected, dected_detected, s2) = run(Protection::Dected);
+    let (secded, dected) = (run(Protection::Secded), run(Protection::Dected));
     SoftErrorResult {
-        secded_corrected,
-        secded_detected,
-        dected_corrected,
-        dected_detected,
-        silent: s1 + s2,
+        secded_corrected: secded.corrected,
+        secded_detected: secded.detected,
+        dected_corrected: dected.corrected,
+        dected_detected: dected.detected,
+        silent: secded.silent + dected.silent,
     }
 }
 
@@ -1292,30 +1295,30 @@ pub fn ablation_granularity() -> Vec<GranularityRow> {
 }
 
 // ---------------------------------------------------------------------
-// The Experiment trait: every artifact as a typed-report producer
+// The Experiment trait and the table of artifacts
 // ---------------------------------------------------------------------
 
-use crate::report::{Cell, Column, Report, Section, Table};
+use crate::report::{Cell, Column, Table};
 
 /// Monte-Carlo dies sampled by the reliability experiment. One
 /// setting for every entry point (sweep, `hyvec reliability`, the
-/// standalone binary), so the section stays byte-stable across them;
-/// call [`reliability`] directly for a tighter custom estimate.
+/// daemon), so the section stays byte-stable across them; call
+/// [`reliability`] directly for a tighter custom estimate.
 pub const RELIABILITY_DIES: u32 = 100;
 
 /// Accelerated soft-error rate used by the sweep's soft-error job.
 pub const SOFT_ERROR_RATE: f64 = 3e-8;
 
-/// One artifact × scenario cell of the paper's evaluation matrix,
-/// behind a uniform interface: a stable id and a run method that
-/// returns a typed [`Report`].
+/// One artifact × scenario cell of an evaluation matrix, behind a
+/// uniform interface: a stable id and a run method that computes the
+/// cell's report tables.
 ///
-/// Implementations wrap the free experiment functions of this module
-/// ([`fig3_hp_epi`], [`reliability`], ...) and convert their bespoke
-/// result structs into report tables; the sweep engine
-/// ([`crate::sweep`]) only ever sees this trait, so new artifacts
-/// plug in by registering an implementation
-/// ([`crate::registry::Registry`]) — no closed enum to extend.
+/// [`Registry::standard`](crate::registry::Registry::standard) holds
+/// one per cell of [`ARTIFACTS`]; a custom experiment implements this
+/// trait and registers beside them. The sweep engine
+/// ([`crate::sweep`]) only ever sees this trait: it derives each
+/// job's seed from the id, and files the returned tables under a
+/// section labelled with that id and seed.
 pub trait Experiment: Send + Sync {
     /// Stable `"artifact/scenario"` identifier (e.g. `"fig3/A"`).
     /// Doubles as the seed-derivation key ([`crate::seed`]): renaming
@@ -1331,23 +1334,15 @@ pub trait Experiment: Send + Sync {
         ""
     }
 
-    /// Runs the experiment with `rng_seed` as its private trace/RNG
-    /// seed (`params.seed` is the sweep's *base* seed and is recorded
-    /// in the returned report, not consumed). Returns a report with
-    /// one section labeled [`Experiment::id`].
+    /// Computes the experiment's tables with `params.seed` as its
+    /// private trace/RNG seed (the sweep derives it from its base
+    /// seed and [`Experiment::id`]).
     ///
     /// Every machine the experiment assembles must be built under
     /// `options` ([`SystemBuilder::options`]). They change wall time
-    /// only, so the report must come out byte-identical under any
+    /// only, so the tables must come out byte-identical under any
     /// options.
-    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report;
-}
-
-/// Builds the single-section report every experiment returns.
-fn single_section(id: &str, params: ExperimentParams, rng_seed: u64, tables: Vec<Table>) -> Report {
-    let mut section = Section::new(id, rng_seed);
-    section.extend(tables);
-    Report::single(params.instructions, params.seed, section)
+    fn run(&self, params: ExperimentParams, options: SimOptions) -> Vec<Table>;
 }
 
 /// The normalized-EPI breakdown matrix of Figures 3 and 4, columns
@@ -1819,208 +1814,122 @@ fn workloads_table(rows: &[WorkloadZooRow]) -> Table {
     t
 }
 
-/// Declares a scenario-parameterized experiment wrapper struct.
-macro_rules! scenario_experiment {
-    ($(#[$meta:meta])* $name:ident, $artifact:literal, $desc:literal, |$self_:ident, $p:ident, $o:ident| $body:expr) => {
-        $(#[$meta])*
-        #[derive(Debug)]
-        pub struct $name {
-            scenario: Scenario,
-            id: String,
-        }
-
-        impl $name {
-            /// The experiment for `scenario`.
-            pub fn new(scenario: Scenario) -> Self {
-                Self {
-                    scenario,
-                    id: format!(concat!($artifact, "/{}"), scenario),
-                }
-            }
-
-            /// The scenario this instance evaluates.
-            pub fn scenario(&self) -> Scenario {
-                self.scenario
-            }
-        }
-
-        impl Experiment for $name {
-            fn id(&self) -> &str {
-                &self.id
-            }
-
-            fn description(&self) -> &str {
-                $desc
-            }
-
-            fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
-                let $self_ = self;
-                let $p = params.with_seed(rng_seed);
-                let $o = options;
-                single_section(&self.id, params, rng_seed, $body)
-            }
-        }
-    };
-}
-
-scenario_experiment!(
-    /// Sec. III-C sizing/yield methodology as an [`Experiment`].
-    MethodologyExperiment,
-    "methodology",
-    "Sec. III-C sizing/yield methodology table (iterative ULE-way design loop)",
-    |e, _p, _o| {
-        let d = design_ule_way(
-            e.scenario,
-            &FailureModel::default(),
-            &MethodologyInputs::default(),
-        )
-        // hyvec-lint: allow(no-panic, "default inputs converge for both scenarios; pinned by tier-1 methodology tests")
-        .expect("default methodology converges");
-        methodology_tables(&d)
-    }
-);
-
-scenario_experiment!(
-    /// Figure 3 (HP-mode EPI) as an [`Experiment`].
-    Fig3Experiment,
-    "fig3",
-    "Figure 3: HP-mode EPI breakdowns, baseline vs proposal (BigBench)",
-    |e, p, o| fig3_hp_epi(e.scenario, p, o).tables()
-);
-
-scenario_experiment!(
-    /// Figure 4 (ULE-mode EPI breakdowns) as an [`Experiment`].
-    Fig4Experiment,
-    "fig4",
-    "Figure 4: ULE-mode EPI breakdowns, baseline vs proposal (SmallBench)",
-    |e, p, o| fig4_ule_epi(e.scenario, p, o).tables()
-);
-
-scenario_experiment!(
-    /// Sec. IV-B.2 execution-time overhead as an [`Experiment`].
-    PerformanceExperiment,
-    "performance",
-    "Sec. IV-B.2 ULE execution-time overhead vs the baseline",
-    |e, p, o| performance_tables(&ule_performance(e.scenario, p, o))
-);
-
-scenario_experiment!(
-    /// The L1 area comparison as an [`Experiment`].
-    AreaExperiment,
-    "area",
-    "L1 area comparison across cell mixes and EDC check bits",
-    |e, _p, _o| area_comparison(e.scenario).tables()
-);
-
-scenario_experiment!(
-    /// Yields + fault injection as an [`Experiment`].
-    ReliabilityExperiment,
-    "reliability",
-    "Way yields plus seeded fault-injection outcomes over simulated dies",
-    |e, p, o| reliability(e.scenario, RELIABILITY_DIES, p, o).tables()
-);
-
-scenario_experiment!(
-    /// The 7+1 vs 6+2 way-split ablation as an [`Experiment`].
-    AblationWaysExperiment,
-    "ablation-ways",
-    "Ablation: 7+1 vs 6+2 way split between cell types",
-    |e, p, o| vec![ways_table(&ablation_ways(e.scenario, p, o))]
-);
-
-scenario_experiment!(
-    /// The memory-latency ablation as an [`Experiment`].
-    AblationMemoryLatencyExperiment,
-    "ablation-memlat",
-    "Ablation: main-memory latency sensitivity of the EPI saving",
-    |e, p, o| vec![memlat_table(&ablation_memory_latency(e.scenario, p, o))]
-);
-
-scenario_experiment!(
-    /// The ULE-voltage ablation as an [`Experiment`].
-    AblationVoltageExperiment,
-    "ablation-voltage",
-    "Ablation: ULE supply-voltage sweep of energy and reliability",
-    |e, p, o| vec![voltage_table(&ablation_voltage(e.scenario, p, o))]
-);
-
-scenario_experiment!(
-    /// The L2 size/latency ablation (EPI + stall breakdown over the
-    /// composable memory hierarchy) as an [`Experiment`].
-    AblationL2Experiment,
-    "ablation-l2",
-    "Ablation: none/16/64/256KB L2 sizes behind the hybrid L1 (EPI, stalls, traffic)",
-    |e, p, o| l2_tables(&ablation_l2(e.scenario, p, o))
-);
-
-scenario_experiment!(
-    /// The core-count ablation (1..64 cores behind a fixed shared L2:
-    /// EPI, per-core IPC, L2 hit ratio and contention-induced memory
-    /// traffic — plus the private-L2 MESI topology scenario with its
-    /// coherence-traffic counters) as an [`Experiment`].
-    AblationCoresExperiment,
-    "ablation-cores",
-    "Ablation: 1-64 cores over a shared L2 plus private MESI L2s (EPI, IPC, coherence traffic)",
-    |e, p, o| {
-        let mut tables = cores_tables(&ablation_cores(e.scenario, p, o));
-        tables.push(cores_mesi_table(&ablation_cores_mesi(e.scenario, p, o)));
-        tables
-    }
-);
-
-scenario_experiment!(
-    /// The workload-zoo ablation (zipfian lookups, pointer chasing,
-    /// stencil streaming, bursty web arrivals — every trace replayed
-    /// through the binary streaming encoder) as an [`Experiment`].
-    AblationWorkloadsExperiment,
-    "ablation-workloads",
-    "Ablation: workload zoo (zipf/ptrchase/stencil/webburst) replayed via the binary trace stream",
-    |e, p, o| vec![workloads_table(&ablation_workloads(e.scenario, p, o))]
-);
-
-/// Hard faults + soft errors (DECTED vs SECDED, scenario B) as an
-/// [`Experiment`].
+/// One artifact of the standard evaluation matrix: a row of
+/// [`ARTIFACTS`].
 #[derive(Debug)]
-pub struct SoftErrorExperiment;
-
-impl Experiment for SoftErrorExperiment {
-    fn id(&self) -> &str {
-        "soft-errors/B"
-    }
-
-    fn description(&self) -> &str {
-        "Hard faults plus accelerated soft errors: DECTED vs SECDED (scenario B)"
-    }
-
-    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
-        let r = soft_error_study(params.with_seed(rng_seed), SOFT_ERROR_RATE, options);
-        single_section(self.id(), params, rng_seed, r.tables())
-    }
+pub struct Artifact {
+    /// The artifact family: the part of each experiment id before the
+    /// `/`, and the `hyvec` command that runs it, unless it is an
+    /// `ablation-*` (`hyvec ablations` runs those).
+    pub name: &'static str,
+    /// The scenarios the artifact is evaluated for, one experiment
+    /// (`"name/scenario"`) each, in report order.
+    pub scenarios: &'static [Scenario],
+    /// The one-line description of each of its experiments
+    /// ([`Experiment::description`]).
+    pub description: &'static str,
+    /// Computes one scenario's tables ([`Experiment::run`]).
+    pub run: fn(Scenario, ExperimentParams, SimOptions) -> Vec<Table>,
 }
 
-/// The protection-granularity ablation (scenario A) as an
-/// [`Experiment`].
-#[derive(Debug)]
-pub struct AblationGranularityExperiment;
-
-impl Experiment for AblationGranularityExperiment {
-    fn id(&self) -> &str {
-        "ablation-granularity/A"
-    }
-
-    fn description(&self) -> &str {
-        "Ablation: EDC protection granularity (word width vs storage overhead)"
-    }
-
-    fn run(&self, params: ExperimentParams, rng_seed: u64, _options: SimOptions) -> Report {
-        single_section(
-            self.id(),
-            params,
-            rng_seed,
-            vec![granularity_table(&ablation_granularity())],
-        )
-    }
-}
+/// The standard evaluation matrix, one row per artifact in report
+/// order: the paper's artifacts, then this reproduction's ablations.
+/// [`Registry::standard`](crate::registry::Registry::standard)
+/// registers an experiment for each artifact and scenario (26 in
+/// all), and the `hyvec` CLI derives its experiment commands from the
+/// names, so adding an artifact is adding a row.
+pub static ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        name: "methodology",
+        scenarios: &Scenario::ALL,
+        description: "Sec. III-C sizing/yield methodology table (iterative ULE-way design loop)",
+        run: |s, _, _| methodology_tables(&default_design(s)),
+    },
+    Artifact {
+        name: "fig3",
+        scenarios: &Scenario::ALL,
+        description: "Figure 3: HP-mode EPI breakdowns, baseline vs proposal (BigBench)",
+        run: |s, p, o| fig3_hp_epi(s, p, o).tables(),
+    },
+    Artifact {
+        name: "fig4",
+        scenarios: &Scenario::ALL,
+        description: "Figure 4: ULE-mode EPI breakdowns, baseline vs proposal (SmallBench)",
+        run: |s, p, o| fig4_ule_epi(s, p, o).tables(),
+    },
+    Artifact {
+        name: "performance",
+        scenarios: &Scenario::ALL,
+        description: "Sec. IV-B.2 ULE execution-time overhead vs the baseline",
+        run: |s, p, o| performance_tables(&ule_performance(s, p, o)),
+    },
+    Artifact {
+        name: "area",
+        scenarios: &Scenario::ALL,
+        description: "L1 area comparison across cell mixes and EDC check bits",
+        run: |s, _, _| area_comparison(s).tables(),
+    },
+    Artifact {
+        name: "reliability",
+        scenarios: &Scenario::ALL,
+        description: "Way yields plus seeded fault-injection outcomes over simulated dies",
+        run: |s, p, o| reliability(s, RELIABILITY_DIES, p, o).tables(),
+    },
+    Artifact {
+        name: "soft-errors",
+        scenarios: &[Scenario::B],
+        description: "Hard faults plus accelerated soft errors: DECTED vs SECDED (scenario B)",
+        run: |_, p, o| soft_error_study(p, SOFT_ERROR_RATE, o).tables(),
+    },
+    Artifact {
+        name: "ablation-ways",
+        scenarios: &Scenario::ALL,
+        description: "Ablation: 7+1 vs 6+2 way split between cell types",
+        run: |s, p, o| vec![ways_table(&ablation_ways(s, p, o))],
+    },
+    Artifact {
+        name: "ablation-memlat",
+        scenarios: &Scenario::ALL,
+        description: "Ablation: main-memory latency sensitivity of the EPI saving",
+        run: |s, p, o| vec![memlat_table(&ablation_memory_latency(s, p, o))],
+    },
+    Artifact {
+        name: "ablation-voltage",
+        scenarios: &Scenario::ALL,
+        description: "Ablation: ULE supply-voltage sweep of energy and reliability",
+        run: |s, p, o| vec![voltage_table(&ablation_voltage(s, p, o))],
+    },
+    Artifact {
+        name: "ablation-l2",
+        scenarios: &Scenario::ALL,
+        description:
+            "Ablation: none/16/64/256KB L2 sizes behind the hybrid L1 (EPI, stalls, traffic)",
+        run: |s, p, o| l2_tables(&ablation_l2(s, p, o)),
+    },
+    Artifact {
+        name: "ablation-cores",
+        scenarios: &Scenario::ALL,
+        description:
+            "Ablation: 1-64 cores over a shared L2 plus private MESI L2s (EPI, IPC, coherence traffic)",
+        run: |s, p, o| {
+            let mut tables = cores_tables(&ablation_cores(s, p, o));
+            tables.push(cores_mesi_table(&ablation_cores_mesi(s, p, o)));
+            tables
+        },
+    },
+    Artifact {
+        name: "ablation-workloads",
+        scenarios: &Scenario::ALL,
+        description: "Ablation: workload zoo (zipf/ptrchase/stencil/webburst) replayed via the binary trace stream",
+        run: |s, p, o| vec![workloads_table(&ablation_workloads(s, p, o))],
+    },
+    Artifact {
+        name: "ablation-granularity",
+        scenarios: &[Scenario::A],
+        description: "Ablation: EDC protection granularity (word width vs storage overhead)",
+        run: |_, _, _| vec![granularity_table(&ablation_granularity())],
+    },
+];
 
 #[cfg(test)]
 mod tests {

@@ -24,10 +24,14 @@
 //! * [`architecture::Architecture`] — turns a scenario + design point
 //!   into a simulatable [`hyvec_cachesim::SystemConfig`];
 //! * [`experiments`] — regenerates every figure and table of the
-//!   paper's evaluation (see `DESIGN.md` for the experiment index),
-//!   each behind the [`experiments::Experiment`] trait;
-//! * [`registry`] + [`sweep`] — the open experiment registry and the
-//!   parallel sweep runner that enumerates jobs from it;
+//!   paper's evaluation, plus this reproduction's ablations. The table
+//!   [`experiments::ARTIFACTS`] holds one row per artifact: its name,
+//!   scenarios, description, and the function that computes its
+//!   report tables;
+//! * [`registry`] + [`sweep`] — the open experiment registry (one
+//!   [`experiments::Experiment`] per artifact × scenario cell of the
+//!   table, plus any custom ones) and the parallel sweep runner that
+//!   enumerates jobs from it;
 //! * [`report`] + [`render`] — the typed result documents every
 //!   experiment produces, and the text/JSON/CSV backends.
 //!

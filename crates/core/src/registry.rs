@@ -3,21 +3,19 @@
 //!
 //! A [`Registry`] owns a list of [`Experiment`] implementations in
 //! canonical report order. The sweep engine ([`crate::sweep`])
-//! enumerates jobs from whatever is registered, so adding an artifact
-//! to the evaluation is one [`Registry::register`] call — no enum to
-//! extend, no executor match arm, no renderer change.
+//! enumerates jobs from whatever is registered, so a custom
+//! experiment joins the evaluation with one [`Registry::register`]
+//! call — no enum to extend, no executor match arm, no renderer
+//! change.
 //!
-//! [`Registry::standard`] registers the paper's full evaluation
-//! matrix plus this reproduction's own ablations (every artifact ×
-//! scenario cell, 26 experiments).
+//! [`Registry::standard`] registers one experiment per artifact ×
+//! scenario cell of [`ARTIFACTS`]: the paper's full evaluation matrix
+//! plus this reproduction's own ablations, 26 experiments.
 
 use crate::architecture::Scenario;
-use crate::experiments::{
-    AblationCoresExperiment, AblationGranularityExperiment, AblationL2Experiment,
-    AblationMemoryLatencyExperiment, AblationVoltageExperiment, AblationWaysExperiment,
-    AblationWorkloadsExperiment, AreaExperiment, Experiment, Fig3Experiment, Fig4Experiment,
-    MethodologyExperiment, PerformanceExperiment, ReliabilityExperiment, SoftErrorExperiment,
-};
+use crate::experiments::{Artifact, Experiment, ExperimentParams, ARTIFACTS};
+use crate::report::Table;
+use hyvec_cachesim::engine::SimOptions;
 
 /// An ordered collection of registered experiments.
 #[derive(Default)]
@@ -33,6 +31,28 @@ impl std::fmt::Debug for Registry {
     }
 }
 
+/// One cell of [`ARTIFACTS`]: an artifact evaluated for one scenario.
+#[derive(Debug)]
+struct MatrixCell {
+    artifact: &'static Artifact,
+    scenario: Scenario,
+    id: String,
+}
+
+impl Experiment for MatrixCell {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn description(&self) -> &str {
+        self.artifact.description
+    }
+
+    fn run(&self, params: ExperimentParams, options: SimOptions) -> Vec<Table> {
+        (self.artifact.run)(self.scenario, params, options)
+    }
+}
+
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
@@ -41,49 +61,20 @@ impl Registry {
         }
     }
 
-    /// The paper's full evaluation matrix in canonical report order
-    /// (per-scenario artifacts enumerate scenarios in
-    /// [`Scenario::ALL`] order).
+    /// The standard evaluation matrix in canonical report order: each
+    /// row of [`ARTIFACTS`] in turn, one experiment per scenario of
+    /// the row.
     pub fn standard() -> Registry {
         let mut r = Registry::new();
-        for s in Scenario::ALL {
-            r.register(Box::new(MethodologyExperiment::new(s)));
+        for artifact in ARTIFACTS {
+            for &scenario in artifact.scenarios {
+                r.register(Box::new(MatrixCell {
+                    artifact,
+                    scenario,
+                    id: format!("{}/{scenario}", artifact.name),
+                }));
+            }
         }
-        for s in Scenario::ALL {
-            r.register(Box::new(Fig3Experiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(Fig4Experiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(PerformanceExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AreaExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(ReliabilityExperiment::new(s)));
-        }
-        r.register(Box::new(SoftErrorExperiment));
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationWaysExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationMemoryLatencyExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationVoltageExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationL2Experiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationCoresExperiment::new(s)));
-        }
-        for s in Scenario::ALL {
-            r.register(Box::new(AblationWorkloadsExperiment::new(s)));
-        }
-        r.register(Box::new(AblationGranularityExperiment));
         r
     }
 
@@ -170,9 +161,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ExperimentParams;
-    use crate::report::Report;
-    use hyvec_cachesim::engine::SimOptions;
 
     #[test]
     fn standard_registry_covers_the_matrix() {
@@ -200,6 +188,16 @@ mod tests {
         assert!(r.get("soft-errors/B").is_some());
         assert!(r.get("ablation-granularity/A").is_some());
         assert!(r.get("fig5/A").is_none());
+    }
+
+    #[test]
+    fn standard_index_is_pinned() {
+        // Ids, their order and their descriptions: what `hyvec list
+        // --format json` prints and `GET /experiments` serves. Any
+        // change to the table of artifacts that moves these bytes
+        // must be deliberate.
+        let json = Registry::standard().index_json();
+        assert_eq!(crate::seed::fnv1a(&json), 0xFAE4_DD7A_B7DA_0F8E, "{json}");
     }
 
     #[test]
@@ -242,37 +240,36 @@ mod tests {
         assert_eq!(ids.len(), 26, "duplicate experiment ids");
     }
 
+    /// A custom experiment: one empty table.
+    struct Custom;
+
+    impl Experiment for Custom {
+        fn id(&self) -> &str {
+            "custom/A"
+        }
+
+        fn run(&self, params: ExperimentParams, _: SimOptions) -> Vec<Table> {
+            vec![Table::new(format!("seed-{}", params.seed))]
+        }
+    }
+
     #[test]
     #[should_panic(expected = "duplicate experiment id")]
     fn duplicate_registration_is_rejected() {
         let mut r = Registry::new();
-        r.register(Box::new(SoftErrorExperiment));
-        r.register(Box::new(SoftErrorExperiment));
+        r.register(Box::new(Custom));
+        r.register(Box::new(Custom));
     }
 
     #[test]
     fn registry_is_open_for_extension() {
-        struct Custom;
-        impl Experiment for Custom {
-            fn id(&self) -> &str {
-                "custom/A"
-            }
-            fn run(&self, params: ExperimentParams, rng_seed: u64, _: SimOptions) -> Report {
-                Report::single(
-                    params.instructions,
-                    params.seed,
-                    crate::report::Section::new(self.id(), rng_seed),
-                )
-            }
-        }
-        let mut r = Registry::new();
+        let mut r = Registry::standard();
         r.register(Box::new(Custom));
-        assert_eq!(r.ids(), vec!["custom/A"]);
-        let report =
-            r.get("custom/A")
-                .unwrap()
-                .run(ExperimentParams::default(), 9, SimOptions::default());
-        assert_eq!(report.sections[0].label, "custom/A");
-        assert_eq!(report.sections[0].seed, 9);
+        assert_eq!(r.ids().last(), Some(&"custom/A"));
+        let tables = r.get("custom/A").unwrap().run(
+            ExperimentParams::default().with_seed(9),
+            SimOptions::default(),
+        );
+        assert_eq!(tables[0].id, "seed-9");
     }
 }

@@ -280,7 +280,7 @@ impl Render for CsvRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Column;
+    use crate::report::{Column, SWEEP_TITLE};
 
     fn sample_report() -> Report {
         let mut section = Section::new("fig3/A", 7);
@@ -291,7 +291,9 @@ mod tests {
         t.push_row(vec![Cell::str("baseline"), Cell::float(1.0, 3)]);
         t.push_row(vec![Cell::str("proposal"), Cell::float(0.86, 3)]);
         section.push(t);
-        Report::single(1000, 1, section)
+        let mut report = Report::new(SWEEP_TITLE, 1000, 1);
+        report.sections.push(section);
+        report
     }
 
     #[test]

@@ -391,17 +391,6 @@ impl Report {
         }
     }
 
-    /// A sweep-titled report holding one section (what a single
-    /// [`crate::experiments::Experiment`] run returns).
-    pub fn single(instructions: u64, base_seed: u64, section: Section) -> Report {
-        Report {
-            title: SWEEP_TITLE.to_string(),
-            instructions,
-            base_seed,
-            sections: vec![section],
-        }
-    }
-
     /// Renders the report as human-readable aligned text (the
     /// historical `hyvec run-all` format). Shorthand for the text
     /// backend of [`crate::render`].

@@ -13,7 +13,9 @@
 //! # Determinism
 //!
 //! Each job owns a private RNG seed derived from the sweep's base seed
-//! and the job's stable id via [`crate::seed::derive_seed`]. Seeds
+//! and the job's stable id via [`crate::seed::derive_seed`]; the job
+//! runs with it as `params.seed`, and the sweep files the tables it
+//! returns under a [`Section`] labelled with that id and seed. Seeds
 //! therefore do not depend on worker count, scheduling order, or the
 //! position of a job in the matrix — two sweeps with the same base
 //! seed produce byte-identical reports in every output format, and a
@@ -339,20 +341,21 @@ impl SweepBuilder {
         // `par_map` returns results in input order, so the job array
         // (like the report sections) is in canonical registry order no
         // matter how the workers interleaved.
-        let results: Vec<(Vec<Section>, JobTiming)> =
+        let results: Vec<(Section, JobTiming)> =
             par_map(&selected, self.jobs, |&(experiment, seed)| {
                 let start = Instant::now();
-                let report = experiment.run(self.params, seed, self.options);
+                let mut section = Section::new(experiment.id(), seed);
+                section.extend(experiment.run(self.params.with_seed(seed), self.options));
                 let timing = JobTiming {
                     label: experiment.id().to_string(),
                     wall_nanos: start.elapsed().as_nanos(),
                 };
-                (report.sections, timing)
+                (section, timing)
             });
         let mut report = Report::new(SWEEP_TITLE, self.params.instructions, self.params.seed);
         let mut timings = Vec::with_capacity(results.len());
-        for (sections, timing) in results {
-            report.sections.extend(sections);
+        for (section, timing) in results {
+            report.sections.push(section);
             timings.push(timing);
         }
         SweepOutcome {

@@ -44,9 +44,8 @@
 //! [`BinaryReplay::peak_resident_entries`] is the accounting hook the
 //! constant-memory tests assert against. `BinaryReplay` implements
 //! `Iterator` (and therefore [`TraceSource`](crate::TraceSource) via
-//! the blanket impl), so it plugs into `System::run`,
-//! `MultiCoreSystem`, and [`crate::Interleave`] like any other
-//! source; a decode error mid-stream ends iteration and parks the
+//! the blanket impl), so it plugs into `System::run` and
+//! `MultiCoreSystem` like any other source; a decode error mid-stream ends iteration and parks the
 //! error in [`BinaryReplay::error`] for the caller to check after the
 //! run.
 //!

@@ -44,9 +44,7 @@ pub mod trace;
 pub mod zoo;
 
 pub use binfmt::{BinaryReplay, BinfmtError, EncodeStats, TraceSummary, TraceWriter};
-pub use interleave::{
-    multiprogram_sources, per_core_seed, rebased, Interleave, Rebased, CORE_ADDRESS_STRIDE,
-};
+pub use interleave::{multiprogram_sources, per_core_seed, rebased, Rebased, CORE_ADDRESS_STRIDE};
 pub use replay::{Replay, ReplayError};
 pub use spec::{BenchClass, Pattern, Region, WorkloadSpec};
 pub use trace::{DataAccess, Trace, TraceEntry, TraceSource};

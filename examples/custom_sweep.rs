@@ -15,13 +15,16 @@ use hyvec_cachesim::{Mode, SimOptions, System};
 use hyvec_core::experiments::{Experiment, ExperimentParams};
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{render, Format};
-use hyvec_core::report::{Cell, Column, Report, Section, Table};
+use hyvec_core::report::{Cell, Column, Table};
 use hyvec_core::{Architecture, DesignPoint, Scenario};
 use hyvec_mediabench::Benchmark;
 
 /// A workload the paper never ran: mpeg2 decode at ULE mode, reported
 /// as cache hit ratios. Registering it puts it in the same sweep,
-/// seed-derivation and rendering pipeline as the paper's artifacts.
+/// seed-derivation and rendering pipeline as the paper's artifacts:
+/// `run` receives the job's derived seed as `params.seed` and returns
+/// its tables, which the sweep files under a section labelled with
+/// the id and that seed.
 struct UleHitRatios;
 
 impl Experiment for UleHitRatios {
@@ -29,7 +32,7 @@ impl Experiment for UleHitRatios {
         "ule-hit-ratios/A"
     }
 
-    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
+    fn run(&self, params: ExperimentParams, options: SimOptions) -> Vec<Table> {
         let arch = Architecture::build(Scenario::A, DesignPoint::Proposal).expect("arch");
         // Building through the sweep's options lets `--force-slow-path`
         // and `--sim-threads` reach this machine like any other.
@@ -39,7 +42,7 @@ impl Experiment for UleHitRatios {
             .build()
             .expect("valid config");
         let run = sys.run(
-            Benchmark::Mpeg2D.trace(params.instructions, rng_seed),
+            Benchmark::Mpeg2D.trace(params.instructions, params.seed),
             Mode::Ule,
         );
         let mut table = Table::new("hit_ratios")
@@ -59,9 +62,7 @@ impl Experiment for UleHitRatios {
                 Cell::int(stats.accesses as i64),
             ]);
         }
-        let mut section = Section::new(self.id(), rng_seed);
-        section.push(table);
-        Report::single(params.instructions, params.seed, section)
+        vec![table]
     }
 }
 

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use hyvec_core::experiments::ExperimentParams;
 use hyvec_core::render::{csv_field, escape_json, render, Format, CSV_HEADER};
-use hyvec_core::report::{Cell, Column, Report, Section, Table};
+use hyvec_core::report::{Cell, Column, Report, Section, Table, SWEEP_TITLE};
 use hyvec_core::sweep::{full_matrix, run_all, SweepBuilder};
 use proptest::prelude::*;
 
@@ -407,7 +407,8 @@ proptest! {
         }
         let mut section = Section::new(label.clone(), 7);
         section.push(table);
-        let report = Report::single(1000, label_n, section);
+        let mut report = Report::new(SWEEP_TITLE, 1000, label_n);
+        report.sections.push(section);
 
         let json = render(&report, Format::Json);
         let parsed = Parser::parse(&json).map_err(TestCaseError::fail)?;

@@ -8,7 +8,7 @@ use std::thread;
 use hyvec_cachesim::{MultiCoreSystem, SimOptions, System, SystemConfig};
 use hyvec_core::experiments::{Experiment, ExperimentParams};
 use hyvec_core::registry::Registry;
-use hyvec_core::report::{Report, Section};
+use hyvec_core::report::Table;
 use hyvec_core::sweep::SweepBuilder;
 
 type Log = Arc<Mutex<Vec<(String, usize)>>>;
@@ -29,7 +29,7 @@ impl Experiment for ThreadsProbe {
         self.id
     }
 
-    fn run(&self, params: ExperimentParams, rng_seed: u64, options: SimOptions) -> Report {
+    fn run(&self, _: ExperimentParams, options: SimOptions) -> Vec<Table> {
         self.gate.wait();
         let threads = two_core_machine(options).sim_threads();
         self.gate.wait();
@@ -37,11 +37,7 @@ impl Experiment for ThreadsProbe {
             .lock()
             .expect("probe log")
             .push((self.id.to_string(), threads));
-        Report::single(
-            params.instructions,
-            params.seed,
-            Section::new(self.id, rng_seed),
-        )
+        Vec::new()
     }
 }
 
