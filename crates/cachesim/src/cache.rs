@@ -994,7 +994,7 @@ impl HybridCache {
 }
 
 // The multi-core engine can run each core's L1 pair on a scoped
-// worker thread; this pins the `Send` bound at compile time so
+// helper thread; this pins the `Send` bound at compile time so
 // a non-`Send` field (an `Rc`, a raw pointer) added later fails here,
 // next to the type, rather than deep inside the thread scope.
 const fn assert_send<T: Send>() {}

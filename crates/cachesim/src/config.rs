@@ -275,14 +275,24 @@ impl CacheConfig {
         }
     }
 
-    /// Number of sets.
+    /// Number of sets: `size_bytes / line_bytes / ways`, or 0 for a
+    /// geometry [`validate`](CacheConfig::validate) rejects with a
+    /// zero line size or no ways.
     pub fn sets(&self) -> u64 {
-        self.size_bytes / self.line_bytes / self.ways.len() as u64
+        self.size_bytes
+            .checked_div(self.line_bytes)
+            .and_then(|lines| lines.checked_div(self.ways.len() as u64))
+            .unwrap_or(0)
     }
 
-    /// 32-bit words per line.
+    /// Protected words per line: `line_bytes * 8 / word_bits`, or 0
+    /// for a geometry [`validate`](CacheConfig::validate) rejects with
+    /// a zero word width or a line whose bits overflow a `u64`.
     pub fn words_per_line(&self) -> u64 {
-        self.line_bytes * 8 / u64::from(self.word_bits)
+        self.line_bytes
+            .checked_mul(8)
+            .and_then(|bits| bits.checked_div(u64::from(self.word_bits)))
+            .unwrap_or(0)
     }
 
     /// Data words per way (`DW` of the paper's Eq. (2), per way).
@@ -431,9 +441,14 @@ impl L2Config {
         self
     }
 
-    /// Number of sets.
+    /// Number of sets: `size_bytes / line_bytes / ways`, or 0 for a
+    /// geometry [`validate`](L2Config::validate) rejects with a zero
+    /// line size or no ways.
     pub fn sets(&self) -> u64 {
-        self.size_bytes / self.line_bytes / self.ways as u64
+        self.size_bytes
+            .checked_div(self.line_bytes)
+            .and_then(|lines| lines.checked_div(self.ways as u64))
+            .unwrap_or(0)
     }
 
     /// Validates the geometry, reporting the first violated invariant
@@ -749,6 +764,30 @@ mod tests {
         assert!(ConfigError::NoUleWay
             .to_string()
             .contains("ULE way required"));
+    }
+
+    #[test]
+    fn derived_counts_are_zero_for_geometries_validate_rejects() {
+        let valid = SystemConfig::uniform_6t().il1;
+        assert_eq!((valid.sets(), valid.words_per_line()), (32, 8));
+        let broken = |edit: fn(&mut CacheConfig)| {
+            let mut config = valid.clone();
+            edit(&mut config);
+            assert!(config.validate().is_err());
+            (config.sets(), config.words_per_line())
+        };
+        assert_eq!(broken(|c| c.line_bytes = 0), (0, 0));
+        assert_eq!(broken(|c| c.ways.clear()), (0, 8));
+        assert_eq!(broken(|c| c.word_bits = 0), (32, 0));
+        assert_eq!(broken(|c| c.line_bytes = 1 << 62).1, 0);
+
+        let l2_edits: [fn(&mut L2Config); 2] = [|c| c.ways = 0, |c| c.line_bytes = 0];
+        for edit in l2_edits {
+            let mut l2 = L2Config::unified(16);
+            edit(&mut l2);
+            assert!(l2.validate().is_err());
+            assert_eq!(l2.sets(), 0);
+        }
     }
 
     #[test]

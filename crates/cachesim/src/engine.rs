@@ -261,21 +261,20 @@ pub(crate) struct ChainTally {
 impl ChainTally {
     /// The run report of one core over this tally's chain: the tally,
     /// the chain-independent `front` counters of [`front_entry`] and
-    /// the L1 counters, priced by `power` at `op`.
+    /// the L1 counters, priced by `power` at `mode`'s operating point.
     pub(crate) fn report(
         &self,
         front: &RunStats,
         (il1, dl1): (&HybridCache, &HybridCache),
         power: &PowerModel,
         mode: Mode,
-        op: OperatingPoint,
     ) -> RunReport {
         let mut stats = self.stats;
         stats.instructions = front.instructions;
         stats.edc_stall_cycles += front.edc_stall_cycles;
         stats.il1 = *il1.stats();
         stats.dl1 = *dl1.stats();
-        RunReport::priced(stats, self.below_pj, mode, power, op)
+        RunReport::priced(stats, self.below_pj, mode, power, mode.operating_point())
     }
 }
 
@@ -873,22 +872,14 @@ impl System {
     /// generator, a [`hyvec_mediabench::Replay`] file, or a plain
     /// iterator of entries. Caches are flushed on entry (the mode
     /// transition) and statistics are reset; installed fault maps
-    /// persist.
+    /// persist. The report is priced at `mode`'s operating point; a
+    /// voltage/frequency sweep re-prices it at each of its own
+    /// ([`RunReport::priced_by`]).
     pub fn run<T>(&mut self, trace: T, mode: Mode) -> RunReport
     where
         T: TraceSource,
     {
-        self.run_at(trace, mode, mode.operating_point())
-    }
-
-    /// Like [`run`](System::run) but at an explicit operating point —
-    /// the DVS-sweep entry point (`mode` still decides which ways and
-    /// codes are active).
-    pub fn run_at<T>(&mut self, trace: T, mode: Mode, op: OperatingPoint) -> RunReport
-    where
-        T: TraceSource,
-    {
-        let [report] = self.front.price(trace, mode, op, [self.below.as_mut()]);
+        let [report] = self.front.price(trace, mode, [self.below.as_mut()]);
         report
     }
 
@@ -921,9 +912,7 @@ impl System {
         let chains = chains
             .each_mut()
             .map(|chain| -> &mut dyn MemoryLevel { chain.as_mut() });
-        Ok(self
-            .front
-            .price(trace, mode, mode.operating_point(), chains))
+        Ok(self.front.price(trace, mode, chains))
     }
 }
 
@@ -937,7 +926,6 @@ impl Front {
         &mut self,
         mut trace: T,
         mode: Mode,
-        op: OperatingPoint,
         mut chains: [&mut dyn MemoryLevel; K],
     ) -> [RunReport; K] {
         self.il1.set_mode(mode);
@@ -977,7 +965,7 @@ impl Front {
 
         std::array::from_fn(|j| {
             let l1s = (&self.il1, &self.dl1);
-            let mut report = tallies[j].report(&front, l1s, &self.power, mode, op);
+            let mut report = tallies[j].report(&front, l1s, &self.power, mode);
             // The single-core report keeps the historical
             // chain-reported memory count (demand fills *plus* buffered
             // writebacks), discarding the loop's demand-only tally —

@@ -50,16 +50,20 @@
 //! This is the one loop at every simulation-thread count
 //! ([`SimOptions::sim_threads`](crate::engine::SimOptions), passed to
 //! [`SystemBuilder::options`](crate::engine::SystemBuilder::options),
-//! or [`set_sim_threads`](MultiCoreSystem::set_sim_threads)). At one
-//! thread the fronts run inline on the calling thread, one core after
-//! another. Above one, that many scoped worker threads share out the
-//! cores of each epoch, and the calling thread merges at the epoch
-//! barrier while they wait for the next epoch. The merge visits every
-//! chain in exactly the round-robin order, so counters are
-//! **bit-identical** to an instruction-interleaved reference loop
-//! (kept as test code in this module) at any core count and invariant
-//! across `--sim-threads 1/2/8` (pinned by this module's proptests,
-//! the `epoch_merge` suite and the determinism suite).
+//! or [`set_sim_threads`](MultiCoreSystem::set_sim_threads)). Each
+//! epoch's front phase is one fork-join: the cores wait in one queue,
+//! which the calling thread drains together with
+//! `min(sim_threads, cores) - 1` helper threads scoped to the epoch
+//! (none at one thread), each taking the next core and running its
+//! whole epoch. Once the queue is empty and the helpers have joined,
+//! the calling thread merges. A panic in any core's front, say from
+//! its trace source, reaches the caller once the epoch's threads have
+//! joined. The merge visits every chain in exactly the round-robin
+//! order, so counters are **bit-identical** to an
+//! instruction-interleaved reference loop (kept as test code in this
+//! module) at any core count and invariant across `--sim-threads
+//! 1/2/8` (pinned by this module's proptests, the `epoch_merge` suite
+//! and the determinism suite).
 //!
 //! # One front pass, many chains
 //!
@@ -103,7 +107,7 @@
 //!     .memory(MemoryConfig::with_latency(80))
 //!     .build_multi(2)
 //!     .expect("valid configuration");
-//! system.set_sim_threads(2); // fronts on 2 workers; same counters as 1
+//! system.set_sim_threads(2); // fronts on 2 threads; same counters as 1
 //! let traces = vec![
 //!     Benchmark::GsmC.trace(5_000, 1),
 //!     Benchmark::Mpeg2C.trace(5_000, 2),
@@ -123,23 +127,21 @@ use crate::engine::{
 use crate::hierarchy::{AccessOutcome, AccessRequest, L2Cache, MainMemory, MemoryLevel};
 use crate::power::PowerModel;
 use crate::stats::{CacheStats, RunStats};
-use hyvec_cachemodel::OperatingPoint;
-use hyvec_mediabench::{per_core_seed, TraceEntry, TraceSource};
+use hyvec_mediabench::{per_core_seed, TraceSource};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 
 /// Rounds of one epoch: the instructions each core's L1 front runs
 /// between two merges.
 ///
 /// Large enough that a core keeps its L1 arrays and generator state
 /// hot in the host's caches for ~4k bit-accurate instructions, and
-/// that per-epoch coordination (one lock per core, plus two barrier
-/// waits above one thread) amortizes to noise; small enough that the
-/// request logs stay cache-resident. Results do not depend on this
-/// value — the merge replays the canonical order exactly at any epoch
-/// length.
+/// that per-epoch coordination (one queue lock per core, plus
+/// spawning and joining the helper threads above one thread)
+/// amortizes to noise; small enough that the request logs stay
+/// cache-resident. Results do not depend on this value — the merge
+/// replays the canonical order exactly at any epoch length.
 pub const EPOCH_INSTRUCTIONS: usize = 4096;
 
 /// The chain below the L1s of a multi-core machine: one shared chain
@@ -278,19 +280,25 @@ impl MultiCoreReport {
     }
 }
 
-/// Everything one core owns during a run: its L1 front end, its
-/// trace, its SEU stream, its core-local counters, and the epoch log
-/// the merge replays. Wrapped in a `Mutex` purely as a thread-safe
-/// cell: see [`lock`].
+/// Everything one core keeps across runs but its trace: its L1 front
+/// end, its SEU stream, its core-local counters, and the epoch log the
+/// merge replays. Every run starts them afresh ([`Core::start`]).
+///
+/// Aligned as [`Padded`] is, for the same reason: a core's counters
+/// and L1 state are written on every instruction.
 #[derive(Debug)]
-struct CoreWork<T> {
+#[repr(align(128))]
+struct Core {
     il1: HybridCache,
     dl1: HybridCache,
-    source: T,
+    /// Seed of the core's SEU stream ([`per_core_seed`]).
+    seed: u64,
+    /// The SEU stream, re-derived from `seed` at the start of every
+    /// run, so warm re-runs reproduce.
+    rng: SmallRng,
     /// Set at the source's first `None`; a drained source is never
     /// polled again, since [`TraceSource`] is not fused.
     drained: bool,
-    rng: SmallRng,
     /// The chain-independent counters of [`front_entry`].
     front: RunStats,
     /// Core-local cycles so far (base + bubbles, no fill stalls); they
@@ -301,15 +309,40 @@ struct CoreWork<T> {
     requests: Vec<(usize, ChainRequest)>,
 }
 
-impl<T: TraceSource> CoreWork<T> {
+impl Core {
+    /// The start of a run: both L1s flushed and reset into `mode`, the
+    /// SEU stream re-derived, the counters zeroed.
+    fn start(&mut self, mode: Mode) {
+        self.il1.set_mode(mode);
+        self.dl1.set_mode(mode);
+        self.il1.reset_stats();
+        self.dl1.reset_stats();
+        self.rng = SmallRng::seed_from_u64(self.seed);
+        self.drained = false;
+        self.front = RunStats::default();
+        self.local_cycles = 0;
+    }
+
     /// The front phase of one epoch: drive the L1s through up to
-    /// [`EPOCH_INSTRUCTIONS`] entries, log chain-bound requests with
-    /// their round, sum core-local cycles and draw SEUs from the core's
-    /// own stream over them.
-    fn run_epoch(&mut self, timing: CoreTiming, seu_rate: f64, ule_bits: u64) {
+    /// [`EPOCH_INSTRUCTIONS`] entries of `source`, log chain-bound
+    /// requests with their round, sum core-local cycles and draw SEUs
+    /// from the core's own stream over them.
+    fn run_epoch<T: TraceSource>(
+        &mut self,
+        source: &mut T,
+        timing: CoreTiming,
+        seu_rate: f64,
+        ule_bits: u64,
+    ) {
         self.requests.clear();
         for round in 0..EPOCH_INSTRUCTIONS {
-            let Some(entry) = self.next_entry() else {
+            let entry = if self.drained {
+                None
+            } else {
+                source.next_entry()
+            };
+            let Some(entry) = entry else {
+                self.drained = true;
                 break;
             };
             let requests = &mut self.requests;
@@ -332,18 +365,15 @@ impl<T: TraceSource> CoreWork<T> {
             );
         }
     }
-
-    /// The core's next trace entry; `None` for good once its source has
-    /// returned `None`.
-    fn next_entry(&mut self) -> Option<TraceEntry> {
-        if self.drained {
-            return None;
-        }
-        let entry = self.source.next_entry();
-        self.drained = entry.is_none();
-        entry
-    }
 }
+
+/// A trace source on cache lines of its own. Two threads running
+/// neighbouring cores write their sources on every instruction, and
+/// sources packed side by side would share lines, which the threads
+/// would then pass back and forth. 128 bytes, as x86-64 prefetchers
+/// fetch lines in aligned pairs.
+#[repr(align(128))]
+struct Padded<T>(T);
 
 /// The multi-core machine: N private front ends (core + IL1 + DL1)
 /// over one shared [`MemoryLevel`] chain or per-core private L2s.
@@ -353,8 +383,8 @@ impl<T: TraceSource> CoreWork<T> {
 /// counter-for-counter (asserted in the test suite).
 #[derive(Debug)]
 pub struct MultiCoreSystem {
-    /// Per-core `(il1, dl1)` pairs.
-    fronts: Vec<(HybridCache, HybridCache)>,
+    /// The cores, in core order.
+    cores: Vec<Core>,
     /// The shape of the chain below the L1s (shared, or private L2s
     /// per core). Every run builds its chains fresh from it, which is
     /// the state a flushed chain returns to.
@@ -365,12 +395,8 @@ pub struct MultiCoreSystem {
     /// an upset lands in the caches of the core whose entry triggered
     /// it (the one accruing the exposure cycles).
     seu_rate_per_bit_cycle: f64,
-    /// Base seed of the per-core SEU streams (see [`per_core_seed`]);
-    /// streams are re-derived at the start of every run, so warm
-    /// re-runs are reproducible.
-    seu_seed: u64,
-    /// Worker threads that run the L1 fronts of each epoch; 1 = inline
-    /// on the calling thread.
+    /// Threads that run the L1 fronts of each epoch, the calling thread
+    /// included; 1 = the calling thread alone.
     sim_threads: usize,
 }
 
@@ -391,7 +417,8 @@ fn lane_fill<const K: usize>(
 }
 
 impl MultiCoreSystem {
-    /// Assembles the machine from parts the builder validated.
+    /// Assembles the machine from parts the builder validated; core
+    /// `i`'s SEU stream is seeded with `per_core_seed(seu_seed, i)`.
     pub(crate) fn new(
         fronts: Vec<(HybridCache, HybridCache)>,
         recipe: ChainRecipe,
@@ -400,23 +427,39 @@ impl MultiCoreSystem {
         seu_seed: u64,
         sim_threads: usize,
     ) -> Self {
+        let cores = fronts
+            .into_iter()
+            .enumerate()
+            .map(|(core, (il1, dl1))| {
+                let seed = per_core_seed(seu_seed, core);
+                Core {
+                    il1,
+                    dl1,
+                    seed,
+                    rng: SmallRng::seed_from_u64(seed),
+                    drained: false,
+                    front: RunStats::default(),
+                    local_cycles: 0,
+                    requests: Vec::new(),
+                }
+            })
+            .collect();
         MultiCoreSystem {
-            fronts,
+            cores,
             recipe,
             power,
             seu_rate_per_bit_cycle,
-            seu_seed,
             sim_threads: sim_threads.max(1),
         }
     }
 
     /// Number of cores.
     pub fn cores(&self) -> usize {
-        self.fronts.len()
+        self.cores.len()
     }
 
-    /// Threads the next run will drive the L1 fronts on (1 = inline on
-    /// the calling thread).
+    /// Threads the next run will drive the L1 fronts on, the calling
+    /// thread included (1 = the calling thread alone).
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
     }
@@ -433,37 +476,27 @@ impl MultiCoreSystem {
     /// One core's caches, for fault injection (`core` panics when out
     /// of range).
     pub fn core_mut(&mut self, core: usize) -> (&mut HybridCache, &mut HybridCache) {
-        let (il1, dl1) = &mut self.fronts[core];
-        (il1, dl1)
+        let core = &mut self.cores[core];
+        (&mut core.il1, &mut core.dl1)
     }
 
     /// Runs one trace per core to completion at `mode`, with the
     /// counters of the canonical round-robin order (core 0 first). With
-    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1
-    /// the L1 fronts run on worker threads; counters are bit-identical
-    /// either way.
+    /// [`set_sim_threads`](MultiCoreSystem::set_sim_threads) above 1,
+    /// helper threads share each epoch's L1 fronts with the calling
+    /// thread; counters are bit-identical either way. To price the run
+    /// at another operating point, re-price each per-core report
+    /// ([`RunReport::priced_by`]).
     ///
     /// # Panics
     ///
-    /// Panics if `sources.len()` differs from the core count.
+    /// Panics if `sources.len()` differs from the core count, or if a
+    /// source panics.
     pub fn run<T>(&mut self, sources: Vec<T>, mode: Mode) -> MultiCoreReport
     where
         T: TraceSource + Send,
     {
-        self.run_at(sources, mode, mode.operating_point())
-    }
-
-    /// Like [`run`](MultiCoreSystem::run) but at an explicit operating
-    /// point (the DVS-sweep entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the core count.
-    pub fn run_at<T>(&mut self, sources: Vec<T>, mode: Mode, op: OperatingPoint) -> MultiCoreReport
-    where
-        T: TraceSource + Send,
-    {
-        let [report] = self.price(sources, mode, op, [self.cores()]);
+        let [report] = self.price(sources, mode, [self.cores()]);
         report
     }
 
@@ -487,7 +520,8 @@ impl MultiCoreSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `sources.len()` differs from the core count.
+    /// Panics if `sources.len()` differs from the core count, or if a
+    /// source panics.
     pub fn run_widths<T, const K: usize>(
         &mut self,
         sources: Vec<T>,
@@ -501,7 +535,7 @@ impl MultiCoreSystem {
         if let Some(&width) = widths.iter().find(|&&w| w == 0 || w > cores) {
             return Err(ConfigError::ChainWidth { width, cores });
         }
-        Ok(self.price(sources, mode, mode.operating_point(), widths))
+        Ok(self.price(sources, mode, widths))
     }
 
     /// The one IL1/DL1 configuration every front end shares.
@@ -513,22 +547,14 @@ impl MultiCoreSystem {
     /// configs on behalf of all cores, and debug-asserts the
     /// invariant instead of silently assuming it.
     fn shared_core_config(&self) -> (&CacheConfig, &CacheConfig) {
-        let (il1, dl1) = &self.fronts[0];
+        let (il1, dl1) = (self.cores[0].il1.config(), self.cores[0].dl1.config());
         debug_assert!(
-            self.fronts
+            self.cores
                 .iter()
-                .all(|(i, d)| i.config() == il1.config() && d.config() == dl1.config()),
+                .all(|core| core.il1.config() == il1 && core.dl1.config() == dl1),
             "multi-core fronts must share one IL1/DL1 configuration"
         );
-        (il1.config(), dl1.config())
-    }
-
-    /// Per-core SEU streams for one run, derived fresh from the base
-    /// seed so warm re-runs reproduce.
-    fn core_rngs(&self) -> Vec<SmallRng> {
-        (0..self.fronts.len())
-            .map(|core| SmallRng::seed_from_u64(per_core_seed(self.seu_seed, core)))
-            .collect()
+        (il1, dl1)
     }
 
     /// The one multi-core run: a mode transition, one epoch-by-epoch
@@ -539,20 +565,19 @@ impl MultiCoreSystem {
         &mut self,
         sources: Vec<T>,
         mode: Mode,
-        op: OperatingPoint,
         widths: [usize; K],
     ) -> [MultiCoreReport; K]
     where
         T: TraceSource + Send,
     {
         let (mut lanes, timing, ule_bits) = self.transition(sources.len(), mode, widths);
-        let (front, tallies) = self.epochs(sources, timing, ule_bits, &mut lanes);
-        self.reports(&lanes, &front, &tallies, mode, op)
+        let tallies = self.epochs(sources, timing, ule_bits, &mut lanes);
+        self.reports(&lanes, &tallies, mode)
     }
 
-    /// The start of every run: every L1 flushed and reset into `mode`,
-    /// one fresh chain per width, and the run's timing and SEU
-    /// exposure constants.
+    /// The start of every run: every core started in `mode`, one fresh
+    /// chain per width, and the run's timing and SEU exposure
+    /// constants.
     fn transition<const K: usize>(
         &mut self,
         sources: usize,
@@ -562,14 +587,11 @@ impl MultiCoreSystem {
         // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one trace source per core")
         assert_eq!(
             sources,
-            self.fronts.len(),
+            self.cores.len(),
             "need exactly one trace source per core"
         );
-        for (il1, dl1) in &mut self.fronts {
-            il1.set_mode(mode);
-            dl1.set_mode(mode);
-            il1.reset_stats();
-            dl1.reset_stats();
+        for core in &mut self.cores {
+            core.start(mode);
         }
         let lanes = widths.map(|width| (self.recipe.build(width), width));
         let (il1, dl1) = self.shared_core_config();
@@ -577,24 +599,24 @@ impl MultiCoreSystem {
         (lanes, timing, ule_exposure_bits(il1, dl1))
     }
 
-    /// One report per lane from each core's `front` counters and its
-    /// `tallies`, priced at `op`.
+    /// One report per lane from each core's front counters and its
+    /// `tallies`, priced at `mode`'s operating point.
     fn reports<const K: usize>(
         &self,
         lanes: &[Lane; K],
-        front: &[RunStats],
         tallies: &[[ChainTally; K]],
         mode: Mode,
-        op: OperatingPoint,
     ) -> [MultiCoreReport; K] {
         std::array::from_fn(|j| {
             let (chain, width) = &lanes[j];
             let chain = chain.as_dyn().chain_stats();
             let level = |name| chain.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
-            let per_core = (0..*width)
-                .map(|core| {
-                    let (il1, dl1) = &self.fronts[core];
-                    tallies[core][j].report(&front[core], (il1, dl1), &self.power, mode, op)
+            let per_core = self.cores[..*width]
+                .iter()
+                .zip(tallies)
+                .map(|(core, tallies)| {
+                    let l1s = (&core.il1, &core.dl1);
+                    tallies[j].report(&core.front, l1s, &self.power, mode)
                 })
                 .collect();
             MultiCoreReport {
@@ -606,157 +628,82 @@ impl MultiCoreSystem {
         })
     }
 
-    /// The one run loop: an epoch of every core's L1 front — inline
-    /// on the calling thread at one simulation thread, on scoped worker
-    /// threads above that — then a merge of its logs against the lanes,
-    /// until every source is drained. Returns each core's front
-    /// counters and its tally per lane.
+    /// The one run loop, one fork-join per epoch: the calling thread
+    /// and `min(sim_threads, cores) - 1` scoped helpers drain one queue
+    /// of cores, each running its core's epoch; then [`merge`] replays
+    /// the epoch's logs against the lanes. Ends once every source is
+    /// drained, returning each core's tally per lane.
     fn epochs<T, const K: usize>(
         &mut self,
         sources: Vec<T>,
         timing: CoreTiming,
         ule_bits: u64,
         lanes: &mut [Lane; K],
-    ) -> (Vec<RunStats>, Vec<[ChainTally; K]>)
+    ) -> Vec<[ChainTally; K]>
     where
         T: TraceSource + Send,
     {
+        let mut sources: Vec<Padded<T>> = sources.into_iter().map(Padded).collect();
         let rate = self.seu_rate_per_bit_cycle;
-        let n = self.fronts.len();
-        let threads = self.sim_threads.min(n);
-        let rngs = self.core_rngs();
-        let works: Vec<Mutex<CoreWork<T>>> = std::mem::take(&mut self.fronts)
-            .into_iter()
-            .zip(sources)
-            .zip(rngs)
-            .map(|(((il1, dl1), source), rng)| {
-                Mutex::new(CoreWork {
-                    il1,
-                    dl1,
-                    source,
-                    drained: false,
-                    rng,
-                    front: RunStats::default(),
-                    local_cycles: 0,
-                    requests: Vec::new(),
-                })
-            })
-            .collect();
-        let mut tallies = vec![[ChainTally::default(); K]; n];
-
-        if threads <= 1 {
-            merge_epochs(&works, lanes, &mut tallies, timing, || {
-                for work in &works {
-                    lock(work).run_epoch(timing, rate, ule_bits);
-                }
-            });
-        } else {
-            let works = &works;
-            // Barrier A releases the workers into an epoch; barrier B
-            // tells the coordinator the front phase is over. Workers
-            // then block at the next A while the coordinator merges.
-            let barrier = &Barrier::new(threads + 1);
-            let next_core = &AtomicUsize::new(0);
-            let stop = &AtomicBool::new(false);
+        let helpers = self.sim_threads.min(self.cores.len()) - 1;
+        let mut tallies = vec![[ChainTally::default(); K]; self.cores.len()];
+        let mut order = Vec::new();
+        loop {
+            let queue = Mutex::new(self.cores.iter_mut().zip(&mut sources));
+            // The lock is held only to take the next core, which leaves
+            // the queue valid at every step, and never while a core
+            // runs: a poisoned lock still holds a sound queue.
+            let drain = || loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((core, source)) = next else { break };
+                core.run_epoch(&mut source.0, timing, rate, ule_bits);
+            };
             std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(move || loop {
-                        barrier.wait(); // A
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        while let Some(work) = works.get(next_core.fetch_add(1, Ordering::Relaxed))
-                        {
-                            lock(work).run_epoch(timing, rate, ule_bits);
-                        }
-                        barrier.wait(); // B
-                    });
+                for _ in 0..helpers {
+                    scope.spawn(drain);
                 }
-                // Dropped last, on return or unwind alike: the workers
-                // parked at the next barrier observe `stop` and exit, so
-                // a panic in the merge propagates out of the scope
-                // instead of deadlocking it.
-                let _release = ReleaseWorkers { barrier, stop };
-                merge_epochs(works, lanes, &mut tallies, timing, || {
-                    next_core.store(0, Ordering::Relaxed);
-                    barrier.wait(); // A: workers start the epoch
-                    barrier.wait(); // B: workers are done, parked before next A
-                });
+                drain();
             });
-        }
-
-        let mut front = Vec::with_capacity(n);
-        for (work, tallies) in works.into_iter().zip(&mut tallies) {
-            let work = work
-                .into_inner()
-                // hyvec-lint: allow(no-panic, "poisoned only if a worker panicked, which the scope already propagated")
-                .expect("a worker thread panicked");
-            for tally in tallies.iter_mut() {
-                tally.stats.cycles += work.local_cycles;
+            if merge(&self.cores, lanes, &mut tallies, timing, &mut order) {
+                break;
             }
-            self.fronts.push((work.il1, work.dl1));
-            front.push(work.front);
         }
-        (front, tallies)
+        for (core, tallies) in self.cores.iter().zip(&mut tallies) {
+            for tally in tallies.iter_mut() {
+                tally.stats.cycles += core.local_cycles;
+            }
+        }
+        tallies
     }
 }
 
-/// One core's work, locked. The front phase and the merge never
-/// overlap, so the lock is uncontended.
-fn lock<T>(work: &Mutex<CoreWork<T>>) -> MutexGuard<'_, CoreWork<T>> {
-    work.lock()
-        // hyvec-lint: allow(no-panic, "poisoned only if a worker thread panicked; propagating is the only sane option")
-        .expect("a worker thread panicked")
-}
-
-/// The loop of a run: `fronts` runs one epoch of every core's L1
-/// front, then the merge replays the epoch's logged requests against
-/// the lanes in canonical (round, core, program) order, charging each
-/// fill and its stall to the issuing core's tally on every lane whose
-/// width takes the core in — until every source is drained.
-fn merge_epochs<T, const K: usize>(
-    works: &[Mutex<CoreWork<T>>],
+/// The merge of one epoch: replays every core's logged requests
+/// against the lanes in canonical (round, core, program) order,
+/// charging each fill and its stall to the issuing core's tally on
+/// every lane whose width takes the core in. `order` is the sort
+/// buffer, reused across epochs. Returns whether every source is
+/// drained.
+fn merge<const K: usize>(
+    cores: &[Core],
     lanes: &mut [Lane; K],
     tallies: &mut [[ChainTally; K]],
     timing: CoreTiming,
-    mut fronts: impl FnMut(),
-) {
-    let mut order: Vec<(usize, usize, ChainRequest)> = Vec::new();
-    loop {
-        fronts();
-        order.clear();
-        let mut drained = true;
-        for (core, work) in works.iter().enumerate() {
-            let work = lock(work);
-            drained &= work.drained;
-            order.extend(work.requests.iter().map(|&(round, req)| (round, core, req)));
-        }
-        // Stable, so each round keeps core order and then program order.
-        order.sort_by_key(|&(round, _, _)| round);
-        for &(_, core, req) in &order {
-            for (j, tally) in tallies[core].iter_mut().enumerate() {
-                if let Some(fill) = lane_fill(lanes, j, core, req.access) {
-                    tally.stats.cycles += apply_fill(timing, req.kind, fill, tally);
-                }
+    order: &mut Vec<(usize, usize, ChainRequest)>,
+) -> bool {
+    order.clear();
+    for (i, core) in cores.iter().enumerate() {
+        order.extend(core.requests.iter().map(|&(round, req)| (round, i, req)));
+    }
+    // Stable, so each round keeps core order and then program order.
+    order.sort_by_key(|&(round, _, _)| round);
+    for &(_, core, req) in order.iter() {
+        for (j, tally) in tallies[core].iter_mut().enumerate() {
+            if let Some(fill) = lane_fill(lanes, j, core, req.access) {
+                tally.stats.cycles += apply_fill(timing, req.kind, fill, tally);
             }
         }
-        if drained {
-            break;
-        }
     }
-}
-
-/// The coordinator's last act: set `stop` and pass the final barrier A.
-struct ReleaseWorkers<'a> {
-    barrier: &'a Barrier,
-    stop: &'a AtomicBool,
-}
-
-impl Drop for ReleaseWorkers<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.barrier.wait(); // final A: workers observe `stop` and exit
-    }
+    cores.iter().all(|core| core.drained)
 }
 
 #[cfg(test)]
@@ -788,25 +735,30 @@ mod tests {
     ) -> [MultiCoreReport; K] {
         let (mut lanes, timing, ule_bits) = sys.transition(sources.len(), mode, widths);
         let rate = sys.seu_rate_per_bit_cycle;
-        let mut rngs = sys.core_rngs();
-        let mut front = vec![RunStats::default(); sys.cores()];
         let mut tallies = vec![[ChainTally::default(); K]; sys.cores()];
-        for (core, entry) in round_robin(sources) {
-            let (il1, dl1) = &mut sys.fronts[core];
+        for (i, entry) in round_robin(sources) {
+            let core = &mut sys.cores[i];
             let (local, _) = step(
-                il1,
-                dl1,
+                &mut core.il1,
+                &mut core.dl1,
                 timing,
-                &mut front[core],
-                &mut tallies[core],
+                &mut core.front,
+                &mut tallies[i],
                 entry,
-                |j, req| lane_fill(&mut lanes, j, core, req),
+                |j, req| lane_fill(&mut lanes, j, i, req),
             );
             // Exposure integrates core-local cycles from the core's own
             // stream, as in the one loop.
-            maybe_inject_seu(il1, dl1, &mut rngs[core], rate, ule_bits, local);
+            maybe_inject_seu(
+                &mut core.il1,
+                &mut core.dl1,
+                &mut core.rng,
+                rate,
+                ule_bits,
+                local,
+            );
         }
-        sys.reports(&lanes, &front, &tallies, mode, mode.operating_point())
+        sys.reports(&lanes, &tallies, mode)
     }
 
     /// The chain below the cores of a proptest machine.
@@ -926,6 +878,57 @@ mod tests {
             );
             let got = sys.run_widths(unfused(), Mode::Ule, [2, 3]);
             assert_eq!(got.expect("widths fit"), expected, "{threads} threads");
+        }
+    }
+
+    /// A trace that panics when asked for its entry number `at`, if
+    /// it has one.
+    struct Panicking {
+        trace: hyvec_mediabench::Trace,
+        at: Option<usize>,
+        polled: usize,
+    }
+
+    impl TraceSource for Panicking {
+        fn next_entry(&mut self) -> Option<TraceEntry> {
+            assert_ne!(Some(self.polled), self.at, "injected trace failure");
+            self.polled += 1;
+            self.trace.next_entry()
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_fails_the_run_instead_of_hanging_it() {
+        // Mid-epoch, after one merge, on whichever thread runs the core.
+        let at = EPOCH_INSTRUCTIONS + 100;
+        for threads in [1, 2, 8] {
+            for panicking in 0..3 {
+                let sources: Vec<Panicking> = traces(&[3 * EPOCH_INSTRUCTIONS; 3], 5)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(core, trace)| Panicking {
+                        trace,
+                        at: (core == panicking).then_some(at),
+                        polled: 0,
+                    })
+                    .collect();
+                let mut sys = machine(3, Below::SharedL2, false);
+                sys.set_sim_threads(threads);
+                // On a thread of its own, so a hang fails the test
+                // instead of stalling the suite.
+                let (done, outcome) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sys.run(sources, Mode::Hp)
+                    }));
+                    done.send(run.is_err())
+                });
+                assert_eq!(
+                    outcome.recv_timeout(std::time::Duration::from_secs(60)),
+                    Ok(true),
+                    "core {panicking} panicking at {threads} threads"
+                );
+            }
         }
     }
 

@@ -159,7 +159,7 @@ fn l2_contents_do_not_survive_a_mode_switch() {
     let l2 = r.stats.l2.expect("l2 stats");
     assert!(
         l2.misses > 0,
-        "the run_at entry flush must cold-start the L2"
+        "the flush on entry to a run must cold-start the L2"
     );
 }
 

@@ -150,8 +150,8 @@ proptest! {
             let bench = Benchmark::ALL[seed as usize % Benchmark::ALL.len()];
             let mut machine_a = machine(&a, memory_pj, slow.0);
             let mut machine_b = machine(&b, memory_pj, slow.1);
-            let ra = machine_a.run_at(bench.trace(len, seed), mode, op_a);
-            let rb = machine_b.run_at(bench.trace(len, seed), mode, op_b);
+            let ra = machine_a.run(bench.trace(len, seed), mode).priced_by(machine_a.power(), op_a);
+            let rb = machine_b.run(bench.trace(len, seed), mode).priced_by(machine_b.power(), op_b);
             // (a) One key, one set of counters.
             prop_assert_eq!(ra.stats, rb.stats, "{:?} at {:?}", shape, mode);
             // (b) Either run priced by the other machine is its run.

@@ -2,10 +2,11 @@
 //! methodology outputs to a simulatable system configuration.
 
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
-use hyvec_cachesim::config::{SystemConfig, WaySpec};
+use hyvec_cachesim::config::{ConfigError, SystemConfig, WaySpec};
 use hyvec_edc::Protection;
 use hyvec_sram::cell::CellKind;
 use hyvec_sram::failure::{FailureModel, SizingError};
+use std::error::Error;
 use std::fmt;
 
 /// The paper's two evaluation scenarios.
@@ -63,6 +64,39 @@ impl fmt::Display for DesignPoint {
     }
 }
 
+/// Why an [`Architecture`] could not be built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ArchitectureError {
+    /// The methodology cannot size the cells.
+    Sizing(SizingError),
+    /// The way split gives an invalid L1 geometry: its 8 KB of 32-byte
+    /// lines must divide into a power-of-two number of sets.
+    Geometry(ConfigError),
+}
+
+impl fmt::Display for ArchitectureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArchitectureError::Sizing(e) => e.fmt(f),
+            ArchitectureError::Geometry(e) => write!(f, "invalid L1 geometry: {e}"),
+        }
+    }
+}
+
+impl Error for ArchitectureError {}
+
+impl From<SizingError> for ArchitectureError {
+    fn from(e: SizingError) -> Self {
+        ArchitectureError::Sizing(e)
+    }
+}
+
+impl From<ConfigError> for ArchitectureError {
+    fn from(e: ConfigError) -> Self {
+        ArchitectureError::Geometry(e)
+    }
+}
+
 /// A fully sized, simulatable cache architecture.
 #[derive(Debug, Clone)]
 pub struct Architecture {
@@ -83,9 +117,9 @@ impl Architecture {
     ///
     /// # Errors
     ///
-    /// Returns [`SizingError`] if the methodology cannot size the
-    /// cells (impossible with the default inputs).
-    pub fn build(scenario: Scenario, point: DesignPoint) -> Result<Self, SizingError> {
+    /// Returns [`ArchitectureError::Sizing`] if the methodology cannot
+    /// size the cells (impossible with the default inputs).
+    pub fn build(scenario: Scenario, point: DesignPoint) -> Result<Self, ArchitectureError> {
         Architecture::build_with(
             scenario,
             point,
@@ -118,12 +152,15 @@ impl Architecture {
     ///
     /// # Errors
     ///
-    /// Returns [`SizingError`] if the methodology cannot size the
-    /// cells at the requested voltages.
+    /// Returns [`ArchitectureError::Sizing`] if the methodology cannot
+    /// size the cells at the requested voltages, and
+    /// [`ArchitectureError::Geometry`] if the split's way count does not
+    /// divide the 8 KB of 32-byte lines into a power-of-two number of
+    /// sets (a 2+1 split, say).
     ///
     /// # Panics
     ///
-    /// Panics if `hp_ways + ule_ways == 0` or `ule_ways == 0`.
+    /// Panics if `ule_ways == 0`.
     pub fn build_with(
         scenario: Scenario,
         point: DesignPoint,
@@ -132,7 +169,7 @@ impl Architecture {
         hp_ways: usize,
         ule_ways: usize,
         memory_latency: u32,
-    ) -> Result<Self, SizingError> {
+    ) -> Result<Self, ArchitectureError> {
         // hyvec-lint: allow(no-panic, "documented precondition: a hybrid cache without ULE ways is a caller bug, not a sizing failure")
         assert!(ule_ways > 0, "hybrid operation requires ULE ways");
         // Way counts change the per-way word counts: recompute the
@@ -185,16 +222,8 @@ impl Architecture {
         // The uncore's always-on 10T arrays share the ULE-way sizing
         // in baseline and proposal alike.
         config.uncore_ten_t_sizing = design.sizing_10t;
-        config
-            .il1
-            .validate()
-            // hyvec-lint: allow(no-panic, "geometry is generated from paper constants a few lines up; failure is a construction bug, pinned by tier-1 tests")
-            .expect("generated IL1 geometry is valid");
-        config
-            .dl1
-            .validate()
-            // hyvec-lint: allow(no-panic, "geometry is generated from paper constants a few lines up; failure is a construction bug, pinned by tier-1 tests")
-            .expect("generated DL1 geometry is valid");
+        config.il1.validate()?;
+        config.dl1.validate()?;
 
         Ok(Architecture {
             scenario,
@@ -300,6 +329,29 @@ mod tests {
             2
         );
         arch.config.il1.validate().expect("built configs are valid");
+    }
+
+    #[test]
+    fn a_split_without_power_of_two_sets_is_a_typed_error() {
+        let err = Architecture::build_with(
+            Scenario::A,
+            DesignPoint::Proposal,
+            &FailureModel::default(),
+            &MethodologyInputs::default(),
+            2,
+            1,
+            20,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ArchitectureError::Geometry(ConfigError::SizeNotDivisible {
+                size_bytes: 8 * 1024,
+                line_bytes: 32,
+                ways: 3,
+            })
+        );
+        assert!(err.to_string().contains("3 ways"), "{err}");
     }
 
     #[test]

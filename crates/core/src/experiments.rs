@@ -27,18 +27,21 @@
 //! sweep change cells, sizings and operating points. In a fault-free
 //! run those only price the counters. So [`fig3_hp_epi`],
 //! [`fig4_ule_epi`], [`ule_performance`], [`ablation_ways`],
-//! [`ablation_voltage`] and [`ablation_memory_latency`] hand their
-//! design points to one helper. It simulates one machine per distinct
-//! [`SystemConfig::behaviour`] key at the run's mode, and prices that
-//! machine's runs under each design point's power model and operating
-//! point ([`RunReport::priced_by`]). At HP the baseline and proposal
-//! of either scenario behave alike, and so do both way splits; at ULE
-//! the voltage sweep's baselines behave alike at every supply, and so
-//! do its proposals. The
+//! [`ablation_voltage`], [`ablation_memory_latency`] and
+//! [`ablation_l2`] hand their design points to one helper. It
+//! simulates one machine per distinct [`SystemConfig::behaviour`] key
+//! at the run's mode, each L1 pass priced against every chain the
+//! experiment puts below the L1s (its own memory, the latency sweep's
+//! four memories or the L2 sweep's four hierarchies), and re-prices
+//! that machine's runs under each design point's power model and
+//! operating point ([`RunReport::priced_by`]).
+//! At HP the baseline and proposal of either scenario behave alike,
+//! and so do both way splits; at ULE the voltage sweep's baselines
+//! behave alike at every supply, and so do its proposals. The
 //! experiments that install stuck bits or soft errors ([`reliability`],
-//! [`soft_error_study`]) and those that change what sits below or
-//! beside the L1s ([`ablation_l2`], [`ablation_cores`],
-//! [`ablation_workloads`]) build their own machines.
+//! [`soft_error_study`]) and those that run several cores or the
+//! zoo's replayed traces ([`ablation_cores`], [`ablation_workloads`])
+//! build their own machines.
 
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
@@ -46,7 +49,7 @@ use hyvec_cachemodel::OperatingPoint;
 use hyvec_cachesim::config::{L2Config, MemoryConfig, Mode, SystemConfig};
 use hyvec_cachesim::engine::{RunReport, SimOptions, System, SystemBuilder};
 use hyvec_cachesim::faults::sample_faults;
-use hyvec_cachesim::hierarchy::{MainMemory, MemoryLevel};
+use hyvec_cachesim::hierarchy::{L2Cache, MainMemory, MemoryLevel};
 use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
 use hyvec_cachesim::HybridCache;
 use hyvec_edc::Protection;
@@ -946,11 +949,11 @@ pub struct L2Row {
 /// class) backing store is where a second level earns its area.
 pub const ABLATION_L2_MEMORY_LATENCY: u32 = 80;
 
-/// The machine the hierarchy ablations start from: the pinned 7+1
-/// proposal of `scenario` behind an [`ABLATION_L2_MEMORY_LATENCY`]-cycle
-/// memory, simulated under `options`.
-fn slow_memory_proposal(scenario: Scenario, options: SimOptions) -> SystemBuilder {
-    let arch = Architecture::build_with(
+/// The design point the hierarchy ablations start from: the pinned
+/// 7+1 proposal of `scenario` behind an
+/// [`ABLATION_L2_MEMORY_LATENCY`]-cycle memory.
+fn slow_memory_arch(scenario: Scenario) -> Architecture {
+    Architecture::build_with(
         scenario,
         DesignPoint::Proposal,
         &FailureModel::default(),
@@ -960,9 +963,13 @@ fn slow_memory_proposal(scenario: Scenario, options: SimOptions) -> SystemBuilde
         ABLATION_L2_MEMORY_LATENCY,
     )
     // hyvec-lint: allow(no-panic, "the pinned 7+1 proposal sizing converges with default models; exercised by every run-all")
-    .expect("proposal architecture");
+    .expect("proposal architecture")
+}
+
+/// The machine of [`slow_memory_arch`], simulated under `options`.
+fn slow_memory_proposal(scenario: Scenario, options: SimOptions) -> SystemBuilder {
     System::builder()
-        .config(arch.config)
+        .config(slow_memory_arch(scenario).config)
         .memory(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY))
         .options(options)
 }
@@ -975,45 +982,29 @@ const ABLATION_L2_SIZES_KB: [Option<u64>; 4] = [None, Some(16), Some(64), Some(2
 /// mode behind a slow memory ([`ABLATION_L2_MEMORY_LATENCY`]). Every
 /// row but the first routes L1 misses through the composable
 /// [`hyvec_cachesim::hierarchy::MemoryLevel`] chain
-/// (`L1s -> L2Cache -> MainMemory`) assembled by `System::builder()`;
-/// one L1 pass per benchmark is priced against all four chains.
+/// (`L1s -> L2Cache -> MainMemory`); one L1 pass per benchmark is
+/// priced against all four chains.
 pub fn ablation_l2(
     scenario: Scenario,
     params: ExperimentParams,
     options: SimOptions,
 ) -> Vec<L2Row> {
-    let proposal = slow_memory_proposal(scenario, options);
-    // hyvec-lint: allow(no-panic, "builder inputs are the validated paper geometry; exercised by every run-all")
-    let mut system = proposal.clone().build().expect("valid proposal");
-    let mut chains = ABLATION_L2_SIZES_KB.map(|size_kb| {
-        let mut builder = proposal.clone();
-        if let Some(kb) = size_kb {
-            builder = builder.l2(L2Config::unified(kb));
-        }
-        builder
-            .build_chain()
-            // hyvec-lint: allow(no-panic, "L2Config::unified presets are valid; exercised by every run-all")
-            .expect("valid hierarchy")
-    });
-
-    let runs: Vec<[RunReport; 4]> = Benchmark::BIG
-        .iter()
-        .map(|b| {
-            system
-                .run_chains(
-                    b.trace(params.instructions, params.seed),
-                    Mode::Hp,
-                    &mut chains,
-                )
-                // hyvec-lint: allow(no-panic, "the ablation machine never enables soft errors, the only run_chains error")
-                .expect("soft errors are off")
+    let arch = slow_memory_arch(scenario);
+    let points = [(&arch.config, Mode::Hp.operating_point())];
+    let chains = |_: &SystemConfig| {
+        ABLATION_L2_SIZES_KB.map(|size_kb| -> Box<dyn MemoryLevel> {
+            let memory = MainMemory::new(MemoryConfig::with_latency(ABLATION_L2_MEMORY_LATENCY));
+            match size_kb {
+                Some(kb) => Box::new(L2Cache::new(L2Config::unified(kb), memory)),
+                None => Box::new(memory),
+            }
         })
-        .collect();
-
+    };
+    let runs = price_points(&points, &Benchmark::BIG, Mode::Hp, params, options, chains);
     ABLATION_L2_SIZES_KB
         .iter()
-        .enumerate()
-        .map(|(j, &size_kb)| {
+        .zip(&runs[0])
+        .map(|(&size_kb, runs)| {
             let mut instructions = 0u64;
             let mut cycles = 0u64;
             let mut energy_pj = 0.0;
@@ -1029,7 +1020,7 @@ pub fn ablation_l2(
             };
             let mut l2_hits = 0u64;
             let mut l2_accesses = 0u64;
-            for r in runs.iter().map(|reports| &reports[j]) {
+            for r in runs {
                 instructions += r.stats.instructions;
                 cycles += r.stats.cycles;
                 energy_pj += r.energy.total_pj();
@@ -2037,7 +2028,8 @@ mod tests {
             let mut alone = machine(config, options);
             for (b, report) in Benchmark::SMALL.iter().zip(runs) {
                 let trace = b.trace(params.instructions, params.seed);
-                assert_eq!(*report, alone.run_at(trace, Mode::Ule, *op), "{b}");
+                let run = alone.run(trace, Mode::Ule).priced_by(alone.power(), *op);
+                assert_eq!(*report, run, "{b}");
             }
         }
     }

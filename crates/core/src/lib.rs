@@ -48,7 +48,7 @@
 //! let mut system = System::new(arch.config.clone());
 //! let report = system.run(Benchmark::AdpcmC.trace(10_000, 1), Mode::Ule);
 //! assert!(report.epi_pj() > 0.0);
-//! # Ok::<(), hyvec_sram::failure::SizingError>(())
+//! # Ok::<(), hyvec_core::architecture::ArchitectureError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -20,6 +20,10 @@ pub trait TraceSource {
 }
 
 impl<I: Iterator<Item = TraceEntry>> TraceSource for I {
+    // Inline places a copy beside each engine loop that pulls from `I`.
+    // One shared copy can land in the codegen unit of another loop over
+    // the same iterator and cost that loop its inlined `next`.
+    #[inline]
     fn next_entry(&mut self) -> Option<TraceEntry> {
         self.next()
     }
