@@ -13,9 +13,15 @@
 //!   the paper's "negligible (around 3%)" execution-time overhead,
 //!   which stems from the fill/correction path.
 //!
-//! One instruction is two phases: the L1 front (`front_entry`), which
-//! never observes the chain below, and the chain phase (`apply_fill`),
-//! which never observes the L1s. One pass of the
+//! Both engines model that core once, as the crate-private `Core`:
+//! [`System`] drives one, and [`MultiCoreSystem`] one per core. One
+//! instruction is two phases: the L1 front (`Core::front_entry`),
+//! which never observes the chain below, and the chain phase
+//! (`apply_fill`), which never observes the L1s. `Core::execute` runs
+//! the front and hands each miss to a closure, and that closure is all
+//! the two engines differ in: [`System`] prices the miss on the spot
+//! against every chain, and the multi-core engine logs it for its
+//! epoch merge. One pass of the
 //! front can therefore price its misses against several chains at
 //! once: [`System::run_chains`] returns the K reports that K separate
 //! runs over those chains would, and [`System::run`] is the K = 1
@@ -32,7 +38,7 @@ use crate::multicore::{ChainRecipe, MultiCoreSystem};
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::stats::RunStats;
 use hyvec_cachemodel::{OperatingPoint, TechnologyParams};
-use hyvec_mediabench::{TraceEntry, TraceSource};
+use hyvec_mediabench::{per_core_seed, TraceEntry, TraceSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,91 +60,6 @@ pub(crate) struct CoreTiming {
     pub dl1_line_bytes: u64,
 }
 
-impl CoreTiming {
-    /// The constants of a core at `mode` whose data L1 is `dl1`.
-    pub(crate) fn new(power: &PowerModel, mode: Mode, dl1: &CacheConfig) -> Self {
-        CoreTiming {
-            il1_edc_latency: power.il1.edc_latency_cycles(mode),
-            dl1_edc_latency: power.dl1.edc_latency_cycles(mode),
-            dl1_line_bytes: dl1.line_bytes,
-        }
-    }
-}
-
-/// The byte pieces of one data access split at cache-line boundaries.
-///
-/// A `DataAccess` is at most 8 bytes and lines are powers of two, so a
-/// fixed-capacity buffer suffices (8 pieces covers even degenerate
-/// 1-byte lines) and the hot path never allocates. A non-crossing
-/// access yields exactly one piece at the original address, keeping
-/// the historical single-lookup behavior bit-for-bit.
-pub(crate) struct AccessPieces {
-    pieces: [(u64, u8); 8],
-    len: usize,
-    next: usize,
-}
-
-impl Iterator for AccessPieces {
-    type Item = (u64, u8);
-
-    fn next(&mut self) -> Option<(u64, u8)> {
-        if self.next < self.len {
-            let piece = self.pieces[self.next];
-            self.next += 1;
-            Some(piece)
-        } else {
-            None
-        }
-    }
-}
-
-/// Splits `size` bytes at `addr` into per-line pieces. Accesses that
-/// stay within one line (the only kind the synthetic generators emit)
-/// come back unchanged as a single piece; a replayed or hand-built
-/// access that crosses a boundary is charged once per touched line.
-pub(crate) fn split_at_line_boundaries(addr: u64, size: u8, line_bytes: u64) -> AccessPieces {
-    debug_assert!(
-        size <= 8,
-        "DataAccess size {size} exceeds the documented 1-8 byte range"
-    );
-    let mut out = AccessPieces {
-        pieces: [(0, 0); 8],
-        len: 0,
-        next: 0,
-    };
-    let mut addr = addr;
-    let mut remaining = u64::from(size);
-    loop {
-        // `CacheConfig::validate` guarantees power-of-two lines.
-        let room = line_bytes - (addr & (line_bytes - 1));
-        let take = remaining.min(room);
-        out.pieces[out.len] = (addr, take as u8);
-        out.len += 1;
-        remaining -= take;
-        if remaining == 0 {
-            return out;
-        }
-        if out.len == out.pieces.len() {
-            // Unreachable within the DataAccess contract (size <= 8
-            // needs at most 8 one-byte pieces). If a release build is
-            // handed a contract-violating size, charge the tail to
-            // the final piece rather than silently dropping bytes.
-            out.pieces[out.len - 1].1 = out.pieces[out.len - 1].1.saturating_add(remaining as u8);
-            return out;
-        }
-        addr += take;
-    }
-}
-
-/// Whether `size` bytes at `addr` stay within one line — true of every
-/// access the synthetic generators emit, which then skips building
-/// [`AccessPieces`]: [`split_at_line_boundaries`] would return exactly
-/// `(addr, size)`.
-#[inline]
-fn within_one_line(addr: u64, size: u8, line_bytes: u64) -> bool {
-    (addr & (line_bytes - 1)) + u64::from(size) <= line_bytes
-}
-
 /// Which L1 a chain-bound fill request belongs to (decides the EDC
 /// latency charged on top of the composed fill latency and which
 /// stall counter absorbs it).
@@ -146,7 +67,7 @@ fn within_one_line(addr: u64, size: u8, line_bytes: u64) -> bool {
 pub(crate) enum ReqKind {
     /// An IL1 fetch miss.
     Il1,
-    /// A DL1 piece miss.
+    /// A DL1 miss.
     Dl1,
 }
 
@@ -160,96 +81,214 @@ pub(crate) struct ChainRequest {
     pub kind: ReqKind,
 }
 
-/// The timing model of *one* in-order core, L1 side: counts the
-/// instruction, drives IL1/DL1, and charges one base cycle, one
-/// recovery bubble per correction and one read-modify-write bubble
-/// per sub-word store into a protected word. Data accesses that cross
-/// a DL1 line boundary are split and charged once per touched line.
-///
-/// Every L1 miss goes to `miss` in program order (IL1 fetch first,
-/// then DL1 pieces). Returns the entry's *core-local* cycles: the base
-/// cycle plus every bubble, excluding fill stalls, which
-/// [`apply_fill`] charges once the chain outcome is known. `stats`
-/// receives only the chain-independent counters: the instruction and
-/// its correction and read-modify-write bubbles.
-///
-/// The L1s never observe the chain and the chain never observes the
-/// L1s, so *when* a miss is resolved moves only when a counter is
-/// incremented, never by how much, and one pass of the L1s can feed
-/// any number of chains. [`System`] resolves each miss on the spot
-/// against every chain ([`step`]); [`MultiCoreSystem`] logs a core's
-/// misses for a whole epoch and then replays every core's log against
-/// the chains in canonical order.
-#[inline]
-pub(crate) fn front_entry(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    timing: CoreTiming,
-    stats: &mut RunStats,
-    entry: TraceEntry,
-    mut miss: impl FnMut(ChainRequest),
-) -> u64 {
-    stats.instructions += 1;
-    let mut cycles = 1u64;
+/// The one in-order core of both engines: an IL1/DL1 pair, its
+/// soft-error stream, and the counters of a run that no chain below
+/// decides. [`System`] drives one; a [`MultiCoreSystem`] drives one per
+/// core. The two differ only in the closure they hand
+/// [`Core::execute`].
+#[derive(Debug)]
+pub(crate) struct Core {
+    pub il1: HybridCache,
+    pub dl1: HybridCache,
+    /// The soft-error stream. [`Core::start`] leaves it alone: the
+    /// single-core stream persists across runs, while the multi-core
+    /// engine re-seeds each core's at the start of every run.
+    pub rng: SmallRng,
+    /// The chain-independent counters of the run so far: instructions,
+    /// their correction and read-modify-write bubbles
+    /// (`edc_stall_cycles`), and the core-local cycles (`cycles`: base
+    /// cycles plus bubbles, no fill stalls).
+    stats: RunStats,
+}
 
-    let fetch = il1.access(entry.pc, false);
-    if !fetch.hit {
-        let access = AccessRequest::read(entry.pc);
-        let kind = ReqKind::Il1;
-        miss(ChainRequest { access, kind });
-    }
-    if fetch.corrected > 0 {
-        stats.edc_stall_cycles += 1;
-        cycles += 1;
+impl Core {
+    /// A core over the empty `il1` and `dl1`, its soft-error stream
+    /// seeded with `seed`.
+    pub(crate) fn new(il1: HybridCache, dl1: HybridCache, seed: u64) -> Core {
+        Core {
+            il1,
+            dl1,
+            rng: SmallRng::seed_from_u64(seed),
+            stats: RunStats::default(),
+        }
     }
 
-    if let Some(access) = entry.access {
-        // One DL1 piece: its lookup, miss and bubbles, returned as the
-        // cycles it adds.
-        let mut piece = |addr: u64, size: u8| {
-            let mut extra = 0;
-            let data = dl1.access(addr, access.is_write);
-            if !data.hit {
-                let access = AccessRequest {
-                    addr,
-                    is_write: access.is_write,
-                };
-                let kind = ReqKind::Dl1;
-                miss(ChainRequest { access, kind });
-            }
-            if data.corrected > 0 {
-                stats.edc_stall_cycles += 1;
-                extra += 1;
-            }
-            // Sub-word stores into an EDC-protected word need a
-            // read-modify-write to regenerate the check bits: one
-            // extra cycle.
-            if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
-                stats.edc_stall_cycles += 1;
-                extra += 1;
-            }
-            extra
+    /// The start of a run: both L1s flushed and reset into `mode`, the
+    /// counters zeroed. The soft-error stream is left alone.
+    pub(crate) fn start(&mut self, mode: Mode) {
+        self.il1.set_mode(mode);
+        self.dl1.set_mode(mode);
+        self.il1.reset_stats();
+        self.dl1.reset_stats();
+        self.stats = RunStats::default();
+    }
+
+    /// The constants of a run at `mode` under `power`: the core's
+    /// timing, and its expected upsets per cycle at `seu_rate` upsets
+    /// per stored bit per cycle, over every bit [`ule_exposure_bits`]
+    /// counts.
+    pub(crate) fn constants(
+        &self,
+        power: &PowerModel,
+        mode: Mode,
+        seu_rate: f64,
+    ) -> (CoreTiming, f64) {
+        let (il1, dl1) = (self.il1.config(), self.dl1.config());
+        let timing = CoreTiming {
+            il1_edc_latency: power.il1.edc_latency_cycles(mode),
+            dl1_edc_latency: power.dl1.edc_latency_cycles(mode),
+            dl1_line_bytes: dl1.line_bytes,
         };
-        if within_one_line(access.addr, access.size, timing.dl1_line_bytes) {
-            cycles += piece(access.addr, access.size);
-        } else {
-            for (addr, size) in
-                split_at_line_boundaries(access.addr, access.size, timing.dl1_line_bytes)
-            {
-                cycles += piece(addr, size);
+        (timing, seu_rate * ule_exposure_bits(il1, dl1) as f64)
+    }
+
+    /// One instruction: its L1 front ([`Core::front_entry`]), with
+    /// every miss handed to `miss` in program order; then one
+    /// soft-error draw at `seu` expected upsets per cycle, over the
+    /// instruction's core-local cycles plus the stall cycles `miss`
+    /// returned.
+    ///
+    /// The engines differ on purpose, each in its `miss`: [`System`]
+    /// resolves each miss on the spot against every chain and returns
+    /// the first chain's stall, so its exposure includes fill stalls;
+    /// the multi-core engine logs each miss for its epoch merge and
+    /// returns 0, so its exposure stays core-local and a core draws its
+    /// upsets before its misses reach the chain, on whichever thread
+    /// runs it.
+    #[inline]
+    pub(crate) fn execute(
+        &mut self,
+        entry: TraceEntry,
+        timing: CoreTiming,
+        seu: f64,
+        mut miss: impl FnMut(ChainRequest) -> u64,
+    ) {
+        let mut stalls = 0;
+        let local = self.front_entry(timing, entry, |req| stalls += miss(req));
+        self.stats.cycles += local;
+        self.maybe_inject_seu(seu, local + stalls);
+    }
+
+    /// The timing model of the core, L1 side: counts the instruction,
+    /// drives IL1/DL1, and charges one base cycle, one recovery bubble
+    /// per correction and one read-modify-write bubble per sub-word
+    /// store into a protected word. A data access makes one DL1 lookup
+    /// per line it touches, each charged on its own; a zero-size access
+    /// still makes one.
+    ///
+    /// Every L1 miss goes to `miss` in program order (IL1 fetch first,
+    /// then DL1 lines). Returns the entry's *core-local* cycles: the
+    /// base cycle plus every bubble, excluding fill stalls, which
+    /// [`apply_fill`] charges once the chain outcome is known. The
+    /// core's counters receive only the chain-independent ones: the
+    /// instruction and its correction and read-modify-write bubbles.
+    ///
+    /// The L1s never observe the chain and the chain never observes the
+    /// L1s, so *when* a miss is resolved moves only when a counter is
+    /// incremented, never by how much, and one pass of the L1s can feed
+    /// any number of chains.
+    #[inline]
+    fn front_entry(
+        &mut self,
+        timing: CoreTiming,
+        entry: TraceEntry,
+        mut miss: impl FnMut(ChainRequest),
+    ) -> u64 {
+        self.stats.instructions += 1;
+        let mut cycles = 1u64;
+
+        let fetch = self.il1.access(entry.pc, false);
+        if !fetch.hit {
+            let access = AccessRequest::read(entry.pc);
+            let kind = ReqKind::Il1;
+            miss(ChainRequest { access, kind });
+        }
+        if fetch.corrected > 0 {
+            self.stats.edc_stall_cycles += 1;
+            cycles += 1;
+        }
+
+        if let Some(access) = entry.access {
+            debug_assert!(
+                access.size <= 8,
+                "DataAccess size {} exceeds the documented 1-8 byte range",
+                access.size
+            );
+            // `CacheConfig::validate` guarantees power-of-two lines.
+            let line = timing.dl1_line_bytes;
+            let (mut addr, mut remaining) = (access.addr, u64::from(access.size));
+            loop {
+                // The bytes of this line the access touches.
+                let size = remaining.min(line - (addr & (line - 1)));
+                let data = self.dl1.access(addr, access.is_write);
+                if !data.hit {
+                    let access = AccessRequest {
+                        addr,
+                        is_write: access.is_write,
+                    };
+                    let kind = ReqKind::Dl1;
+                    miss(ChainRequest { access, kind });
+                }
+                if data.corrected > 0 {
+                    self.stats.edc_stall_cycles += 1;
+                    cycles += 1;
+                }
+                // Sub-word stores into an EDC-protected word need a
+                // read-modify-write to regenerate the check bits: one
+                // extra cycle.
+                if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
+                    self.stats.edc_stall_cycles += 1;
+                    cycles += 1;
+                }
+                remaining -= size;
+                if remaining == 0 {
+                    break;
+                }
+                addr = addr.wrapping_add(size);
+            }
+        }
+
+        cycles
+    }
+
+    /// One soft-error draw for one instruction: `cycles` of exposure at
+    /// `seu` expected upsets per cycle. An upset flips one random ULE
+    /// bit of the IL1 or the DL1. Draws nothing when injection is off,
+    /// so fault-free runs stay free of RNG work.
+    #[inline]
+    fn maybe_inject_seu(&mut self, seu: f64, cycles: u64) {
+        if seu <= 0.0 {
+            return;
+        }
+        if self.rng.gen::<f64>() < seu * cycles as f64 {
+            if self.rng.gen::<bool>() {
+                inject_random_seu(&mut self.il1, &mut self.rng);
+            } else {
+                inject_random_seu(&mut self.dl1, &mut self.rng);
             }
         }
     }
 
-    cycles
+    /// The run report of this core over the chain behind `tally`: the
+    /// tally plus the core's own counters, its core-local cycles
+    /// included, and its L1 counters, priced by `power` at `mode`'s
+    /// operating point.
+    pub(crate) fn report(&self, tally: &ChainTally, power: &PowerModel, mode: Mode) -> RunReport {
+        let mut stats = tally.stats;
+        stats.instructions = self.stats.instructions;
+        stats.cycles += self.stats.cycles;
+        stats.edc_stall_cycles += self.stats.edc_stall_cycles;
+        stats.il1 = *self.il1.stats();
+        stats.dl1 = *self.dl1.stats();
+        RunReport::priced(stats, tally.below_pj, mode, power, mode.operating_point())
+    }
 }
 
 /// What one chain charges one core over a run: the chain-dependent
-/// counters (fill stalls, the fills' EDC latency, memory and
-/// below-L1 EDC events, and the core's cycles including its
-/// core-local ones) and the energy spent below the L1s. A core's
-/// report over a chain is its front counters plus this tally
-/// ([`ChainTally::report`]).
+/// counters (fill stalls and the cycles they add, the fills' EDC
+/// latency, memory and below-L1 EDC events) and the energy spent below
+/// the L1s. A core's report over a chain is its own counters plus this
+/// tally ([`Core::report`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChainTally {
     pub stats: RunStats,
@@ -258,30 +297,11 @@ pub(crate) struct ChainTally {
     pub below_pj: f64,
 }
 
-impl ChainTally {
-    /// The run report of one core over this tally's chain: the tally,
-    /// the chain-independent `front` counters of [`front_entry`] and
-    /// the L1 counters, priced by `power` at `mode`'s operating point.
-    pub(crate) fn report(
-        &self,
-        front: &RunStats,
-        (il1, dl1): (&HybridCache, &HybridCache),
-        power: &PowerModel,
-        mode: Mode,
-    ) -> RunReport {
-        let mut stats = self.stats;
-        stats.instructions = front.instructions;
-        stats.edc_stall_cycles += front.edc_stall_cycles;
-        stats.il1 = *il1.stats();
-        stats.dl1 = *dl1.stats();
-        RunReport::priced(stats, self.below_pj, mode, power, mode.operating_point())
-    }
-}
-
 /// The chain phase of one request on one chain: charges the composed
-/// fill outcome to the issuing core's `tally`, returning the stall
-/// cycles the core pays (composed fill latency + the missing L1's EDC
-/// pipeline). Counterpart of [`front_entry`]; see there.
+/// fill outcome to the issuing core's `tally`, with the stall cycles
+/// the core pays (composed fill latency + the missing L1's EDC
+/// pipeline), and returns that stall. Counterpart of
+/// [`Core::front_entry`]; see there.
 ///
 /// `stats.memory_accesses` counts every fill satisfied at
 /// [`HitDepth::Memory`]: the core's *demand* memory traffic. The
@@ -309,45 +329,13 @@ pub(crate) fn apply_fill(
         ReqKind::Dl1 => stats.dl1_stall_cycles += stall,
     }
     stats.edc_stall_cycles += u64::from(edc_latency);
+    stats.cycles += stall;
     stall
-}
-
-/// One instruction of one core through the whole machine: the
-/// [`front_entry`] phase over `front`, with each miss sent down every
-/// chain on the spot: `chain(j, ..)` serves it from chain `j`, or
-/// declines with `None` (a chain whose width leaves the issuing core
-/// out), and [`apply_fill`] charges each served fill to `tallies[j]`.
-/// Adds the instruction's cycles to each tally and returns them as
-/// `(local, totals)`: the core-local cycles, and per chain the total
-/// including that chain's fill stalls.
-#[inline]
-pub(crate) fn step<const K: usize>(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    timing: CoreTiming,
-    front: &mut RunStats,
-    tallies: &mut [ChainTally; K],
-    entry: TraceEntry,
-    mut chain: impl FnMut(usize, AccessRequest) -> Option<AccessOutcome>,
-) -> (u64, [u64; K]) {
-    let mut totals = [0u64; K];
-    let local = front_entry(il1, dl1, timing, front, entry, |req| {
-        for (j, (tally, total)) in tallies.iter_mut().zip(&mut totals).enumerate() {
-            if let Some(fill) = chain(j, req.access) {
-                *total += apply_fill(timing, req.kind, fill, tally);
-            }
-        }
-    });
-    for (tally, total) in tallies.iter_mut().zip(totals.iter_mut()) {
-        *total += local;
-        tally.stats.cycles += *total;
-    }
-    (local, totals)
 }
 
 /// Stored bits of one core exposed to soft errors: every bit (data and
 /// tag, payload and check) of the ULE ways of its IL1 and DL1.
-pub(crate) fn ule_exposure_bits(il1: &CacheConfig, dl1: &CacheConfig) -> u64 {
+fn ule_exposure_bits(il1: &CacheConfig, dl1: &CacheConfig) -> u64 {
     [il1, dl1]
         .iter()
         .map(|c| {
@@ -364,39 +352,6 @@ pub(crate) fn ule_exposure_bits(il1: &CacheConfig, dl1: &CacheConfig) -> u64 {
                 .sum::<u64>()
         })
         .sum()
-}
-
-/// One soft-error draw for one instruction: `cycles` of exposure over
-/// `ule_bits` at `seu_rate` upsets per bit per cycle. An upset flips
-/// one random ULE bit of `il1` or `dl1`. Draws nothing when injection
-/// is off, so fault-free runs stay free of RNG work.
-///
-/// The two engines differ on purpose, each in one argument: [`System`]
-/// passes the instruction's total cycles (fill stalls included) and
-/// its one stream, which persists across runs; the multi-core engine
-/// passes core-local cycles and per-core streams re-derived every run,
-/// so a core draws its upsets before its misses reach the chain, on
-/// whichever thread runs it.
-#[inline]
-pub(crate) fn maybe_inject_seu(
-    il1: &mut HybridCache,
-    dl1: &mut HybridCache,
-    rng: &mut SmallRng,
-    seu_rate: f64,
-    ule_bits: u64,
-    cycles: u64,
-) {
-    if seu_rate <= 0.0 {
-        return;
-    }
-    let expected = seu_rate * ule_bits as f64 * cycles as f64;
-    if rng.gen::<f64>() < expected {
-        if rng.gen::<bool>() {
-            inject_random_seu(il1, rng);
-        } else {
-            inject_random_seu(dl1, rng);
-        }
-    }
 }
 
 /// Flips one uniformly random stored bit among the ULE-way words of
@@ -494,25 +449,15 @@ impl RunReport {
 /// below them + power model.
 #[derive(Debug)]
 pub struct System {
-    front: Front,
-    /// The memory hierarchy beneath both L1s, called once per L1 miss.
-    below: Box<dyn MemoryLevel>,
-}
-
-/// Everything of a single-core machine that one pass of a trace
-/// drives, whatever chain sits below: the L1s, the power model and the
-/// soft-error state.
-#[derive(Debug)]
-struct Front {
-    il1: HybridCache,
-    dl1: HybridCache,
+    core: Core,
     power: PowerModel,
     /// Soft-error injection: expected upsets per stored bit per cycle
     /// (0 disables). Real rates are ~1e-17/bit/s; experiments
     /// accelerate this by many orders of magnitude to observe events
     /// in feasible simulations.
     seu_rate_per_bit_cycle: f64,
-    seu_rng: SmallRng,
+    /// The memory hierarchy beneath both L1s, called once per L1 miss.
+    below: Box<dyn MemoryLevel>,
 }
 
 /// How a machine is simulated, as opposed to what it models: the
@@ -628,24 +573,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Shorthand for [`SystemBuilder::memory`] with only a latency.
-    pub fn memory_latency(mut self, cycles: u32) -> SystemBuilder {
-        self.memory.latency = cycles;
-        self
-    }
-
-    /// Sets the technology constants of the power model.
-    pub fn tech(mut self, tech: TechnologyParams) -> SystemBuilder {
-        self.tech = tech;
-        self
-    }
-
-    /// Sets the 10T sizing of the always-on uncore SRAM arrays.
-    pub fn uncore_sizing(mut self, sizing: f64) -> SystemBuilder {
-        self.uncore_ten_t_sizing = sizing;
-        self
-    }
-
     /// Enables runtime soft-error injection at `rate` expected upsets
     /// per stored bit per cycle, with a deterministic RNG `seed`.
     pub fn seu(mut self, rate: f64, seed: u64) -> SystemBuilder {
@@ -680,9 +607,11 @@ impl SystemBuilder {
     /// ([`ConfigError::MissingCache`]), an invalid L1/L2 geometry, or
     /// an invalid soft-error rate ([`ConfigError::InvalidSeuRate`]).
     pub fn build(self) -> Result<System, ConfigError> {
-        let front = self.front()?;
+        let (config, (rate, seed)) = self.validate()?;
         Ok(System {
-            front,
+            core: self.core(&config, seed)?,
+            power: PowerModel::new(&config),
+            seu_rate_per_bit_cycle: rate,
             below: chain_below(self.l2, self.memory),
         })
     }
@@ -701,9 +630,10 @@ impl SystemBuilder {
         Ok(chain_below(self.l2.clone(), self.memory))
     }
 
-    /// Validates everything but the topology and assembles the
-    /// single-core front: both L1s, the power model and the SEU state.
-    fn front(&self) -> Result<Front, ConfigError> {
+    /// Validates everything but the topology and the L1 geometries,
+    /// which [`SystemBuilder::core`] checks, and returns the machine's
+    /// configuration with its soft-error rate and seed.
+    fn validate(&self) -> Result<(SystemConfig, (f64, u64)), ConfigError> {
         let il1 = self
             .il1
             .clone()
@@ -715,10 +645,9 @@ impl SystemBuilder {
         if let Some(l2) = &self.l2 {
             l2.validate()?;
         }
-        if let Some((rate, _)) = self.seu {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(ConfigError::InvalidSeuRate);
-            }
+        let (rate, seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
+        if !rate.is_finite() || rate < 0.0 {
+            return Err(ConfigError::InvalidSeuRate);
         }
         let config = SystemConfig {
             il1,
@@ -727,14 +656,19 @@ impl SystemBuilder {
             tech: self.tech,
             uncore_ten_t_sizing: self.uncore_ten_t_sizing,
         };
-        let (rate, seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
-        Ok(Front {
-            il1: empty_l1(&config.il1, self.options)?,
-            dl1: empty_l1(&config.dl1, self.options)?,
-            power: PowerModel::new(&config),
-            seu_rate_per_bit_cycle: rate,
-            seu_rng: SmallRng::seed_from_u64(seed),
-        })
+        Ok((config, (rate, seed)))
+    }
+
+    /// One core over empty HP-mode L1s of `config`, with the slow path
+    /// forced when the options ask for it, its soft-error stream seeded
+    /// with `seed`: the one constructor of every core of both builds.
+    fn core(&self, config: &SystemConfig, seed: u64) -> Result<Core, ConfigError> {
+        let l1 = |l1_config: &CacheConfig| -> Result<HybridCache, ConfigError> {
+            let mut cache = HybridCache::try_new(l1_config.clone(), Mode::Hp)?;
+            cache.set_force_slow_path(self.options.force_slow_path);
+            Ok(cache)
+        };
+        Ok(Core::new(l1(&config.il1)?, l1(&config.dl1)?, seed))
     }
 
     /// Validates the configuration and assembles a `cores`-core
@@ -757,16 +691,10 @@ impl SystemBuilder {
         if cores == 0 {
             return Err(ConfigError::NoCores);
         }
-        // Core 0, the power model and the SEU state come from the
-        // single-core constructor, so the two paths can never diverge
-        // on validation or assembly.
-        let Front {
-            il1,
-            dl1,
-            power,
-            seu_rate_per_bit_cycle,
-            ..
-        } = self.front()?;
+        let (config, (rate, seed)) = self.validate()?;
+        let cores = (0..cores)
+            .map(|core| self.core(&config, per_core_seed(seed, core)))
+            .collect::<Result<Vec<_>, _>>()?;
         let recipe = match self.topology {
             Topology::SharedL2 => ChainRecipe::Shared {
                 l2: self.l2,
@@ -778,21 +706,11 @@ impl SystemBuilder {
                 memory: self.memory,
             },
         };
-        let (il1_config, dl1_config) = (il1.config().clone(), dl1.config().clone());
-        let mut fronts = vec![(il1, dl1)];
-        for _ in 1..cores {
-            fronts.push((
-                empty_l1(&il1_config, self.options)?,
-                empty_l1(&dl1_config, self.options)?,
-            ));
-        }
-        let (_, seu_seed) = self.seu.unwrap_or((0.0, DEFAULT_SEU_SEED));
         Ok(MultiCoreSystem::new(
-            fronts,
+            cores,
             recipe,
-            power,
-            seu_rate_per_bit_cycle,
-            seu_seed,
+            PowerModel::new(&config),
+            (rate, seed),
             self.options.sim_threads,
         ))
     }
@@ -806,14 +724,6 @@ pub(crate) fn chain_below(l2: Option<L2Config>, memory: MemoryConfig) -> Box<dyn
         Some(l2) => Box::new(L2Cache::new(l2, memory)),
         None => Box::new(memory),
     }
-}
-
-/// One empty HP-mode L1 from `config`, with the slow path forced when
-/// `options` asks for it.
-fn empty_l1(config: &CacheConfig, options: SimOptions) -> Result<HybridCache, ConfigError> {
-    let mut cache = HybridCache::try_new(config.clone(), Mode::Hp)?;
-    cache.set_force_slow_path(options.force_slow_path);
-    Ok(cache)
 }
 
 impl System {
@@ -841,17 +751,12 @@ impl System {
 
     /// The instruction cache (e.g. for fault injection).
     pub fn il1_mut(&mut self) -> &mut HybridCache {
-        &mut self.front.il1
+        &mut self.core.il1
     }
 
     /// The data cache (e.g. for fault injection).
     pub fn dl1_mut(&mut self) -> &mut HybridCache {
-        &mut self.front.dl1
-    }
-
-    /// The memory hierarchy beneath the L1s.
-    pub fn below(&self) -> &dyn MemoryLevel {
-        self.below.as_ref()
+        &mut self.core.dl1
     }
 
     /// Replaces the memory hierarchy beneath the L1s with a custom
@@ -864,7 +769,7 @@ impl System {
 
     /// The power model.
     pub fn power(&self) -> &PowerModel {
-        &self.front.power
+        &self.power
     }
 
     /// Runs `trace` to completion at `mode`, returning timing and
@@ -879,7 +784,10 @@ impl System {
     where
         T: TraceSource,
     {
-        let [report] = self.front.price(trace, mode, [self.below.as_mut()]);
+        let rate = self.seu_rate_per_bit_cycle;
+        let [report] = self
+            .core
+            .price(&self.power, rate, trace, mode, [self.below.as_mut()]);
         report
     }
 
@@ -906,66 +814,51 @@ impl System {
     where
         T: TraceSource,
     {
-        if K > 1 && self.front.seu_rate_per_bit_cycle > 0.0 {
+        let rate = self.seu_rate_per_bit_cycle;
+        if K > 1 && rate > 0.0 {
             return Err(ConfigError::SeuAcrossChains { chains: K });
         }
         let chains = chains
             .each_mut()
             .map(|chain| -> &mut dyn MemoryLevel { chain.as_mut() });
-        Ok(self.front.price(trace, mode, chains))
+        Ok(self.core.price(&self.power, rate, trace, mode, chains))
     }
 }
 
-impl Front {
-    /// The single-core loop: one pass of `trace` through the L1s, each
-    /// miss priced on the spot against every one of `chains`, and one
-    /// report per chain. Soft errors integrate the first chain's total
-    /// cycles, which is why [`System::run_chains`] refuses `K > 1`
-    /// with injection on.
+impl Core {
+    /// The single-core loop: one pass of `trace` through this core at
+    /// `mode`, each miss priced on the spot against every one of
+    /// `chains`, and one report per chain, priced by `power`. Soft
+    /// errors at `seu_rate` integrate the first chain's total cycles,
+    /// which is why [`System::run_chains`] refuses `K > 1` with
+    /// injection on.
     fn price<T: TraceSource, const K: usize>(
         &mut self,
+        power: &PowerModel,
+        seu_rate: f64,
         mut trace: T,
         mode: Mode,
         mut chains: [&mut dyn MemoryLevel; K],
     ) -> [RunReport; K] {
-        self.il1.set_mode(mode);
-        self.dl1.set_mode(mode);
-        self.il1.reset_stats();
-        self.dl1.reset_stats();
+        self.start(mode);
         for chain in chains.iter_mut() {
             chain.flush();
             chain.reset_stats();
         }
-
-        let timing = CoreTiming::new(&self.power, mode, self.dl1.config());
-        let ule_bits = ule_exposure_bits(self.il1.config(), self.dl1.config());
-        let rate = self.seu_rate_per_bit_cycle;
-
-        let mut front = RunStats::default();
+        let (timing, seu) = self.constants(power, mode, seu_rate);
         let mut tallies = [ChainTally::default(); K];
-        let Front {
-            il1, dl1, seu_rng, ..
-        } = self;
         while let Some(entry) = trace.next_entry() {
-            let (_, totals) = step(
-                il1,
-                dl1,
-                timing,
-                &mut front,
-                &mut tallies,
-                entry,
-                |j, req| Some(chains[j].access(req)),
-            );
-            // Exposure integrates total cycles, fill stalls included,
-            // from the one stream that persists across runs.
-            if let Some(&total) = totals.first() {
-                maybe_inject_seu(il1, dl1, seu_rng, rate, ule_bits, total);
-            }
+            self.execute(entry, timing, seu, |req| {
+                let stalls: [u64; K] = std::array::from_fn(|j| {
+                    let fill = chains[j].access(req.access);
+                    apply_fill(timing, req.kind, fill, &mut tallies[j])
+                });
+                stalls.first().map_or(0, |&stall| stall)
+            });
         }
 
         std::array::from_fn(|j| {
-            let l1s = (&self.il1, &self.dl1);
-            let mut report = tallies[j].report(&front, l1s, &self.power, mode);
+            let mut report = self.report(&tallies[j], power, mode);
             // The single-core report keeps the historical
             // chain-reported memory count (demand fills *plus* buffered
             // writebacks), discarding the loop's demand-only tally —
@@ -1166,45 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn split_pieces_cover_the_access_exactly() {
-        // Crossing accesses split at the boundary...
-        let pieces: Vec<_> = split_at_line_boundaries(30, 4, 32).collect();
-        assert_eq!(pieces, [(30, 2), (32, 2)]);
-        let pieces: Vec<_> = split_at_line_boundaries(31, 8, 32).collect();
-        assert_eq!(pieces, [(31, 1), (32, 7)]);
-        // ...aligned and boundary-ending accesses stay whole...
-        assert_eq!(
-            split_at_line_boundaries(28, 4, 32).collect::<Vec<_>>(),
-            [(28, 4)]
-        );
-        assert_eq!(
-            split_at_line_boundaries(24, 8, 32).collect::<Vec<_>>(),
-            [(24, 8)]
-        );
-        // ...and degenerate tiny lines still terminate.
-        let pieces: Vec<_> = split_at_line_boundaries(3, 8, 4).collect();
-        assert_eq!(pieces, [(3, 1), (4, 4), (8, 3)]);
-    }
-
-    #[test]
-    fn single_line_shortcut_matches_the_splitter() {
-        // The engine skips the splitter exactly when it would hand back
-        // the access unchanged as its only piece.
-        for line in [1u64, 4, 32] {
-            for addr in 0..3 * line {
-                for size in 1u8..=8 {
-                    let pieces: Vec<_> = split_at_line_boundaries(addr, size, line).collect();
-                    assert_eq!(
-                        within_one_line(addr, size, line),
-                        pieces == [(addr, size)],
-                        "line {line}, addr {addr}, size {size}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn line_crossing_accesses_are_charged_per_touched_line() {
         // The synthetic generators never emit line-crossing accesses,
         // but replayed traces can: pin the chosen behavior — the
@@ -1233,6 +1087,93 @@ mod tests {
         assert_eq!(r.stats.memory_accesses, 3, "IL1 fill + two DL1 fills");
     }
 
+    /// A proposal-A machine with `line`-byte DL1 lines.
+    fn one_access_machine(line: u64) -> System {
+        let mut cfg = proposal_a();
+        cfg.dl1.line_bytes = line;
+        System::new(cfg)
+    }
+
+    /// Runs one data access at `0x2000_0000 + addr` on `sys`. Every run
+    /// starts cold.
+    fn run_one_access(
+        sys: &mut System,
+        addr: u64,
+        size: u8,
+        is_write: bool,
+        mode: Mode,
+    ) -> RunStats {
+        use hyvec_mediabench::{DataAccess, TraceEntry};
+        let access = DataAccess {
+            addr: 0x2000_0000 + addr,
+            size,
+            is_write,
+        };
+        let entry = TraceEntry {
+            pc: 0x1000_0000,
+            access: Some(access),
+        };
+        sys.run(vec![entry].into_iter(), mode).stats
+    }
+
+    #[test]
+    fn split_pieces_cover_the_access_exactly() {
+        // The pieces an access splits into at DL1 line boundaries: one
+        // lookup per piece, and the bytes each piece covers pinned by
+        // the read-modify-write bubble a store into the protected ULE
+        // way pays per piece of less than a word. (addr, size, line,
+        // lookups, bubbles): 4 bytes at 30 split 2 + 2, 8 at 31 split
+        // 1 + 7, aligned and boundary-ending accesses stay whole, 8 at 3
+        // over one-word lines split 1 + 4 + 3, and an empty store is
+        // one piece that still reads its word.
+        let cases = [
+            (30, 4, 32, 2, 2),
+            (31, 8, 32, 2, 1),
+            (28, 4, 32, 1, 0),
+            (24, 8, 32, 1, 0),
+            (3, 8, 4, 3, 2),
+            (5, 0, 32, 1, 1),
+        ];
+        for (addr, size, line, lookups, bubbles) in cases {
+            let mut sys = one_access_machine(line);
+            let load = run_one_access(&mut sys, addr, size, false, Mode::Ule);
+            let store = run_one_access(&mut sys, addr, size, true, Mode::Ule);
+            let what = format!("line {line}, addr {addr}, size {size}");
+            assert_eq!(load.dl1.accesses, lookups, "{what}");
+            assert_eq!(store.dl1.accesses, lookups, "{what}");
+            assert_eq!(
+                store.edc_stall_cycles - load.edc_stall_cycles,
+                bubbles,
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_line_shortcut_matches_the_splitter() {
+        // An access within one line — every access the synthetic
+        // generators emit — goes once round the splitting loop: one DL1
+        // lookup and, on a cold DL1, one fill. Every access of up to 8
+        // bytes, at every offset of three lines, on one-word and 32-byte
+        // lines: one lookup and one cold fill per line it touches. A
+        // zero-size access still makes one.
+        for line in [4, 32] {
+            let mut sys = one_access_machine(line);
+            for addr in 0..3 * line {
+                for size in 0u8..=8 {
+                    let last = addr + u64::from(size.max(1)) - 1;
+                    let lines = last / line - addr / line + 1;
+                    let dl1 = run_one_access(&mut sys, addr, size, false, Mode::Hp).dl1;
+                    assert_eq!(
+                        (dl1.accesses, dl1.fills),
+                        (lines, lines),
+                        "line {line}, addr {addr}, size {size}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn builder_without_l1s_is_rejected() {
         use crate::config::ConfigError;
@@ -1255,9 +1196,9 @@ mod tests {
             sim_threads: 3,
         };
         let plain = builder().build().expect("valid");
-        assert!(plain.front.il1.fast_path_ready() && plain.front.dl1.fast_path_ready());
+        assert!(plain.core.il1.fast_path_ready() && plain.core.dl1.fast_path_ready());
         let slow = builder().options(forced).build().expect("valid");
-        assert!(!slow.front.il1.fast_path_ready() && !slow.front.dl1.fast_path_ready());
+        assert!(!slow.core.il1.fast_path_ready() && !slow.core.dl1.fast_path_ready());
 
         let mut multi = builder().options(forced).build_multi(3).expect("3 cores");
         assert_eq!(multi.sim_threads(), 3);

@@ -21,15 +21,16 @@
 //!   [`hierarchy::L2Cache`] (one L2 shared by every core, or a private
 //!   L2 per core, optionally MESI-coherent), and the terminal
 //!   [`hierarchy::MainMemory`] model;
-//! * [`engine`] — the in-order core timing model (1 IPC base, miss
-//!   stalls, EDC fill latency) driving both L1s from any
-//!   [`hyvec_mediabench::TraceSource`], with the fluent
-//!   [`engine::SystemBuilder`] assembling the machine;
-//! * [`multicore`] — the multi-core shape on top of the same pieces:
-//!   N private split-L1 front ends in a canonical round-robin
-//!   interleaving over a shared L2/memory chain or per-core private
-//!   L2s (optionally MESI-coherent), simulated an epoch of each core
-//!   at a time, optionally across threads, with a deterministic merge
+//! * [`engine`] — the one in-order core timing model (1 IPC base,
+//!   miss stalls, EDC fill latency) driving both L1s from any
+//!   [`hyvec_mediabench::TraceSource`], the single-core machine that
+//!   prices each of its misses on the spot, and the fluent
+//!   [`engine::SystemBuilder`] assembling either machine;
+//! * [`multicore`] — the multi-core shape on top of the same core:
+//!   N of them in a canonical round-robin interleaving over a shared
+//!   L2/memory chain or per-core private L2s (optionally
+//!   MESI-coherent), each core running an epoch at a time, optionally
+//!   across threads, and logging its misses for a deterministic merge
 //!   ([`SystemBuilder::build_multi`](engine::SystemBuilder::build_multi));
 //! * [`power`] — Wattch-style event-based energy accounting on top of
 //!   the [`hyvec_cachemodel`] arrays, producing the EPI breakdowns of

@@ -6,8 +6,9 @@
 //! new platform shapes could be assembled on top of it. This module
 //! adds the baseline shape every cache-reliability study assumes —
 //! several in-order cores, each with its own IL1/DL1 pair (the same
-//! hybrid-way, bit-accurate caches the single-core engine drives),
-//! missing into **one** shared L2/memory chain — plus the
+//! core model over the same hybrid-way, bit-accurate caches that the
+//! single-core engine drives), missing into **one** shared L2/memory
+//! chain — plus the
 //! [`Topology::PrivateL2`](crate::config::Topology) variant: a
 //! private L2 per core over one shared memory, optionally kept
 //! MESI-coherent (see [`L2Cache`]).
@@ -35,16 +36,20 @@
 //! the canonical order. It proceeds in epochs of
 //! [`EPOCH_INSTRUCTIONS`] rounds:
 //!
-//! 1. each core's L1 front runs a whole epoch of its own trace
-//!    (`front_entry`). It logs only its chain-bound fill requests,
-//!    each tagged with its round, and sums its core-local cycles;
+//! 1. each core runs a whole epoch of its own trace through the one
+//!    in-order core model both engines share (`Core::execute`). The
+//!    closure it hands each miss logs the chain-bound fill request,
+//!    tagged with its round, and charges no stall: the core counts its
+//!    core-local cycles on its own;
 //! 2. one merge pass replays the logged requests against the chain
 //!    (or every chain, see below) in canonical (round, core, program)
-//!    order (`apply_fill`), charging fill stalls and energy.
+//!    order (`apply_fill`), charging fill stalls and energy to the
+//!    issuing core's tally on each chain.
 //!
-//! Each core's summed core-local cycles join its tallies once, at the
-//! end of the run. A core pulls entries from its source directly and
-//! never polls it again after its first `None`, since
+//! A core's report over a chain is its own counters, core-local
+//! cycles included, plus its tally there (`Core::report`, as in the
+//! single-core engine). A core pulls entries from its source directly
+//! and never polls it again after its first `None`, since
 //! [`TraceSource`] is not fused.
 //!
 //! This is the one loop at every simulation-thread count
@@ -79,11 +84,13 @@
 //! widest machine's L1s. [`run`](MultiCoreSystem::run) is the K = 1
 //! instance at full width: the loop exists once, generic over K.
 //!
-//! Soft-error draws come from *per-core* RNG streams seeded with
-//! [`per_core_seed`], and exposure integrates each instruction's
-//! core-local cycles (base + bubbles, excluding chain fill stalls),
-//! so injection happens inside the core's front pass and lands
-//! identically at any thread count.
+//! Soft-error draws come from *per-core* RNG streams, re-seeded with
+//! [`per_core_seed`] at the start of every run. Since a logged miss
+//! charges no stall, exposure integrates each instruction's core-local
+//! cycles (base + bubbles, excluding chain fill stalls), so injection
+//! happens inside the core's front pass and lands identically at any
+//! thread count. (The single-core engine's closure returns the fill
+//! stall instead, and its exposure includes it.)
 //!
 //! Bandwidth arbitration (queueing at the shared L2 port) is *not*
 //! modeled; the contention cost is the architectural one above. Nor
@@ -119,14 +126,13 @@
 //! ```
 
 use crate::cache::HybridCache;
-use crate::config::{CacheConfig, ConfigError, L2Config, MemoryConfig, Mesi, Mode};
+use crate::config::{ConfigError, L2Config, MemoryConfig, Mesi, Mode};
 use crate::engine::{
-    apply_fill, chain_below, front_entry, maybe_inject_seu, ule_exposure_bits, ChainRequest,
-    ChainTally, CoreTiming, RunReport,
+    apply_fill, chain_below, ChainRequest, ChainTally, Core, CoreTiming, RunReport,
 };
 use crate::hierarchy::{AccessOutcome, AccessRequest, L2Cache, MainMemory, MemoryLevel};
 use crate::power::PowerModel;
-use crate::stats::{CacheStats, RunStats};
+use crate::stats::CacheStats;
 use hyvec_mediabench::{per_core_seed, TraceSource};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -280,60 +286,30 @@ impl MultiCoreReport {
     }
 }
 
-/// Everything one core keeps across runs but its trace: its L1 front
-/// end, its SEU stream, its core-local counters, and the epoch log the
-/// merge replays. Every run starts them afresh ([`Core::start`]).
+/// One core of the machine with the epoch state the merge reads beside
+/// it: whether its source is drained, and its epoch's request log.
 ///
 /// Aligned as [`Padded`] is, for the same reason: a core's counters
 /// and L1 state are written on every instruction.
 #[derive(Debug)]
 #[repr(align(128))]
-struct Core {
-    il1: HybridCache,
-    dl1: HybridCache,
-    /// Seed of the core's SEU stream ([`per_core_seed`]).
-    seed: u64,
-    /// The SEU stream, re-derived from `seed` at the start of every
-    /// run, so warm re-runs reproduce.
-    rng: SmallRng,
+struct Slot {
+    core: Core,
     /// Set at the source's first `None`; a drained source is never
     /// polled again, since [`TraceSource`] is not fused.
     drained: bool,
-    /// The chain-independent counters of [`front_entry`].
-    front: RunStats,
-    /// Core-local cycles so far (base + bubbles, no fill stalls); they
-    /// join every lane's tally once, at the end of the run.
-    local_cycles: u64,
     /// This epoch's chain-bound requests in program order, each with
     /// its round: the issuing instruction's index in the epoch.
     requests: Vec<(usize, ChainRequest)>,
 }
 
-impl Core {
-    /// The start of a run: both L1s flushed and reset into `mode`, the
-    /// SEU stream re-derived, the counters zeroed.
-    fn start(&mut self, mode: Mode) {
-        self.il1.set_mode(mode);
-        self.dl1.set_mode(mode);
-        self.il1.reset_stats();
-        self.dl1.reset_stats();
-        self.rng = SmallRng::seed_from_u64(self.seed);
-        self.drained = false;
-        self.front = RunStats::default();
-        self.local_cycles = 0;
-    }
-
-    /// The front phase of one epoch: drive the L1s through up to
-    /// [`EPOCH_INSTRUCTIONS`] entries of `source`, log chain-bound
-    /// requests with their round, sum core-local cycles and draw SEUs
-    /// from the core's own stream over them.
-    fn run_epoch<T: TraceSource>(
-        &mut self,
-        source: &mut T,
-        timing: CoreTiming,
-        seu_rate: f64,
-        ule_bits: u64,
-    ) {
+impl Slot {
+    /// The front phase of one epoch: drive the core through up to
+    /// [`EPOCH_INSTRUCTIONS`] entries of `source`, logging each miss
+    /// with its round for the merge. A logged miss stalls the core by
+    /// nothing yet, so the core's soft errors at `seu` expected upsets
+    /// per cycle integrate its core-local cycles only.
+    fn run_epoch<T: TraceSource>(&mut self, source: &mut T, timing: CoreTiming, seu: f64) {
         self.requests.clear();
         for round in 0..EPOCH_INSTRUCTIONS {
             let entry = if self.drained {
@@ -346,23 +322,10 @@ impl Core {
                 break;
             };
             let requests = &mut self.requests;
-            let local = front_entry(
-                &mut self.il1,
-                &mut self.dl1,
-                timing,
-                &mut self.front,
-                entry,
-                |req| requests.push((round, req)),
-            );
-            self.local_cycles += local;
-            maybe_inject_seu(
-                &mut self.il1,
-                &mut self.dl1,
-                &mut self.rng,
-                seu_rate,
-                ule_bits,
-                local,
-            );
+            self.core.execute(entry, timing, seu, |req| {
+                requests.push((round, req));
+                0
+            });
         }
     }
 }
@@ -384,7 +347,7 @@ struct Padded<T>(T);
 #[derive(Debug)]
 pub struct MultiCoreSystem {
     /// The cores, in core order.
-    cores: Vec<Core>,
+    slots: Vec<Slot>,
     /// The shape of the chain below the L1s (shared, or private L2s
     /// per core). Every run builds its chains fresh from it, which is
     /// the state a flushed chain returns to.
@@ -395,6 +358,10 @@ pub struct MultiCoreSystem {
     /// an upset lands in the caches of the core whose entry triggered
     /// it (the one accruing the exposure cycles).
     seu_rate_per_bit_cycle: f64,
+    /// Core `i` draws its soft errors from a stream seeded with
+    /// [`per_core_seed`]`(seu_seed, i)` at the start of every run, so
+    /// warm re-runs reproduce.
+    seu_seed: u64,
     /// Threads that run the L1 fronts of each epoch, the calling thread
     /// included; 1 = the calling thread alone.
     sim_threads: usize,
@@ -417,45 +384,36 @@ fn lane_fill<const K: usize>(
 }
 
 impl MultiCoreSystem {
-    /// Assembles the machine from parts the builder validated; core
-    /// `i`'s SEU stream is seeded with `per_core_seed(seu_seed, i)`.
+    /// Assembles the machine from parts the builder validated, the
+    /// soft-error rate and seed among them.
     pub(crate) fn new(
-        fronts: Vec<(HybridCache, HybridCache)>,
+        cores: Vec<Core>,
         recipe: ChainRecipe,
         power: PowerModel,
-        seu_rate_per_bit_cycle: f64,
-        seu_seed: u64,
+        (seu_rate_per_bit_cycle, seu_seed): (f64, u64),
         sim_threads: usize,
     ) -> Self {
-        let cores = fronts
+        let slots = cores
             .into_iter()
-            .enumerate()
-            .map(|(core, (il1, dl1))| {
-                let seed = per_core_seed(seu_seed, core);
-                Core {
-                    il1,
-                    dl1,
-                    seed,
-                    rng: SmallRng::seed_from_u64(seed),
-                    drained: false,
-                    front: RunStats::default(),
-                    local_cycles: 0,
-                    requests: Vec::new(),
-                }
+            .map(|core| Slot {
+                core,
+                drained: false,
+                requests: Vec::new(),
             })
             .collect();
         MultiCoreSystem {
-            cores,
+            slots,
             recipe,
             power,
             seu_rate_per_bit_cycle,
+            seu_seed,
             sim_threads: sim_threads.max(1),
         }
     }
 
     /// Number of cores.
     pub fn cores(&self) -> usize {
-        self.cores.len()
+        self.slots.len()
     }
 
     /// Threads the next run will drive the L1 fronts on, the calling
@@ -476,7 +434,7 @@ impl MultiCoreSystem {
     /// One core's caches, for fault injection (`core` panics when out
     /// of range).
     pub fn core_mut(&mut self, core: usize) -> (&mut HybridCache, &mut HybridCache) {
-        let core = &mut self.cores[core];
+        let core = &mut self.slots[core].core;
         (&mut core.il1, &mut core.dl1)
     }
 
@@ -538,23 +496,24 @@ impl MultiCoreSystem {
         Ok(self.price(sources, mode, widths))
     }
 
-    /// The one IL1/DL1 configuration every front end shares.
+    /// Core 0, whose IL1/DL1 configuration every core shares.
     ///
     /// The cores of a [`MultiCoreSystem`] are homogeneous by
-    /// construction (`build_multi` clones one configuration), and the
-    /// run paths rely on that: one [`CoreTiming`], one SEU exposure
-    /// figure. This helper is the single place that reads core 0's
-    /// configs on behalf of all cores, and debug-asserts the
-    /// invariant instead of silently assuming it.
-    fn shared_core_config(&self) -> (&CacheConfig, &CacheConfig) {
-        let (il1, dl1) = (self.cores[0].il1.config(), self.cores[0].dl1.config());
+    /// construction (`build_multi` builds each from one configuration),
+    /// and the run paths rely on that: one [`CoreTiming`], one SEU
+    /// exposure figure. This helper is the single place that reads core
+    /// 0 on behalf of all cores, and debug-asserts the invariant
+    /// instead of silently assuming it.
+    fn shared_core(&self) -> &Core {
+        let core = &self.slots[0].core;
+        let (il1, dl1) = (core.il1.config(), core.dl1.config());
         debug_assert!(
-            self.cores
+            self.slots
                 .iter()
-                .all(|core| core.il1.config() == il1 && core.dl1.config() == dl1),
+                .all(|slot| slot.core.il1.config() == il1 && slot.core.dl1.config() == dl1),
             "multi-core fronts must share one IL1/DL1 configuration"
         );
-        (il1, dl1)
+        core
     }
 
     /// The one multi-core run: a mode transition, one epoch-by-epoch
@@ -570,33 +529,35 @@ impl MultiCoreSystem {
     where
         T: TraceSource + Send,
     {
-        let (mut lanes, timing, ule_bits) = self.transition(sources.len(), mode, widths);
-        let tallies = self.epochs(sources, timing, ule_bits, &mut lanes);
+        let (mut lanes, timing, seu) = self.transition(sources.len(), mode, widths);
+        let tallies = self.epochs(sources, timing, seu, &mut lanes);
         self.reports(&lanes, &tallies, mode)
     }
 
-    /// The start of every run: every core started in `mode`, one fresh
-    /// chain per width, and the run's timing and SEU exposure
-    /// constants.
+    /// The start of every run: every core started in `mode` with its
+    /// soft-error stream re-seeded, one fresh chain per width, and the
+    /// run's timing and soft-error constants ([`Core::constants`]).
     fn transition<const K: usize>(
         &mut self,
         sources: usize,
         mode: Mode,
         widths: [usize; K],
-    ) -> ([Lane; K], CoreTiming, u64) {
+    ) -> ([Lane; K], CoreTiming, f64) {
         // hyvec-lint: allow(no-panic, "documented precondition (# Panics): one trace source per core")
         assert_eq!(
             sources,
-            self.cores.len(),
+            self.slots.len(),
             "need exactly one trace source per core"
         );
-        for core in &mut self.cores {
-            core.start(mode);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            slot.core.start(mode);
+            slot.core.rng = SmallRng::seed_from_u64(per_core_seed(self.seu_seed, i));
+            slot.drained = false;
         }
         let lanes = widths.map(|width| (self.recipe.build(width), width));
-        let (il1, dl1) = self.shared_core_config();
-        let timing = CoreTiming::new(&self.power, mode, dl1);
-        (lanes, timing, ule_exposure_bits(il1, dl1))
+        let rate = self.seu_rate_per_bit_cycle;
+        let (timing, seu) = self.shared_core().constants(&self.power, mode, rate);
+        (lanes, timing, seu)
     }
 
     /// One report per lane from each core's front counters and its
@@ -611,13 +572,10 @@ impl MultiCoreSystem {
             let (chain, width) = &lanes[j];
             let chain = chain.as_dyn().chain_stats();
             let level = |name| chain.iter().find(|(n, _)| *n == name).map(|(_, s)| *s);
-            let per_core = self.cores[..*width]
+            let per_core = self.slots[..*width]
                 .iter()
                 .zip(tallies)
-                .map(|(core, tallies)| {
-                    let l1s = (&core.il1, &core.dl1);
-                    tallies[j].report(&core.front, l1s, &self.power, mode)
-                })
+                .map(|(slot, tallies)| slot.core.report(&tallies[j], &self.power, mode))
                 .collect();
             MultiCoreReport {
                 per_core,
@@ -637,26 +595,25 @@ impl MultiCoreSystem {
         &mut self,
         sources: Vec<T>,
         timing: CoreTiming,
-        ule_bits: u64,
+        seu: f64,
         lanes: &mut [Lane; K],
     ) -> Vec<[ChainTally; K]>
     where
         T: TraceSource + Send,
     {
         let mut sources: Vec<Padded<T>> = sources.into_iter().map(Padded).collect();
-        let rate = self.seu_rate_per_bit_cycle;
-        let helpers = self.sim_threads.min(self.cores.len()) - 1;
-        let mut tallies = vec![[ChainTally::default(); K]; self.cores.len()];
+        let helpers = self.sim_threads.min(self.slots.len()) - 1;
+        let mut tallies = vec![[ChainTally::default(); K]; self.slots.len()];
         let mut order = Vec::new();
         loop {
-            let queue = Mutex::new(self.cores.iter_mut().zip(&mut sources));
+            let queue = Mutex::new(self.slots.iter_mut().zip(&mut sources));
             // The lock is held only to take the next core, which leaves
             // the queue valid at every step, and never while a core
             // runs: a poisoned lock still holds a sound queue.
             let drain = || loop {
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some((core, source)) = next else { break };
-                core.run_epoch(&mut source.0, timing, rate, ule_bits);
+                let Some((slot, source)) = next else { break };
+                slot.run_epoch(&mut source.0, timing, seu);
             };
             std::thread::scope(|scope| {
                 for _ in 0..helpers {
@@ -664,16 +621,10 @@ impl MultiCoreSystem {
                 }
                 drain();
             });
-            if merge(&self.cores, lanes, &mut tallies, timing, &mut order) {
-                break;
+            if merge(&self.slots, lanes, &mut tallies, timing, &mut order) {
+                return tallies;
             }
         }
-        for (core, tallies) in self.cores.iter().zip(&mut tallies) {
-            for tally in tallies.iter_mut() {
-                tally.stats.cycles += core.local_cycles;
-            }
-        }
-        tallies
     }
 }
 
@@ -684,33 +635,33 @@ impl MultiCoreSystem {
 /// buffer, reused across epochs. Returns whether every source is
 /// drained.
 fn merge<const K: usize>(
-    cores: &[Core],
+    slots: &[Slot],
     lanes: &mut [Lane; K],
     tallies: &mut [[ChainTally; K]],
     timing: CoreTiming,
     order: &mut Vec<(usize, usize, ChainRequest)>,
 ) -> bool {
     order.clear();
-    for (i, core) in cores.iter().enumerate() {
-        order.extend(core.requests.iter().map(|&(round, req)| (round, i, req)));
+    for (i, slot) in slots.iter().enumerate() {
+        order.extend(slot.requests.iter().map(|&(round, req)| (round, i, req)));
     }
     // Stable, so each round keeps core order and then program order.
     order.sort_by_key(|&(round, _, _)| round);
     for &(_, core, req) in order.iter() {
         for (j, tally) in tallies[core].iter_mut().enumerate() {
             if let Some(fill) = lane_fill(lanes, j, core, req.access) {
-                tally.stats.cycles += apply_fill(timing, req.kind, fill, tally);
+                apply_fill(timing, req.kind, fill, tally);
             }
         }
     }
-    cores.iter().all(|core| core.drained)
+    slots.iter().all(|slot| slot.drained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ConfigError, L2Config, MemoryConfig, Mesi, SystemConfig, Topology};
-    use crate::engine::{step, System};
+    use crate::engine::System;
     use crate::interleave::round_robin;
     use hyvec_mediabench::{Benchmark, TraceEntry};
     use proptest::prelude::*;
@@ -724,39 +675,29 @@ mod tests {
 
     /// The reference the one loop is pinned against: the canonical
     /// round-robin order followed instruction by instruction
-    /// ([`round_robin`]), each miss resolved on the spot ([`step`])
-    /// against every lane whose width takes the core in. Same start and
-    /// reports as [`MultiCoreSystem::run_widths`].
+    /// ([`round_robin`]), each miss resolved on the spot against every
+    /// lane whose width takes the core in. Same start and reports as
+    /// [`MultiCoreSystem::run_widths`].
     fn reference<T: TraceSource, const K: usize>(
         sys: &mut MultiCoreSystem,
         sources: Vec<T>,
         mode: Mode,
         widths: [usize; K],
     ) -> [MultiCoreReport; K] {
-        let (mut lanes, timing, ule_bits) = sys.transition(sources.len(), mode, widths);
-        let rate = sys.seu_rate_per_bit_cycle;
+        let (mut lanes, timing, seu) = sys.transition(sources.len(), mode, widths);
         let mut tallies = vec![[ChainTally::default(); K]; sys.cores()];
         for (i, entry) in round_robin(sources) {
-            let core = &mut sys.cores[i];
-            let (local, _) = step(
-                &mut core.il1,
-                &mut core.dl1,
-                timing,
-                &mut core.front,
-                &mut tallies[i],
-                entry,
-                |j, req| lane_fill(&mut lanes, j, i, req),
-            );
-            // Exposure integrates core-local cycles from the core's own
-            // stream, as in the one loop.
-            maybe_inject_seu(
-                &mut core.il1,
-                &mut core.dl1,
-                &mut core.rng,
-                rate,
-                ule_bits,
-                local,
-            );
+            let tallies = &mut tallies[i];
+            // Returning no stall keeps exposure core-local, as in the
+            // one loop.
+            sys.slots[i].core.execute(entry, timing, seu, |req| {
+                for (j, tally) in tallies.iter_mut().enumerate() {
+                    if let Some(fill) = lane_fill(&mut lanes, j, i, req.access) {
+                        apply_fill(timing, req.kind, fill, tally);
+                    }
+                }
+                0
+            });
         }
         sys.reports(&lanes, &tallies, mode)
     }
@@ -969,6 +910,71 @@ mod tests {
         // Energy matches except the per-core report keeps its demand
         // memory count rather than the chain's total.
         assert!((core.energy.total_pj() - s.energy.total_pj()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_core_matches_the_single_core_engine_at_ule_with_faults() {
+        // The same stuck-at faults in both machines' protected L1s, and
+        // two chains priced from one pass on each side: both engines'
+        // closures drive the core on the armed slow path. Soft errors
+        // stay off, since the two engines draw them from different
+        // streams by design.
+        use crate::config::WaySpec;
+        use crate::faults::sample_faults;
+        use hyvec_edc::Protection;
+        use hyvec_sram::CellKind;
+        let mut ways = vec![WaySpec::hp_way(1.0, Protection::None); 7];
+        ways.push(WaySpec::ule_way(
+            CellKind::Sram8T,
+            1.8,
+            Protection::None,
+            Protection::Secded,
+        ));
+        let builder = || builder().config(SystemConfig::with_ways(ways.clone(), 80));
+        let mut single = builder().build().expect("single");
+        let mut multi = builder().build_multi(1).expect("multi");
+        // One stuck-at map in both machines: the same draws from the
+        // same seed.
+        let mut pf_by_way = [0.0; 8];
+        pf_by_way[7] = 2e-3;
+        let mut rng = SmallRng::seed_from_u64(9);
+        sample_faults(single.dl1_mut(), &pf_by_way, &mut rng);
+        sample_faults(single.il1_mut(), &pf_by_way, &mut rng);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let (il1, dl1) = multi.core_mut(0);
+        sample_faults(dl1, &pf_by_way, &mut rng);
+        sample_faults(il1, &pf_by_way, &mut rng);
+
+        let trace = || Benchmark::Mpeg2C.trace(20_000, 3);
+        let mut chains = [(); 2].map(|_| builder().build_chain().expect("valid chain"));
+        let singles = single
+            .run_chains(trace(), Mode::Ule, &mut chains)
+            .expect("no soft errors");
+        let multis = multi
+            .run_widths(vec![trace()], Mode::Ule, [1, 1])
+            .expect("widths fit");
+        for (s, m) in singles.iter().zip(&multis) {
+            let core = &m.per_core[0];
+            let counts = |r: &RunReport| {
+                let t = &r.stats;
+                (t.corrected(), t.detected(), t.silent_corruptions())
+            };
+            assert_eq!(core.stats.instructions, s.stats.instructions);
+            assert_eq!(core.stats.cycles, s.stats.cycles);
+            assert_eq!(core.stats.il1, s.stats.il1);
+            assert_eq!(core.stats.dl1, s.stats.dl1);
+            assert_eq!(core.stats.il1_stall_cycles, s.stats.il1_stall_cycles);
+            assert_eq!(core.stats.dl1_stall_cycles, s.stats.dl1_stall_cycles);
+            assert_eq!(core.stats.edc_stall_cycles, s.stats.edc_stall_cycles);
+            assert_eq!(counts(core), counts(s));
+            assert_eq!(m.l2, s.stats.l2);
+            assert_eq!(m.memory.accesses, s.stats.memory_accesses);
+            assert_eq!(core.seconds, s.seconds);
+            assert!((core.energy.total_pj() - s.energy.total_pj()).abs() < 1e-9);
+        }
+        let s = &singles[0].stats;
+        assert!(s.corrected() > 0, "the stuck bits must be read");
+        assert!(s.edc_stall_cycles > 0, "ULE fills pay their EDC latency");
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl ChainSpec {
             l2.hit_latency = self.l2_latency;
             builder = builder.l2(l2);
         }
-        builder.memory_latency(self.memory_latency)
+        builder.memory(MemoryConfig::with_latency(self.memory_latency))
     }
 }
 

@@ -68,6 +68,6 @@ pub use architecture::{Architecture, DesignPoint, Scenario};
 pub use experiments::Experiment;
 pub use methodology::{MethodologyInputs, UleWayDesign};
 pub use registry::Registry;
-pub use render::{Format, Render};
+pub use render::Format;
 pub use report::{Report, Section, Table};
 pub use sweep::SweepBuilder;

@@ -1,15 +1,15 @@
 //! Rendering backends for [`crate::report::Report`] documents.
 //!
 //! Three hand-rolled backends (the build environment is offline, so no
-//! serde):
+//! serde), one per [`Format`], which [`render`] picks:
 //!
-//! * [`TextRenderer`] — the historical aligned human-readable format,
+//! * [`Format::Text`] — the historical aligned human-readable format,
 //!   byte-identical to the pre-refactor `hyvec run-all` output (the
 //!   determinism tests compare these strings);
-//! * [`JsonRenderer`] — a pretty-printed JSON document carrying every
+//! * [`Format::Json`] — a pretty-printed JSON document carrying every
 //!   typed cell under stable machine keys (seeds are decimal strings
 //!   so 64-bit values survive readers that parse numbers as doubles);
-//! * [`CsvRenderer`] — one long-format CSV stream with a
+//! * [`Format::Csv`] — one long-format CSV stream with a
 //!   `section,seed,table,row,column,type,value` row per cell, covering
 //!   every artifact × scenario cell of the matrix.
 //!
@@ -67,18 +67,13 @@ impl FromStr for Format {
     }
 }
 
-/// A rendering backend: turns a typed report into one output string.
-pub trait Render {
-    /// Renders the whole report.
-    fn render(&self, report: &Report) -> String;
-}
-
-/// Renders `report` in `format` (convenience over the backend types).
+/// Renders `report` in `format`: the one entry point of the three
+/// backends.
 pub fn render(report: &Report, format: Format) -> String {
     match format {
-        Format::Text => TextRenderer.render(report),
-        Format::Json => JsonRenderer.render(report),
-        Format::Csv => CsvRenderer.render(report),
+        Format::Text => render_text(report),
+        Format::Json => render_json(report),
+        Format::Csv => render_csv(report),
     }
 }
 
@@ -87,42 +82,33 @@ pub fn render(report: &Report, format: Format) -> String {
 // ---------------------------------------------------------------------
 
 /// The historical human-readable format.
-#[derive(Debug)]
-pub struct TextRenderer;
-
-impl Render for TextRenderer {
-    fn render(&self, report: &Report) -> String {
-        let mut out = String::new();
+fn render_text(report: &Report) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{}: {} jobs, {} instructions/benchmark, base seed {}\n\n",
+        report.title,
+        report.sections.len(),
+        report.instructions,
+        report.base_seed
+    ));
+    for section in &report.sections {
         out.push_str(&format!(
-            "{}: {} jobs, {} instructions/benchmark, base seed {}\n\n",
-            report.title,
-            report.sections.len(),
-            report.instructions,
-            report.base_seed
+            "== {} (seed {:#018x}) ==\n",
+            section.label, section.seed
         ));
-        for section in &report.sections {
-            out.push_str(&format!(
-                "== {} (seed {:#018x}) ==\n",
-                section.label, section.seed
-            ));
-            for table in &section.tables {
-                if !table.hidden_in_text {
-                    out.push_str(&table.render_text());
-                }
+        for table in &section.tables {
+            if !table.hidden_in_text {
+                out.push_str(&table.render_text());
             }
-            out.push('\n');
         }
-        out
+        out.push('\n');
     }
+    out
 }
 
 // ---------------------------------------------------------------------
 // JSON
 // ---------------------------------------------------------------------
-
-/// The structured JSON backend.
-#[derive(Debug)]
-pub struct JsonRenderer;
 
 /// Schema tag emitted at the top of every JSON report.
 pub const JSON_SCHEMA: &str = "hyvec-report/v1";
@@ -159,82 +145,75 @@ fn json_cell(cell: &Cell) -> String {
     }
 }
 
-impl JsonRenderer {
-    fn table(out: &mut String, table: &Table, indent: &str) {
-        out.push_str(&format!("{indent}{{\n"));
-        out.push_str(&format!("{indent}  \"id\": {},\n", json_str(&table.id)));
-        let columns: Vec<String> = table.columns.iter().map(|c| json_str(&c.key)).collect();
-        out.push_str(&format!(
-            "{indent}  \"columns\": [{}],\n",
-            columns.join(", ")
-        ));
-        out.push_str(&format!("{indent}  \"rows\": ["));
-        for (i, row) in table.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let fields: Vec<String> = table
-                .columns
-                .iter()
-                .zip(row)
-                .map(|(c, cell)| format!("{}: {}", json_str(&c.key), json_cell(cell)))
-                .collect();
-            out.push_str(&format!("{indent}    {{{}}}", fields.join(", ")));
-        }
-        if table.rows.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str(&format!("\n{indent}  ]\n"));
-        }
-        out.push_str(&format!("{indent}}}"));
+fn json_table(out: &mut String, table: &Table, indent: &str) {
+    out.push_str(&format!("{indent}{{\n"));
+    out.push_str(&format!("{indent}  \"id\": {},\n", json_str(&table.id)));
+    let columns: Vec<String> = table.columns.iter().map(|c| json_str(&c.key)).collect();
+    out.push_str(&format!(
+        "{indent}  \"columns\": [{}],\n",
+        columns.join(", ")
+    ));
+    out.push_str(&format!("{indent}  \"rows\": ["));
+    for (i, row) in table.rows.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        let fields: Vec<String> = table
+            .columns
+            .iter()
+            .zip(row)
+            .map(|(c, cell)| format!("{}: {}", json_str(&c.key), json_cell(cell)))
+            .collect();
+        out.push_str(&format!("{indent}    {{{}}}", fields.join(", ")));
     }
-
-    fn section(out: &mut String, section: &Section) {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"label\": {},\n", json_str(&section.label)));
-        out.push_str(&format!("      \"seed\": \"{}\",\n", section.seed));
-        out.push_str("      \"tables\": [");
-        for (i, table) in section.tables.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            Self::table(out, table, "        ");
-        }
-        if section.tables.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n      ]\n");
-        }
-        out.push_str("    }");
+    if table.rows.is_empty() {
+        out.push_str("]\n");
+    } else {
+        out.push_str(&format!("\n{indent}  ]\n"));
     }
+    out.push_str(&format!("{indent}}}"));
 }
 
-impl Render for JsonRenderer {
-    fn render(&self, report: &Report) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(JSON_SCHEMA)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&report.title)));
-        out.push_str(&format!("  \"instructions\": {},\n", report.instructions));
-        out.push_str(&format!("  \"base_seed\": \"{}\",\n", report.base_seed));
-        out.push_str("  \"sections\": [");
-        for (i, section) in report.sections.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            Self::section(&mut out, section);
-        }
-        if report.sections.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n  ]\n");
-        }
-        out.push_str("}\n");
-        out
+fn json_section(out: &mut String, section: &Section) {
+    out.push_str("    {\n");
+    out.push_str(&format!("      \"label\": {},\n", json_str(&section.label)));
+    out.push_str(&format!("      \"seed\": \"{}\",\n", section.seed));
+    out.push_str("      \"tables\": [");
+    for (i, table) in section.tables.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        json_table(out, table, "        ");
     }
+    if section.tables.is_empty() {
+        out.push_str("]\n");
+    } else {
+        out.push_str("\n      ]\n");
+    }
+    out.push_str("    }");
+}
+
+/// The structured JSON backend.
+fn render_json(report: &Report) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str(&format!("  \"schema\": {},\n", json_str(JSON_SCHEMA)));
+    out.push_str(&format!("  \"title\": {},\n", json_str(&report.title)));
+    out.push_str(&format!("  \"instructions\": {},\n", report.instructions));
+    out.push_str(&format!("  \"base_seed\": \"{}\",\n", report.base_seed));
+    out.push_str("  \"sections\": [");
+    for (i, section) in report.sections.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        json_section(&mut out, section);
+    }
+    if report.sections.is_empty() {
+        out.push_str("]\n");
+    } else {
+        out.push_str("\n  ]\n");
+    }
+    out.push_str("}\n");
+    out
 }
 
 // ---------------------------------------------------------------------
 // CSV
 // ---------------------------------------------------------------------
-
-/// The long-format CSV backend.
-#[derive(Debug)]
-pub struct CsvRenderer;
 
 /// Header line of the CSV output.
 pub const CSV_HEADER: &str = "section,seed,table,row,column,type,value";
@@ -250,31 +229,30 @@ pub fn csv_field(s: &str) -> String {
     }
 }
 
-impl Render for CsvRenderer {
-    fn render(&self, report: &Report) -> String {
-        let mut out = String::new();
-        out.push_str(CSV_HEADER);
-        out.push('\n');
-        for section in &report.sections {
-            for table in &section.tables {
-                for (row_idx, row) in table.rows.iter().enumerate() {
-                    for (column, cell) in table.columns.iter().zip(row) {
-                        out.push_str(&format!(
-                            "{},{},{},{},{},{},{}\n",
-                            csv_field(&section.label),
-                            section.seed,
-                            csv_field(&table.id),
-                            row_idx,
-                            csv_field(&column.key),
-                            cell.type_name(),
-                            csv_field(&cell.render_raw())
-                        ));
-                    }
+/// The long-format CSV backend.
+fn render_csv(report: &Report) -> String {
+    let mut out = String::new();
+    out.push_str(CSV_HEADER);
+    out.push('\n');
+    for section in &report.sections {
+        for table in &section.tables {
+            for (row_idx, row) in table.rows.iter().enumerate() {
+                for (column, cell) in table.columns.iter().zip(row) {
+                    out.push_str(&format!(
+                        "{},{},{},{},{},{},{}\n",
+                        csv_field(&section.label),
+                        section.seed,
+                        csv_field(&table.id),
+                        row_idx,
+                        csv_field(&column.key),
+                        cell.type_name(),
+                        csv_field(&cell.render_raw())
+                    ));
                 }
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
