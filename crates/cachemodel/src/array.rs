@@ -182,11 +182,6 @@ impl SramArray {
     pub fn access_delay_ns(&self, vdd: f64) -> f64 {
         self.tech.base_delay_ns * self.cell.delay_factor(vdd) * (f64::from(self.rows) / 64.0).sqrt()
     }
-
-    /// Whether the array meets a cycle time, ns, at supply `vdd`.
-    pub fn meets_cycle(&self, vdd: f64, cycle_ns: f64) -> bool {
-        self.access_delay_ns(vdd) <= cycle_ns
-    }
 }
 
 #[cfg(test)]
@@ -281,16 +276,16 @@ mod tests {
     fn delay_meets_paper_frequencies() {
         // HP ways (6T, min size) must make 1GHz at 1V.
         let hp_way = array(CellKind::Sram6T, 1.0);
-        assert!(hp_way.meets_cycle(1.0, 1.0), "6T must meet 1ns at 1V");
+        assert!(hp_way.access_delay_ns(1.0) <= 1.0, "6T must meet 1ns at 1V");
         // ULE way (sized 10T) must make 5MHz at 350mV.
         let ule_way = array(CellKind::Sram10T, 2.15);
         assert!(
-            ule_way.meets_cycle(0.35, 200.0),
+            ule_way.access_delay_ns(0.35) <= 200.0,
             "10T must meet 200ns at 350mV: {} ns",
             ule_way.access_delay_ns(0.35)
         );
         // ...but not 1GHz at 350mV.
-        assert!(!ule_way.meets_cycle(0.35, 1.0));
+        assert!(ule_way.access_delay_ns(0.35) > 1.0);
     }
 
     #[test]

@@ -92,7 +92,7 @@ proptest! {
     fn none_protection_is_free(bits in 1usize..57) {
         let tech = TechnologyParams::nm32();
         let code = Protection::None.build(bits).unwrap();
-        let c = EdcCircuit::for_code(code.as_ref(), tech);
+        let c = EdcCircuit::for_code(code, tech);
         prop_assert_eq!(c.encode_energy_pj(1.0), 0.0);
         prop_assert_eq!(c.latency_cycles(), 0);
     }

@@ -164,10 +164,12 @@ impl CachePower {
                 };
                 let (hp_word, hp_tag) = active(Mode::Hp);
                 let (ule_word, ule_tag) = active(Mode::Ule);
+                // The codes come from the process-wide registry the
+                // caches share, so a power model builds no code table.
                 let edc_for = |p: Protection, bits: usize| {
                     // hyvec-lint: allow(no-panic, "widths come from a config that passed CacheConfig::validate, which checks codec support")
                     let code = p.build(bits).expect("supported width");
-                    EdcCircuit::for_code(code.as_ref(), tech)
+                    EdcCircuit::for_code(code, tech)
                 };
                 WayPower {
                     data_full: build_data(stored_word),
@@ -200,6 +202,20 @@ impl CachePower {
             .filter(move |w| mode == Mode::Hp || w.ule_enabled)
     }
 
+    /// The mean of `energy` over the ways enabled at `mode` (0 when
+    /// none is): the cost of an event that lands in one of them.
+    fn per_way_mean_pj(&self, mode: Mode, energy: impl Fn(&WayPower) -> f64) -> f64 {
+        let (sum, n) = self
+            .enabled(mode)
+            .map(energy)
+            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
+        if n == 0 {
+            0.0
+        } else {
+            sum / f64::from(n)
+        }
+    }
+
     /// Dynamic energy of one lookup (tag + data read in all enabled
     /// ways), pJ.
     pub fn lookup_energy_pj(&self, mode: Mode, vdd: f64) -> f64 {
@@ -213,43 +229,19 @@ impl CachePower {
     /// enabled way, pJ.
     pub fn word_write_energy_pj(&self, mode: Mode, vdd: f64) -> f64 {
         let m = mode_index(mode);
-        let (sum, n) = self
-            .enabled(mode)
-            .map(|w| w.data_dyn[m].write_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
-        }
+        self.per_way_mean_pj(mode, |w| w.data_dyn[m].write_energy_pj(vdd))
     }
 
     /// Average dynamic energy of writing one tag, pJ.
     pub fn tag_write_energy_pj(&self, mode: Mode, vdd: f64) -> f64 {
         let m = mode_index(mode);
-        let (sum, n) = self
-            .enabled(mode)
-            .map(|w| w.tag_dyn[m].write_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
-        }
+        self.per_way_mean_pj(mode, |w| w.tag_dyn[m].write_energy_pj(vdd))
     }
 
     /// Average single-way word read (victim readout on writeback), pJ.
     fn word_read_one_way_pj(&self, mode: Mode, vdd: f64) -> f64 {
         let m = mode_index(mode);
-        let (sum, n) = self
-            .enabled(mode)
-            .map(|w| w.data_dyn[m].read_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
-        }
+        self.per_way_mean_pj(mode, |w| w.data_dyn[m].read_energy_pj(vdd))
     }
 
     /// EDC energy charged per lookup: tag decode in every enabled
@@ -260,41 +252,20 @@ impl CachePower {
             .enabled(mode)
             .map(|w| w.edc[m].1.decode_energy_pj(vdd))
             .sum();
-        let (data_sum, n) = self
-            .enabled(mode)
-            .map(|w| w.edc[m].0.decode_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        let data_decode = if n == 0 { 0.0 } else { data_sum / f64::from(n) };
-        tag_decodes + data_decode
+        tag_decodes + self.edc_word_decode_energy_pj(mode, vdd)
     }
 
     /// EDC energy per decoded data word outside a lookup (victim
     /// readout on writeback), pJ.
     pub fn edc_word_decode_energy_pj(&self, mode: Mode, vdd: f64) -> f64 {
         let m = mode_index(mode);
-        let (sum, n) = self
-            .enabled(mode)
-            .map(|w| w.edc[m].0.decode_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
-        }
+        self.per_way_mean_pj(mode, |w| w.edc[m].0.decode_energy_pj(vdd))
     }
 
     /// EDC energy per encoded data word (store or fill), pJ.
     pub fn edc_encode_energy_pj(&self, mode: Mode, vdd: f64) -> f64 {
         let m = mode_index(mode);
-        let (sum, n) = self
-            .enabled(mode)
-            .map(|w| w.edc[m].0.encode_energy_pj(vdd))
-            .fold((0.0, 0u32), |(s, n), e| (s + e, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
-        }
+        self.per_way_mean_pj(mode, |w| w.edc[m].0.encode_energy_pj(vdd))
     }
 
     /// Leakage power of the cache at `mode`, watts. Gated ways are off

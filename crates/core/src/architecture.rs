@@ -23,11 +23,28 @@ impl Scenario {
     /// Both scenarios.
     pub const ALL: [Scenario; 2] = [Scenario::A, Scenario::B];
 
-    /// Protection of the HP (6T) ways in this scenario.
+    /// Protection of the HP (6T) ways in this scenario. The ULE ways
+    /// carry it at HP too.
     pub fn hp_way_protection(self) -> Protection {
         match self {
             Scenario::A => Protection::None,
             Scenario::B => Protection::Secded,
+        }
+    }
+
+    /// The ULE way of `point` in this scenario: its cell and its code
+    /// at ULE. This is the paper's design space, written once:
+    ///
+    /// | | baseline | proposal |
+    /// |---|---|---|
+    /// | A | 10T | 8T+SECDED |
+    /// | B | 10T+SECDED | 8T+DECTED |
+    pub(crate) fn ule_way(self, point: DesignPoint) -> (CellKind, Protection) {
+        match (self, point) {
+            (Scenario::A, DesignPoint::Baseline) => (CellKind::Sram10T, Protection::None),
+            (Scenario::A, DesignPoint::Proposal) => (CellKind::Sram8T, Protection::Secded),
+            (Scenario::B, DesignPoint::Baseline) => (CellKind::Sram10T, Protection::Secded),
+            (Scenario::B, DesignPoint::Proposal) => (CellKind::Sram8T, Protection::Dected),
         }
     }
 }
@@ -185,40 +202,17 @@ impl Architecture {
         let design = design_ule_way(scenario, model, &inputs)?;
 
         let hp_prot = scenario.hp_way_protection();
+        let (cell, ule_prot) = scenario.ule_way(point);
+        let sizing = match cell {
+            CellKind::Sram6T => design.sizing_6t,
+            CellKind::Sram8T => design.sizing_8t,
+            CellKind::Sram10T => design.sizing_10t,
+        };
         let mut ways = vec![WaySpec::hp_way(design.sizing_6t, hp_prot); hp_ways];
-        for _ in 0..ule_ways {
-            ways.push(match (scenario, point) {
-                (Scenario::A, DesignPoint::Baseline) => WaySpec::ule_way(
-                    CellKind::Sram10T,
-                    design.sizing_10t,
-                    Protection::None,
-                    Protection::None,
-                ),
-                (Scenario::A, DesignPoint::Proposal) => WaySpec::ule_way(
-                    CellKind::Sram8T,
-                    design.sizing_8t,
-                    Protection::None,
-                    Protection::Secded,
-                ),
-                (Scenario::B, DesignPoint::Baseline) => WaySpec::ule_way(
-                    CellKind::Sram10T,
-                    design.sizing_10t,
-                    Protection::Secded,
-                    Protection::Secded,
-                ),
-                (Scenario::B, DesignPoint::Proposal) => WaySpec::ule_way(
-                    CellKind::Sram8T,
-                    design.sizing_8t,
-                    Protection::Secded,
-                    Protection::Dected,
-                ),
-            });
-        }
+        let ule_way = WaySpec::ule_way(cell, sizing, hp_prot, ule_prot);
+        ways.resize(total_ways, ule_way);
 
         let mut config = SystemConfig::with_ways(ways, memory_latency);
-        // Keep the total cache size at 8KB regardless of way split.
-        config.il1.size_bytes = 8 * 1024;
-        config.dl1.size_bytes = 8 * 1024;
         // The uncore's always-on 10T arrays share the ULE-way sizing
         // in baseline and proposal alike.
         config.uncore_ten_t_sizing = design.sizing_10t;
@@ -233,20 +227,20 @@ impl Architecture {
         })
     }
 
+    /// The L1s' first ULE way (both L1s are built from one way list).
+    pub(crate) fn ule_way(&self) -> &WaySpec {
+        let way = self.config.dl1.ways.iter().find(|w| w.ule_enabled);
+        // hyvec-lint: allow(no-panic, "the config passed CacheConfig::validate, whose NoUleWay check guarantees an ULE way")
+        way.expect("ULE way exists")
+    }
+
     /// Human-readable composition string, e.g. `"6T+8T+SECDED"`.
     pub fn composition(&self) -> String {
         let hp = match self.scenario.hp_way_protection() {
             Protection::None => "6T".to_string(),
             p => format!("6T+{p}"),
         };
-        let ule_way = self
-            .config
-            .il1
-            .ways
-            .iter()
-            .find(|w| w.ule_enabled)
-            // hyvec-lint: allow(no-panic, "the config passed CacheConfig::validate, whose NoUleWay check guarantees an ULE way")
-            .expect("ULE way exists");
+        let ule_way = self.ule_way();
         let cell = ule_way.cell.kind().short_name();
         let ule = match ule_way.protection_ule {
             Protection::None => cell.to_string(),

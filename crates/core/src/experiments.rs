@@ -54,7 +54,6 @@ use hyvec_cachesim::power::{EnergyBreakdown, PowerModel};
 use hyvec_cachesim::HybridCache;
 use hyvec_edc::Protection;
 use hyvec_mediabench::Benchmark;
-use hyvec_sram::cell::{CellKind, SizedCell};
 use hyvec_sram::failure::FailureModel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -435,40 +434,33 @@ pub struct AreaResult {
     pub ule_way_proposal_um2: f64,
 }
 
-/// Computes the L1 area comparison for `scenario`.
+/// Computes the L1 area comparison for `scenario`: each L1 pair's
+/// macro area from its power model, and each ULE way's cell area alone,
+/// summed over the stored bits of the built DL1's ULE way (its data and
+/// tag words, each with the way's stored check bits).
 pub fn area_comparison(scenario: Scenario) -> AreaResult {
-    let baseline = Architecture::build_pinned(scenario, DesignPoint::Baseline);
-    let proposal = Architecture::build_pinned(scenario, DesignPoint::Proposal);
-    let b_pm = PowerModel::new(&baseline.config);
-    let p_pm = PowerModel::new(&proposal.config);
-    let b_area = b_pm.il1.area_um2() + b_pm.dl1.area_um2();
-    let p_area = p_pm.il1.area_um2() + p_pm.dl1.area_um2();
-
-    // ULE-way-only areas, from the sized cells and word geometry
-    // (256 data words of 32 bits + 32 tags of 26 bits, plus the
-    // stored check bits).
-    let dsg = &baseline.design;
-    let bits_with_checks = |check: u64| 256 * (32 + check) + 32 * (26 + check);
-    let base_check = match scenario {
-        Scenario::A => 0u64,
-        Scenario::B => 7,
+    let [baseline, proposal] = pinned_pair(scenario);
+    let l1_area = |arch: &Architecture| {
+        let pm = PowerModel::new(&arch.config);
+        pm.il1.area_um2() + pm.dl1.area_um2()
     };
-    let prop_check = match scenario {
-        Scenario::A => 7u64,
-        Scenario::B => 13,
+    let ule_way_area = |arch: &Architecture| {
+        let dl1 = &arch.config.dl1;
+        let way = arch.ule_way();
+        let check = way.stored_check_bits() as u64;
+        let bits = dl1.data_words_per_way() * (u64::from(dl1.word_bits) + check)
+            + dl1.tag_words_per_way() * (u64::from(dl1.tag_bits) + check);
+        bits as f64 * way.cell.area_um2()
     };
-    let cell10 = SizedCell::new(CellKind::Sram10T, dsg.sizing_10t);
-    let cell8 = SizedCell::new(CellKind::Sram8T, dsg.sizing_8t);
-    let ule_base = bits_with_checks(base_check) as f64 * cell10.area_um2();
-    let ule_prop = bits_with_checks(prop_check) as f64 * cell8.area_um2();
+    let (b_area, p_area) = (l1_area(&baseline), l1_area(&proposal));
 
     AreaResult {
         scenario,
         baseline_um2: b_area,
         proposal_um2: p_area,
         saving: 1.0 - p_area / b_area,
-        ule_way_baseline_um2: ule_base,
-        ule_way_proposal_um2: ule_prop,
+        ule_way_baseline_um2: ule_way_area(&baseline),
+        ule_way_proposal_um2: ule_way_area(&proposal),
     }
 }
 
@@ -503,7 +495,12 @@ pub struct ReliabilityResult {
     pub strawman_silent: u64,
 }
 
-/// Runs the reliability experiment for `scenario`.
+/// Runs the reliability experiment for `scenario`: the design's
+/// analytic yields; a Monte-Carlo yield over `dies` fault maps of the
+/// proposal's ULE way, each of whose words, stored with the check bits
+/// of the way's ULE code in the scenario table, may hold one hard
+/// fault; and SmallBench at ULE on one faulty proposal die and on a
+/// strawman with the same faults and no EDC.
 pub fn reliability(
     scenario: Scenario,
     dies: u32,
@@ -516,10 +513,7 @@ pub fn reliability(
 
     // Monte-Carlo: sample fault maps of the proposal ULE way and
     // check the per-word fault budget.
-    let prot = match scenario {
-        Scenario::A => Protection::Secded,
-        Scenario::B => Protection::Dected,
-    };
+    let (_, prot) = scenario.ule_way(DesignPoint::Proposal);
     let k = prot.check_bits() as u32;
     let mut rng = SmallRng::seed_from_u64(params.seed ^ 0xFA17_5EED);
     let mut good = 0u32;
@@ -655,9 +649,11 @@ fn voltage_points(scenario: Scenario) -> Vec<(f64, OperatingPoint, [Architecture
             let build =
                 |point| Architecture::build_with(scenario, point, &model, &inputs, 7, 1, 20).ok();
             let archs = [build(DesignPoint::Baseline)?, build(DesignPoint::Proposal)?];
-            // Keep 5MHz at 350mV and scale roughly with the voltage
-            // headroom (a simple DVS curve).
-            let freq = 5.0e6 * (vdd / 0.35).powi(3);
+            // Keep the ULE operating point's frequency at its supply
+            // and scale roughly with the voltage headroom (a simple
+            // DVS curve).
+            let ule = Mode::Ule.operating_point();
+            let freq = ule.freq_hz * (vdd / ule.vdd).powi(3);
             Some((vdd, OperatingPoint::new(vdd, freq), archs))
         })
         .collect()
@@ -1260,26 +1256,31 @@ pub struct GranularityRow {
 pub fn ablation_granularity() -> Vec<GranularityRow> {
     let model = FailureModel::default();
     let base_inputs = MethodologyInputs::default();
-    let reference_bits = 256.0 * 39.0 + 32.0 * 33.0;
+    let check = Protection::Secded.check_bits() as u32;
+    // The ULE way's stored bits (data and tag words, each with its
+    // check bits) at the inputs' word geometry.
+    let stored_bits = |inputs: &MethodologyInputs| {
+        (inputs.data_words * u64::from(inputs.word_bits + check)
+            + inputs.tag_words * u64::from(inputs.tag_bits + check)) as f64
+    };
+    let reference_bits = stored_bits(&base_inputs);
     [8u32, 16, 32]
         .iter()
         .map(|&wb| {
-            let words = 256 * 32 / u64::from(wb);
             let inputs = MethodologyInputs {
                 word_bits: wb,
-                data_words: words,
+                data_words: base_inputs.data_words * u64::from(base_inputs.word_bits)
+                    / u64::from(wb),
                 ..base_inputs
             };
             let design =
                 // hyvec-lint: allow(no-panic, "every granularity point converges with the default failure model; the sweep itself is the regression test")
                 design_ule_way(Scenario::A, &model, &inputs).expect("granularity methodology");
-            let total_bits =
-                (words * u64::from(wb + 7)) as f64 + (32.0 * f64::from(inputs.tag_bits + 7));
             GranularityRow {
                 word_bits: wb,
-                storage_overhead: 7.0 / f64::from(wb),
+                storage_overhead: f64::from(check) / f64::from(wb),
                 sizing_8t: design.sizing_8t,
-                relative_bits: total_bits / reference_bits,
+                relative_bits: stored_bits(&inputs) / reference_bits,
             }
         })
         .collect()

@@ -14,7 +14,8 @@
 //!    and the cache yield `Y`; while `Y < Y10T`, grow the transistors
 //!    by the minimal manufacturable step and repeat.
 
-use crate::architecture::Scenario;
+use crate::architecture::{DesignPoint, Scenario};
+use hyvec_cachemodel::OperatingPoint;
 use hyvec_edc::Protection;
 use hyvec_sram::cell::{CellKind, SizedCell};
 use hyvec_sram::failure::{FailureModel, SizingError, SIZING_STEP};
@@ -47,8 +48,8 @@ impl Default for MethodologyInputs {
         MethodologyInputs {
             target_yield: 0.99,
             anchor_bits: 8192,
-            hp_vdd: 1.0,
-            ule_vdd: 0.35,
+            hp_vdd: OperatingPoint::hp().vdd,
+            ule_vdd: OperatingPoint::ule().vdd,
             data_words: 256,
             tag_words: 32,
             word_bits: 32,
@@ -82,14 +83,6 @@ pub struct UleWayDesign {
     pub iterations: u32,
 }
 
-/// Protection carried by the baseline / proposal ULE way per scenario.
-fn scenario_codes(scenario: Scenario) -> (Protection, Protection) {
-    match scenario {
-        Scenario::A => (Protection::None, Protection::Secded),
-        Scenario::B => (Protection::Secded, Protection::Dected),
-    }
-}
-
 /// Yield of a ULE way (Eq. (2)) whose words have `pf` faulty-bit rate
 /// and tolerate `tol` hard faults under protection `prot`.
 fn way_yield(inputs: &MethodologyInputs, pf: f64, prot: Protection, tol: u32) -> f64 {
@@ -110,7 +103,8 @@ pub fn design_ule_way(
     model: &FailureModel,
     inputs: &MethodologyInputs,
 ) -> Result<UleWayDesign, SizingError> {
-    let (baseline_prot, proposal_prot) = scenario_codes(scenario);
+    let (_, baseline_prot) = scenario.ule_way(DesignPoint::Baseline);
+    let (_, proposal_prot) = scenario.ule_way(DesignPoint::Proposal);
 
     // Anchor: the Pf giving the target yield over the anchor bits
     // ("elementary probability calculations"). Step 1 of Fig. 2 sizes
@@ -287,7 +281,7 @@ mod tests {
                     &SizedCell::new(CellKind::Sram8T, d.sizing_8t - SIZING_STEP),
                     inputs.ule_vdd,
                 );
-                let (_, prot) = super::scenario_codes(s);
+                let (_, prot) = s.ule_way(DesignPoint::Proposal);
                 let y_under = super::way_yield(&inputs, pf_under, prot, 1);
                 assert!(y_under < d.yield_baseline, "{s:?} not minimal");
             }

@@ -220,20 +220,6 @@ impl Protection {
         }
     }
 
-    /// Number of hard faulty bits per word the code can tolerate while
-    /// still guaranteeing correct operation (the yield criterion of the
-    /// paper's Eq. (1): SECDED tolerates 1, DECTED tolerates 1 hard fault
-    /// *plus* a soft error, i.e. also `i <= 1` hard faults).
-    pub fn correctable_hard_faults(self) -> usize {
-        match self {
-            Protection::None => 0,
-            // SECDED corrects the single hard fault (scenario A: no soft
-            // error budget needed); DECTED reserves one correction for a
-            // soft error, leaving one for a hard fault (scenario B).
-            Protection::Secded | Protection::Dected => 1,
-        }
-    }
-
     /// Total number of bit errors the code can correct in one word,
     /// regardless of their origin (1 for SECDED, 2 for DECTED).
     pub fn max_correctable(self) -> usize {
@@ -261,16 +247,23 @@ impl Protection {
         (1..=self.max_data_bits()).contains(&data_bits)
     }
 
-    /// Builds a boxed codec for `data_bits`-bit words.
+    /// The codec for `data_bits`-bit words, from the family's
+    /// write-once registry: the same object [`HsiaoCode::shared`] and
+    /// [`DectedCode::shared`] hand the caches, so each width's table is
+    /// built once per process however many callers ask for it.
     ///
     /// # Errors
     ///
     /// Returns [`BuildCodeError`] if the family cannot protect that width.
-    pub fn build(self, data_bits: usize) -> Result<Box<dyn EdcCode>, BuildCodeError> {
+    pub fn build(self, data_bits: usize) -> Result<&'static dyn EdcCode, BuildCodeError> {
         match self {
-            Protection::None => Ok(Box::new(NoCode::new(data_bits))),
-            Protection::Secded => Ok(Box::new(HsiaoCode::new(data_bits)?)),
-            Protection::Dected => Ok(Box::new(DectedCode::new(data_bits)?)),
+            Protection::None => {
+                static CODES: [OnceLock<NoCode>; 64] = [const { OnceLock::new() }; 64];
+                let code = shared_code(&CODES, data_bits, |bits| Ok(NoCode::new(bits)))?;
+                Ok(code)
+            }
+            Protection::Secded => Ok(HsiaoCode::shared(data_bits)?),
+            Protection::Dected => Ok(DectedCode::shared(data_bits)?),
         }
     }
 }
@@ -355,6 +348,30 @@ mod tests {
             assert_eq!(code.check_bits(), prot.check_bits());
             let tag = prot.build(26).expect("26-bit tags supported");
             assert_eq!(tag.data_bits(), 26);
+        }
+    }
+
+    #[test]
+    fn protection_build_hands_out_the_registry_codes() {
+        for bits in [1, 8, 26, 32, 51] {
+            for prot in [Protection::None, Protection::Secded, Protection::Dected] {
+                let code = prot.build(bits).expect("supported width");
+                assert!(std::ptr::addr_eq(code, prot.build(bits).unwrap()));
+            }
+            let secded = Protection::Secded.build(bits).unwrap();
+            assert!(std::ptr::addr_eq(secded, HsiaoCode::shared(bits).unwrap()));
+            let dected = Protection::Dected.build(bits).unwrap();
+            assert!(std::ptr::addr_eq(dected, DectedCode::shared(bits).unwrap()));
+        }
+        assert_eq!(Protection::None.build(64).unwrap().data_bits(), 64);
+        for bad in [0, 65] {
+            assert_eq!(
+                Protection::None.build(bad).unwrap_err(),
+                BuildCodeError {
+                    data_bits: bad,
+                    max_data_bits: 64,
+                }
+            );
         }
     }
 

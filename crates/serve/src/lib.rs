@@ -26,7 +26,8 @@
 //!
 //! Module map: [`http`] owns the wire format, [`cache`] the
 //! content-addressed single-flight LRU store, [`stats`] the counters,
-//! [`server`] the sockets, worker pool, and router.
+//! [`server`] the listener, the workers that each accept their own
+//! connections, and the router.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -1,5 +1,5 @@
-//! The `hyvec serve` daemon: socket handling, the worker pool, the
-//! router, and the cache-warming pass.
+//! The `hyvec serve` daemon: socket handling, the workers, the router,
+//! and the cache-warming pass.
 //!
 //! This module is the one place in the serve crate that touches the
 //! wall clock (the `/stats` uptime instant and socket read timeouts),
@@ -11,20 +11,20 @@
 //!
 //! # Request pipeline
 //!
-//! The accept loop pushes connections onto a condvar-guarded queue
-//! drained by a fixed pool of scoped worker threads (the same
-//! hand-rolled discipline as `hyvec_core::sweep::par_map`, shaped for
-//! an endless stream instead of a finite batch). Each worker speaks
-//! keep-alive HTTP/1.1 via [`crate::http`] and answers from the
-//! shared [`ResultCache`]; a report miss runs the *identical*
-//! [`SweepBuilder`] pipeline the CLI uses, so a served body is
-//! byte-for-byte the CLI renderer's output for the same parameters.
+//! The daemon runs `threads` workers: the thread that calls
+//! [`SweepServer::run`] and `threads - 1` scoped helpers. Each worker
+//! accepts its own connections from the one shared listener and serves
+//! each to its end, so there is no accept thread and no queue between
+//! the socket and the worker. A worker speaks keep-alive HTTP/1.1 via
+//! [`crate::http`] and answers from the shared [`ResultCache`]; a
+//! report miss runs the *identical* [`SweepBuilder`] pipeline the CLI
+//! uses, so a served body is byte-for-byte the CLI renderer's output
+//! for the same parameters.
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -41,12 +41,16 @@ use crate::stats::{ServerCounters, StatsSnapshot};
 pub const SERVE_USAGE: &str =
     "[--addr HOST:PORT] [--threads N] [--warm] [--instructions N] [--seed S] [--cache-mb N]";
 
+/// Most requests served on one keep-alive connection.
+const MAX_REQUESTS_PER_CONNECTION: usize = 1000;
+
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Listen address (`HOST:PORT`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker threads; defaults to the core count.
+    /// Worker threads, each accepting its own connections; defaults to
+    /// the core count.
     pub threads: usize,
     /// Whether to run the full registry matrix into the cache before
     /// accepting traffic.
@@ -59,8 +63,6 @@ pub struct ServeConfig {
     /// Per-read socket timeout; an idle keep-alive connection is
     /// closed after this long.
     pub read_timeout: Duration,
-    /// Most requests served on one keep-alive connection.
-    pub max_requests_per_connection: usize,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +74,6 @@ impl Default for ServeConfig {
             warm_params: ExperimentParams::default(),
             max_cache_bytes: 64 * 1024 * 1024,
             read_timeout: Duration::from_secs(10),
-            max_requests_per_connection: 1000,
         }
     }
 }
@@ -140,12 +141,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-#[derive(Debug, Default)]
-struct ConnQueue {
-    conns: VecDeque<TcpStream>,
-    closed: bool,
-}
-
 #[derive(Debug)]
 struct ServerState {
     config: ServeConfig,
@@ -157,8 +152,6 @@ struct ServerState {
     counters: ServerCounters,
     started: Instant,
     stop: AtomicBool,
-    queue: Mutex<ConnQueue>,
-    ready: Condvar,
 }
 
 /// A running (or ready-to-run) sweep service. Cloning yields another
@@ -194,8 +187,6 @@ impl SweepServer {
                 counters: ServerCounters::default(),
                 started: Instant::now(),
                 stop: AtomicBool::new(false),
-                queue: Mutex::new(ConnQueue::default()),
-                ready: Condvar::new(),
             }),
         })
     }
@@ -229,83 +220,48 @@ impl SweepServer {
     }
 
     /// Serves until [`SweepServer::stop`] (or `POST /shutdown`).
-    /// Blocks the calling thread; workers are scoped inside.
+    /// Blocks the calling thread, which is one of the `threads`
+    /// workers; the other `threads - 1` are scoped inside. Returns once
+    /// every worker has finished its current connection and exited.
     pub fn run(&self) {
         if self.state.config.warm {
             self.warm();
         }
         thread::scope(|scope| {
-            for _ in 0..self.state.config.threads.max(1) {
+            for _ in 1..self.state.config.threads {
                 scope.spawn(|| self.worker_loop());
             }
-            self.accept_loop();
-            // Unblock idle workers: the queue is closed for good.
-            let mut queue = self.lock_queue();
-            queue.closed = true;
-            drop(queue);
-            self.state.ready.notify_all();
+            self.worker_loop();
         });
     }
 
-    /// Requests shutdown: the accept loop exits (woken by a loopback
-    /// poke), workers finish their current connection and drain.
-    /// Idempotent and callable from any thread.
+    /// Requests shutdown: sets the stop flag and wakes one worker
+    /// blocked in `accept` with a loopback connection. Each worker that
+    /// accepts after the flag passes the wake-up on before it exits; a
+    /// busy worker exits once its current connection ends. Idempotent
+    /// and callable from any thread, also before [`SweepServer::run`],
+    /// whose workers then exit at once.
     pub fn stop(&self) {
         if !self.state.stop.swap(true, Ordering::SeqCst) {
-            // Wake the blocking accept with a throwaway connection.
             let _ = TcpStream::connect(self.state.local_addr);
         }
-        self.state.ready.notify_all();
     }
 
-    fn lock_queue(&self) -> MutexGuard<'_, ConnQueue> {
-        self.state
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn accept_loop(&self) {
-        loop {
-            match self.state.listener.accept() {
-                Ok((conn, _)) => {
-                    if self.state.stop.load(Ordering::SeqCst) {
-                        // The shutdown poke (or a late client) —
-                        // dropped unanswered.
-                        break;
-                    }
-                    let mut queue = self.lock_queue();
-                    queue.conns.push_back(conn);
-                    drop(queue);
-                    self.state.ready.notify_one();
-                }
-                Err(_) if self.state.stop.load(Ordering::SeqCst) => break,
-                Err(_) => continue,
-            }
-        }
-    }
-
+    /// One worker: accepts a connection and serves it to its end, until
+    /// the stop flag is set.
     fn worker_loop(&self) {
         loop {
-            let conn = {
-                let mut queue = self.lock_queue();
-                loop {
-                    if let Some(conn) = queue.conns.pop_front() {
-                        break Some(conn);
-                    }
-                    if queue.closed || self.state.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    queue = self
-                        .state
-                        .ready
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            match conn {
-                Some(conn) => self.handle_connection(conn),
-                None => return,
+            let accepted = self.state.listener.accept();
+            if self.state.stop.load(Ordering::SeqCst) {
+                // The wake-up (or a late client), dropped unanswered.
+                // Pass the wake-up on: one connection per exiting
+                // worker, so a large pool cannot overrun the backlog.
+                drop(accepted);
+                let _ = TcpStream::connect(self.state.local_addr);
+                return;
+            }
+            if let Ok((conn, _)) = accepted {
+                self.handle_connection(conn);
             }
         }
     }
@@ -318,7 +274,7 @@ impl SweepServer {
         let _ = conn.set_read_timeout(Some(self.state.config.read_timeout));
         let _ = conn.set_nodelay(true);
         let mut reader = BufReader::new(&conn);
-        for _ in 0..self.state.config.max_requests_per_connection {
+        for _ in 0..MAX_REQUESTS_PER_CONNECTION {
             match read_request(&mut reader) {
                 Ok(request) => {
                     self.state.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -426,12 +382,12 @@ impl SweepServer {
         // same (id, params) in a different format is a different
         // representation, so it must not validate against the other
         // formats' cached copies.
-        let (content_type, format_tag) = match format {
-            Format::Text => ("text/plain; charset=utf-8", "text"),
-            Format::Json => ("application/json", "json"),
-            Format::Csv => ("text/csv; charset=utf-8", "csv"),
+        let content_type = match format {
+            Format::Text => "text/plain; charset=utf-8",
+            Format::Json => "application/json",
+            Format::Csv => "text/csv; charset=utf-8",
         };
-        let etag = format!("\"{key:016x}-{format_tag}\"");
+        let etag = format!("\"{key:016x}-{}\"", format.name());
         if let Some(condition) = request.header("if-none-match") {
             let matches = condition
                 .split(',')

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::CacheCounters;
 
-/// Monotonic service counters, bumped lock-free by the worker pool.
+/// Monotonic service counters, bumped lock-free by the workers.
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     /// Accepted connections.

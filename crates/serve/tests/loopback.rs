@@ -5,12 +5,14 @@
 //! here: a served body is byte-identical to the CLI renderer's output
 //! for the same parameters, repeated requests are answered from the
 //! content-addressed cache, and concurrent identical requests compute
-//! once (single-flight).
+//! once (single-flight). The daemon must also stop: every run thread is
+//! waited on for a bounded time, so a broken shutdown fails a test
+//! instead of hanging the suite.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hyvec_core::experiments::ExperimentParams;
 use hyvec_core::registry::Registry;
@@ -37,6 +39,19 @@ fn start(config: ServeConfig) -> (SweepServer, thread::JoinHandle<()>) {
     let runner = server.clone();
     let handle = thread::spawn(move || runner.run());
     (server, handle)
+}
+
+/// Waits at most 10 s for a daemon's run thread to come home.
+fn join_within_bound(handle: thread::JoinHandle<()>) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "the daemon did not exit within 10 s"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("runner joins");
 }
 
 /// One `Connection: close` request; returns (status, head, body).
@@ -151,7 +166,7 @@ fn served_reports_are_byte_identical_to_the_cli_renderer() {
         );
     }
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -170,7 +185,7 @@ fn repeat_request_is_answered_from_the_cache() {
     assert_eq!(stat(&stats, "hits"), 1, "second request hits the cache");
     assert_eq!(stat(&stats, "entries"), 1);
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -204,7 +219,7 @@ fn concurrent_identical_requests_compute_once() {
     );
     assert_eq!(stat(&stats, "hits") + stat(&stats, "coalesced"), 7);
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -219,7 +234,7 @@ fn experiments_endpoint_matches_the_registry_index() {
         "/experiments must serve the `hyvec list --format json` document verbatim"
     );
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -229,7 +244,7 @@ fn healthz_answers_ok() {
     assert_eq!(status, 200);
     assert_eq!(body, b"ok\n");
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -283,7 +298,7 @@ fn errors_are_clean_http_responses() {
     assert_eq!(stat(&stats, "misses"), 0);
     assert_eq!(stat(&stats, "entries"), 0);
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -336,7 +351,7 @@ fn conditional_requests_honor_the_report_etag() {
     assert_ne!(json_etag, etag);
 
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
 }
 
 #[test]
@@ -349,7 +364,7 @@ fn a_restarted_daemon_serves_identical_bytes() {
         assert_eq!(status, 200);
         bodies.push(body);
         server.stop();
-        handle.join().expect("runner joins");
+        join_within_bound(handle);
     }
     assert_eq!(
         bodies[0], bodies[1],
@@ -365,7 +380,7 @@ fn shutdown_endpoint_stops_the_daemon() {
     assert_eq!(status, 200);
     assert_eq!(body, b"shutting down\n");
     // The run() thread must come home on its own — no stop() here.
-    handle.join().expect("daemon exits after POST /shutdown");
+    join_within_bound(handle);
 
     // GET /shutdown must not kill the server; only POST does.
     let (server, handle) = start(test_config());
@@ -375,5 +390,74 @@ fn shutdown_endpoint_stops_the_daemon() {
     let (status, _, _) = get(&server, "/healthz");
     assert_eq!(status, 200, "GET /shutdown left the daemon running");
     server.stop();
-    handle.join().expect("runner joins");
+    join_within_bound(handle);
+}
+
+/// The worker counts the shutdown tests run at: the calling thread
+/// alone, and the calling thread plus three helpers.
+const STOP_THREADS: [usize; 2] = [1, 4];
+
+fn config_with_threads(threads: usize) -> ServeConfig {
+    ServeConfig {
+        threads,
+        ..test_config()
+    }
+}
+
+#[test]
+fn stop_wakes_every_idle_worker() {
+    for threads in STOP_THREADS {
+        let (server, handle) = start(config_with_threads(threads));
+        let (status, _, _) = get(&server, "/healthz");
+        assert_eq!(status, 200);
+        // Give every helper time to block in accept.
+        thread::sleep(Duration::from_millis(50));
+        server.stop();
+        join_within_bound(handle);
+    }
+}
+
+#[test]
+fn shutdown_endpoint_stops_every_worker() {
+    for threads in STOP_THREADS {
+        let (server, handle) = start(config_with_threads(threads));
+        let (status, _, _) = request(&server, "POST", "/shutdown");
+        assert_eq!(status, 200, "{threads} threads");
+        join_within_bound(handle);
+    }
+}
+
+#[test]
+fn a_client_after_stop_gets_no_response() {
+    for threads in STOP_THREADS {
+        let (server, handle) = start(config_with_threads(threads));
+        server.stop();
+        let addr = server.local_addr();
+        let mut late = TcpStream::connect(addr).expect("the listener is still bound");
+        late.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // The write may already fail if a worker has dropped the
+        // connection; either way no response may come back.
+        let _ = late.write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes());
+        join_within_bound(handle);
+        // Closing the listener resets a connection no worker accepted.
+        drop(server);
+        let mut raw = Vec::new();
+        let _ = late.read_to_end(&mut raw);
+        assert!(
+            raw.is_empty(),
+            "{threads} threads: a stopped daemon answered {:?}",
+            String::from_utf8_lossy(&raw)
+        );
+    }
+}
+
+#[test]
+fn stop_before_run_makes_run_return() {
+    for threads in STOP_THREADS {
+        let server = SweepServer::bind(config_with_threads(threads)).expect("bind 127.0.0.1:0");
+        server.stop();
+        let runner = server.clone();
+        join_within_bound(thread::spawn(move || runner.run()));
+    }
 }

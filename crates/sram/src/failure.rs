@@ -134,15 +134,6 @@ impl FailureModel {
         }
     }
 
-    /// Replaces the parameters of `kind` (for sensitivity studies).
-    pub fn set_params(&mut self, kind: CellKind, params: ReliabilityParams) {
-        match kind {
-            CellKind::Sram6T => self.p6t = params,
-            CellKind::Sram8T => self.p8t = params,
-            CellKind::Sram10T => self.p10t = params,
-        }
-    }
-
     /// Hard-failure probability of `cell` operated at `vdd` volts.
     pub fn pf(&self, cell: &SizedCell, vdd: f64) -> f64 {
         let p = self.params(cell.kind());
@@ -192,39 +183,6 @@ pub fn quantize_sizing(raw: f64) -> f64 {
     let quantized = steps * SIZING_STEP;
     // Guard against floating-point residue (e.g. 1.0000000000000002).
     (quantized * 1e9).round() / 1e9
-}
-
-/// Soft-error (single-event-upset) rate model.
-///
-/// Lowering the supply reduces the critical charge of a node roughly
-/// linearly, which raises the upset rate roughly exponentially. Only
-/// the *relative* behaviour matters for the reproduction: at ULE
-/// voltage soft errors are common enough that scenario B insists on
-/// correcting a soft error *on top of* a hard fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoftErrorModel {
-    /// Upsets per bit per second at the nominal 1.0V supply.
-    pub rate_at_nominal: f64,
-    /// Exponential sensitivity to supply reduction.
-    pub vdd_sensitivity: f64,
-}
-
-impl Default for SoftErrorModel {
-    fn default() -> Self {
-        SoftErrorModel {
-            // ~1e-4 FIT/bit, a typical terrestrial figure: 1e-4 upsets
-            // per 1e9 device-hours = 2.8e-17 per bit-second.
-            rate_at_nominal: 2.8e-17,
-            vdd_sensitivity: 7.0,
-        }
-    }
-}
-
-impl SoftErrorModel {
-    /// Upsets per bit per second at supply `vdd`.
-    pub fn rate_per_bit_second(&self, vdd: f64) -> f64 {
-        self.rate_at_nominal * (self.vdd_sensitivity * (1.0 - vdd)).exp()
-    }
 }
 
 #[cfg(test)]
@@ -368,25 +326,5 @@ mod tests {
         assert!(s10 > 1.5, "10T sizing at NST too small: {s10}");
         let s8 = model.sizing_for_pf(CellKind::Sram8T, 0.35, 1e-3).unwrap();
         assert!(s8 < s10, "relaxed-target 8T must stay smaller than 10T");
-    }
-
-    #[test]
-    fn soft_error_rate_rises_at_low_voltage() {
-        let ser = SoftErrorModel::default();
-        let high = ser.rate_per_bit_second(1.0);
-        let low = ser.rate_per_bit_second(0.35);
-        assert!(low > 10.0 * high);
-        assert!((ser.rate_per_bit_second(1.0) - ser.rate_at_nominal).abs() < 1e-25);
-    }
-
-    #[test]
-    fn set_params_roundtrip() {
-        let mut model = FailureModel::default();
-        let custom = ReliabilityParams {
-            v_half: 0.5,
-            sigma_v: 0.1,
-        };
-        model.set_params(CellKind::Sram8T, custom);
-        assert_eq!(model.params(CellKind::Sram8T), custom);
     }
 }
