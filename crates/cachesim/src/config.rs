@@ -65,6 +65,12 @@ pub enum ConfigError {
     InvalidSeuRate,
     /// A multi-core build was requested with zero cores.
     NoCores,
+    /// A multi-core build was requested with more than
+    /// [`MAX_CORES`](crate::multicore::MAX_CORES) cores.
+    TooManyCores {
+        /// The requested core count.
+        cores: usize,
+    },
     /// A multi-core run asked for a chain wider than the machine or of
     /// zero width ([`MultiCoreSystem::run_widths`](crate::MultiCoreSystem::run_widths)).
     ChainWidth {
@@ -138,6 +144,11 @@ impl fmt::Display for ConfigError {
             ConfigError::NoCores => {
                 write!(f, "a multi-core system needs at least one core")
             }
+            ConfigError::TooManyCores { cores } => write!(
+                f,
+                "a multi-core system has at most {} cores (got {cores})",
+                crate::multicore::MAX_CORES
+            ),
             ConfigError::ChainWidth { width, cores } => {
                 write!(f, "chain width {width} outside 1..={cores} cores")
             }
@@ -306,18 +317,14 @@ impl CacheConfig {
     }
 
     /// The part of [`SystemConfig::behaviour`] this cache contributes:
-    /// its geometry and each way's `(enabled, protection)` at `mode`.
+    /// its geometry and each way's enabled bit at `mode`.
     fn behaviour(&self, mode: Mode) -> CacheBehaviour {
         CacheBehaviour {
             size_bytes: self.size_bytes,
             line_bytes: self.line_bytes,
             word_bits: self.word_bits,
             tag_bits: self.tag_bits,
-            ways: self
-                .ways
-                .iter()
-                .map(|w| (w.enabled(mode), w.protection(mode)))
-                .collect(),
+            ways: self.ways.iter().map(|w| w.enabled(mode)).collect(),
         }
     }
 
@@ -613,27 +620,28 @@ impl SystemConfig {
     }
 
     /// Everything of this configuration a fault-free run at `mode` can
-    /// observe: each L1's size, line size, word and tag bits, each of
-    /// its ways' `(enabled, protection)` at `mode`, and the memory
-    /// latency.
+    /// observe: each L1's size, line size, word and tag bits, and each
+    /// of its ways' enabled bit at `mode`.
     ///
     /// The contract: two configurations with equal keys, no installed
-    /// faults and soft errors off give identical
-    /// [`RunStats`](crate::stats::RunStats) at `mode` on any trace, over
-    /// their own chain or any one given to
-    /// [`System::run_chains`](crate::engine::System::run_chains). What
-    /// the key leaves out (cells, sizings, `tech`, the uncore sizing)
-    /// only prices the counters, so one machine's report re-priced
-    /// under the other's power model
+    /// faults and soft errors off count the same events at `mode` on
+    /// any trace, over their own chains or over any one given to
+    /// [`System::run_chains`](crate::engine::System::run_chains), where
+    /// their chains differ at most in the memory latency. What the key
+    /// leaves out only prices those counts: each way's EDC code (its
+    /// fill and read-modify-write latency and its energy), the memory
+    /// latency, the cells, the sizings, `tech` and the uncore sizing.
+    /// So one machine's report re-priced under the other's power model
     /// ([`RunReport::priced_by`](crate::engine::RunReport::priced_by))
-    /// is the other's report. The EDC latency a fill pays depends only
-    /// on the active code: 1 cycle when it has check bits, 0 otherwise
-    /// ([`hyvec_cachemodel::EdcCircuit::for_code`]).
+    /// is the other's report, every [`RunStats`](crate::stats::RunStats)
+    /// field included. The EDC latency a fill pays depends only on the
+    /// active code: 1 cycle when it has check bits, 0 otherwise
+    /// ([`hyvec_cachemodel::EdcCircuit::for_code`]), so SECDED and
+    /// DECTED price alike.
     pub fn behaviour(&self, mode: Mode) -> Behaviour {
         Behaviour {
             il1: self.il1.behaviour(mode),
             dl1: self.dl1.behaviour(mode),
-            memory_latency: self.memory_latency,
         }
     }
 }
@@ -644,7 +652,6 @@ impl SystemConfig {
 pub struct Behaviour {
     il1: CacheBehaviour,
     dl1: CacheBehaviour,
-    memory_latency: u32,
 }
 
 /// One L1's share of a [`Behaviour`] key.
@@ -654,9 +661,8 @@ struct CacheBehaviour {
     line_bytes: u64,
     word_bits: u32,
     tag_bits: u32,
-    /// Each way's `(enabled, protection)` at the key's mode, in way
-    /// order.
-    ways: Vec<(bool, Protection)>,
+    /// Each way's enabled bit at the key's mode, in way order.
+    ways: Vec<bool>,
 }
 
 #[cfg(test)]

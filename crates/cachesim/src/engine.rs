@@ -5,13 +5,47 @@
 //! L1s, ~20-cycle memory. The timing model is correspondingly simple:
 //!
 //! * one base cycle per instruction (scalar, in-order);
-//! * a miss in either L1 stalls for the memory latency plus the EDC
-//!   pipeline latency of the fill path (encode before write);
-//! * an EDC *correction* event costs one recovery bubble;
+//! * a miss in either L1 stalls for the fill latency the chain below
+//!   reports plus the EDC pipeline latency of the fill path (encode
+//!   before write);
+//! * an EDC *correction* event costs one recovery bubble, and a
+//!   sub-word store into an EDC-protected DL1 word one
+//!   read-modify-write bubble;
 //! * hits are EDC-latency-free: at 200ns ULE cycles the syndrome
 //!   logic fits comfortably in the existing pipeline slack, matching
 //!   the paper's "negligible (around 3%)" execution-time overhead,
 //!   which stems from the fill/correction path.
+//!
+//! # Counted, then priced
+//!
+//! Every term of that model is a count times a constant, so time is
+//! priced like energy: the loop keeps only counts that no EDC code and
+//! no memory latency changes, and one function prices them. The loop
+//! counts, per core, its instructions, its L1 lookups whose EDC
+//! corrected bits, and its DL1 pieces of sub-word stores (below the
+//! 4-byte word); and per L1 and chain, the fill latency the chain
+//! reported and the fills memory served. Each L1 counts its own misses.
+//! [`RunReport::priced_by`] then derives the timing fields of
+//! [`RunStats`] from those counts, each L1's EDC latency `E`
+//! ([`CachePower::edc_latency_cycles`](crate::power::CachePower::edc_latency_cycles))
+//! and the memory latency `L` ([`PowerModel::memory_latency`]):
+//!
+//! ```text
+//! rmw     = DL1 sub-word pieces if E(DL1) > 0, else 0
+//! stall_X = below_X + L * memory fills_X + misses_X * E(X)   X = IL1, DL1
+//! cycles  = instructions + corrections + rmw + stall_IL1 + stall_DL1
+//! edc_stall_cycles = corrections + rmw + misses_IL1 * E(IL1) + misses_DL1 * E(DL1)
+//! ```
+//!
+//! `il1_stall_cycles` and `dl1_stall_cycles` are the two stalls, and
+//! `seconds` is `cycles` at the operating point's cycle time.
+//! `below_X` is the latency the chain reported for the L1's fills less
+//! the machine's `L` for each fill memory served: the L2 lookups on
+//! the way. So a fault-free loop adds no cycles per instruction, and a
+//! report re-priced under a power model with other codes or another
+//! memory latency is that machine's report. Only a run with soft
+//! errors on sums an instruction's cycles in the loop, from the same
+//! counts, because its upset draws integrate them.
 //!
 //! Both engines model that core once, as the crate-private `Core`:
 //! [`System`] drives one, and [`MultiCoreSystem`] one per core. One
@@ -34,7 +68,7 @@ use crate::config::{
     CacheConfig, ConfigError, L2Config, MemoryConfig, Mode, SystemConfig, Topology,
 };
 use crate::hierarchy::{AccessOutcome, AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel};
-use crate::multicore::{ChainRecipe, MultiCoreSystem};
+use crate::multicore::{ChainRecipe, MultiCoreSystem, MAX_CORES};
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::stats::RunStats;
 use hyvec_cachemodel::{OperatingPoint, TechnologyParams};
@@ -81,8 +115,30 @@ pub(crate) struct ChainRequest {
     pub kind: ReqKind,
 }
 
+/// What a core counts whatever chain is below it and whatever codes
+/// its L1s use: the core's share of the counts a run is priced from
+/// (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CoreCounts {
+    /// Instructions executed.
+    instructions: u64,
+    /// L1 lookups whose EDC corrected bits: one recovery bubble each.
+    corrections: u64,
+    /// DL1 pieces of stores narrower than a word: one
+    /// read-modify-write bubble each when the DL1 has an EDC latency.
+    subword_stores: u64,
+}
+
+impl CoreCounts {
+    /// The bubbles of the run so far: one per correction and, when
+    /// `rmw`, one per sub-word store piece.
+    fn bubbles(&self, rmw: bool) -> u64 {
+        self.corrections + if rmw { self.subword_stores } else { 0 }
+    }
+}
+
 /// The one in-order core of both engines: an IL1/DL1 pair, its
-/// soft-error stream, and the counters of a run that no chain below
+/// soft-error stream, and the counts of a run that no chain below
 /// decides. [`System`] drives one; a [`MultiCoreSystem`] drives one per
 /// core. The two differ only in the closure they hand
 /// [`Core::execute`].
@@ -94,11 +150,8 @@ pub(crate) struct Core {
     /// single-core stream persists across runs, while the multi-core
     /// engine re-seeds each core's at the start of every run.
     pub rng: SmallRng,
-    /// The chain-independent counters of the run so far: instructions,
-    /// their correction and read-modify-write bubbles
-    /// (`edc_stall_cycles`), and the core-local cycles (`cycles`: base
-    /// cycles plus bubbles, no fill stalls).
-    stats: RunStats,
+    /// The run's counts so far.
+    counts: CoreCounts,
 }
 
 impl Core {
@@ -109,18 +162,18 @@ impl Core {
             il1,
             dl1,
             rng: SmallRng::seed_from_u64(seed),
-            stats: RunStats::default(),
+            counts: CoreCounts::default(),
         }
     }
 
     /// The start of a run: both L1s flushed and reset into `mode`, the
-    /// counters zeroed. The soft-error stream is left alone.
+    /// counts zeroed. The soft-error stream is left alone.
     pub(crate) fn start(&mut self, mode: Mode) {
         self.il1.set_mode(mode);
         self.dl1.set_mode(mode);
         self.il1.reset_stats();
         self.dl1.reset_stats();
-        self.stats = RunStats::default();
+        self.counts = CoreCounts::default();
     }
 
     /// The constants of a run at `mode` under `power`: the core's
@@ -143,10 +196,10 @@ impl Core {
     }
 
     /// One instruction: its L1 front ([`Core::front_entry`]), with
-    /// every miss handed to `miss` in program order; then one
-    /// soft-error draw at `seu` expected upsets per cycle, over the
-    /// instruction's core-local cycles plus the stall cycles `miss`
-    /// returned.
+    /// every miss handed to `miss` in program order; then, with soft
+    /// errors on, one soft-error draw at `seu` expected upsets per
+    /// cycle, over the instruction's core-local cycles plus the stall
+    /// cycles `miss` returned.
     ///
     /// The engines differ on purpose, each in its `miss`: [`System`]
     /// resolves each miss on the spot against every chain and returns
@@ -163,25 +216,26 @@ impl Core {
         seu: f64,
         mut miss: impl FnMut(ChainRequest) -> u64,
     ) {
+        let rmw = timing.dl1_edc_latency > 0;
+        let before = self.counts.bubbles(rmw);
         let mut stalls = 0;
-        let local = self.front_entry(timing, entry, |req| stalls += miss(req));
-        self.stats.cycles += local;
-        self.maybe_inject_seu(seu, local + stalls);
+        self.front_entry(timing.dl1_line_bytes, entry, |req| stalls += miss(req));
+        if seu > 0.0 {
+            // The base cycle, the instruction's bubbles and its stalls.
+            let cycles = 1 + self.counts.bubbles(rmw) - before + stalls;
+            self.inject_seu(seu, cycles);
+        }
     }
 
     /// The timing model of the core, L1 side: counts the instruction,
-    /// drives IL1/DL1, and charges one base cycle, one recovery bubble
-    /// per correction and one read-modify-write bubble per sub-word
-    /// store into a protected word. A data access makes one DL1 lookup
-    /// per line it touches, each charged on its own; a zero-size access
-    /// still makes one.
+    /// drives IL1/DL1 and counts each lookup whose EDC corrected bits
+    /// and each sub-word store piece. A data access makes one DL1
+    /// lookup per line it touches (of `dl1_line_bytes`), each counted
+    /// on its own; a zero-size access still makes one.
     ///
     /// Every L1 miss goes to `miss` in program order (IL1 fetch first,
-    /// then DL1 lines). Returns the entry's *core-local* cycles: the
-    /// base cycle plus every bubble, excluding fill stalls, which
-    /// [`apply_fill`] charges once the chain outcome is known. The
-    /// core's counters receive only the chain-independent ones: the
-    /// instruction and its correction and read-modify-write bubbles.
+    /// then DL1 lines), and [`apply_fill`] counts it once the chain
+    /// outcome is known.
     ///
     /// The L1s never observe the chain and the chain never observes the
     /// L1s, so *when* a miss is resolved moves only when a counter is
@@ -190,12 +244,11 @@ impl Core {
     #[inline]
     fn front_entry(
         &mut self,
-        timing: CoreTiming,
+        dl1_line_bytes: u64,
         entry: TraceEntry,
         mut miss: impl FnMut(ChainRequest),
-    ) -> u64 {
-        self.stats.instructions += 1;
-        let mut cycles = 1u64;
+    ) {
+        self.counts.instructions += 1;
 
         let fetch = self.il1.access(entry.pc, false);
         if !fetch.hit {
@@ -204,8 +257,7 @@ impl Core {
             miss(ChainRequest { access, kind });
         }
         if fetch.corrected > 0 {
-            self.stats.edc_stall_cycles += 1;
-            cycles += 1;
+            self.counts.corrections += 1;
         }
 
         if let Some(access) = entry.access {
@@ -215,7 +267,7 @@ impl Core {
                 access.size
             );
             // `CacheConfig::validate` guarantees power-of-two lines.
-            let line = timing.dl1_line_bytes;
+            let line = dl1_line_bytes;
             let (mut addr, mut remaining) = (access.addr, u64::from(access.size));
             loop {
                 // The bytes of this line the access touches.
@@ -230,16 +282,12 @@ impl Core {
                     miss(ChainRequest { access, kind });
                 }
                 if data.corrected > 0 {
-                    self.stats.edc_stall_cycles += 1;
-                    cycles += 1;
+                    self.counts.corrections += 1;
                 }
-                // Sub-word stores into an EDC-protected word need a
-                // read-modify-write to regenerate the check bits: one
-                // extra cycle.
-                if access.is_write && size < 4 && timing.dl1_edc_latency > 0 {
-                    self.stats.edc_stall_cycles += 1;
-                    cycles += 1;
-                }
+                // A sub-word store into an EDC-protected word needs a
+                // read-modify-write to regenerate the check bits; the
+                // price decides whether the DL1's code charges it.
+                self.counts.subword_stores += u64::from(access.is_write && size < 4);
                 remaining -= size;
                 if remaining == 0 {
                     break;
@@ -247,19 +295,12 @@ impl Core {
                 addr = addr.wrapping_add(size);
             }
         }
-
-        cycles
     }
 
     /// One soft-error draw for one instruction: `cycles` of exposure at
     /// `seu` expected upsets per cycle. An upset flips one random ULE
-    /// bit of the IL1 or the DL1. Draws nothing when injection is off,
-    /// so fault-free runs stay free of RNG work.
-    #[inline]
-    fn maybe_inject_seu(&mut self, seu: f64, cycles: u64) {
-        if seu <= 0.0 {
-            return;
-        }
+    /// bit of the IL1 or the DL1.
+    fn inject_seu(&mut self, seu: f64, cycles: u64) {
         if self.rng.gen::<f64>() < seu * cycles as f64 {
             if self.rng.gen::<bool>() {
                 inject_random_seu(&mut self.il1, &mut self.rng);
@@ -270,67 +311,89 @@ impl Core {
     }
 
     /// The run report of this core over the chain behind `tally`: the
-    /// tally plus the core's own counters, its core-local cycles
-    /// included, and its L1 counters, priced by `power` at `mode`'s
-    /// operating point.
+    /// core's counts and L1 counters plus the tally, priced by `power`
+    /// at `mode`'s operating point.
     pub(crate) fn report(&self, tally: &ChainTally, power: &PowerModel, mode: Mode) -> RunReport {
-        let mut stats = tally.stats;
-        stats.instructions = self.stats.instructions;
-        stats.cycles += self.stats.cycles;
-        stats.edc_stall_cycles += self.stats.edc_stall_cycles;
-        stats.il1 = *self.il1.stats();
-        stats.dl1 = *self.dl1.stats();
-        RunReport::priced(stats, tally.below_pj, mode, power, mode.operating_point())
+        let stats = RunStats {
+            instructions: self.counts.instructions,
+            il1: *self.il1.stats(),
+            dl1: *self.dl1.stats(),
+            memory_accesses: tally.memory_fills.iter().sum(),
+            below_corrected: tally.below_corrected,
+            below_detected: tally.below_detected,
+            ..RunStats::default()
+        };
+        // The fill latency no memory latency prices, modulo 2^64: a
+        // custom chain may serve a memory fill faster than the
+        // machine's memory latency, and the price adds it back exactly.
+        let latency = u64::from(power.memory_latency);
+        let below = std::array::from_fn(|l1| {
+            let memory = tally.memory_fills[l1].wrapping_mul(latency);
+            tally.fill_cycles[l1].wrapping_sub(memory)
+        });
+        let counts = TimingCounts {
+            core: self.counts,
+            below,
+            memory_fills: tally.memory_fills,
+        };
+        RunReport::priced(
+            stats,
+            counts,
+            tally.below_pj,
+            mode,
+            power,
+            mode.operating_point(),
+        )
     }
 }
 
-/// What one chain charges one core over a run: the chain-dependent
-/// counters (fill stalls and the cycles they add, the fills' EDC
-/// latency, memory and below-L1 EDC events) and the energy spent below
-/// the L1s. A core's report over a chain is its own counters plus this
-/// tally ([`Core::report`]).
+/// What one chain charges one core over a run, per L1 (`[IL1, DL1]`)
+/// where it says so: the fill latency the chain reported, the fills
+/// memory served, the EDC events below the L1s, and the energy spent
+/// there. A core's report over a chain is its own counts plus this
+/// tally, priced ([`Core::report`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChainTally {
-    pub stats: RunStats,
+    /// Per L1, the latency the chain reported for its fills, cycles.
+    fill_cycles: [u64; 2],
+    /// Per L1, its fills satisfied at [`HitDepth::Memory`].
+    memory_fills: [u64; 2],
+    /// EDC corrections the chain reported.
+    below_corrected: u64,
+    /// Detected uncorrectable EDC events the chain reported.
+    below_detected: u64,
     /// Dynamic energy spent below the L1s, pJ (zero for the default
     /// energy-free flat memory); becomes [`RunReport::below_pj`].
-    pub below_pj: f64,
+    below_pj: f64,
 }
 
-/// The chain phase of one request on one chain: charges the composed
-/// fill outcome to the issuing core's `tally`, with the stall cycles
-/// the core pays (composed fill latency + the missing L1's EDC
-/// pipeline), and returns that stall. Counterpart of
-/// [`Core::front_entry`]; see there.
+/// The chain phase of one request on one chain: counts the composed
+/// fill outcome into the issuing core's `tally`, and returns the stall
+/// the core pays (the fill latency plus the missing L1's EDC
+/// pipeline), which the single-core engine's soft errors integrate.
+/// Counterpart of [`Core::front_entry`]; see there.
 ///
-/// `stats.memory_accesses` counts every fill satisfied at
-/// [`HitDepth::Memory`]: the core's *demand* memory traffic. The
-/// multi-core engine reports that figure per core, since the shared
-/// chain cannot attribute writebacks to cores; [`System`] replaces it
-/// with the chain's own count, which also includes writebacks.
+/// The memory fills of both L1s make a core's *demand* memory traffic
+/// (`RunStats::memory_accesses`). The multi-core engine reports that
+/// figure per core, since the shared chain cannot attribute writebacks
+/// to cores; [`System`] replaces it with the chain's own count, which
+/// also includes writebacks.
 pub(crate) fn apply_fill(
     timing: CoreTiming,
     kind: ReqKind,
     fill: AccessOutcome,
     tally: &mut ChainTally,
 ) -> u64 {
-    let stats = &mut tally.stats;
     tally.below_pj += fill.energy_pj;
-    stats.below_corrected += u64::from(fill.corrected);
-    stats.below_detected += u64::from(fill.detected);
-    stats.memory_accesses += u64::from(fill.depth == HitDepth::Memory);
-    let edc_latency = match kind {
-        ReqKind::Il1 => timing.il1_edc_latency,
-        ReqKind::Dl1 => timing.dl1_edc_latency,
+    tally.below_corrected += u64::from(fill.corrected);
+    tally.below_detected += u64::from(fill.detected);
+    let (l1, edc_latency) = match kind {
+        ReqKind::Il1 => (0, timing.il1_edc_latency),
+        ReqKind::Dl1 => (1, timing.dl1_edc_latency),
     };
-    let stall = u64::from(fill.latency_cycles + edc_latency);
-    match kind {
-        ReqKind::Il1 => stats.il1_stall_cycles += stall,
-        ReqKind::Dl1 => stats.dl1_stall_cycles += stall,
-    }
-    stats.edc_stall_cycles += u64::from(edc_latency);
-    stats.cycles += stall;
-    stall
+    tally.fill_cycles[l1] += u64::from(fill.latency_cycles);
+    tally.memory_fills[l1] += u64::from(fill.depth == HitDepth::Memory);
+    u64::from(fill.latency_cycles + edc_latency)
 }
 
 /// Stored bits of one core exposed to soft errors: every bit (data and
@@ -381,6 +444,21 @@ fn inject_random_seu(cache: &mut HybridCache, rng: &mut SmallRng) {
     cache.inject_soft_error(WordSlot { way, set, slot }, bit);
 }
 
+/// The counts a run's timing is priced from that its [`RunStats`]
+/// leaves out (see the module docs): the core's, and per L1
+/// (`[IL1, DL1]`) its fills' latency below the memory and its fills
+/// memory served. They stay out of every counter list and every
+/// rendered report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TimingCounts {
+    core: CoreCounts,
+    /// Per L1, the fill latency the chain reported less the machine's
+    /// memory latency for each fill memory served, modulo 2^64.
+    below: [u64; 2],
+    /// Per L1, the fills memory served.
+    memory_fills: [u64; 2],
+}
+
 /// Result of one simulation run: its counters, and their price under
 /// one power model at one operating point.
 ///
@@ -405,6 +483,8 @@ pub struct RunReport {
     /// Wall-clock execution time in seconds at the operating point's
     /// frequency.
     pub seconds: f64,
+    /// The counts `stats`' timing fields are priced from.
+    counts: TimingCounts,
 }
 
 impl RunReport {
@@ -413,24 +493,42 @@ impl RunReport {
         self.energy.epi_pj(self.stats.instructions)
     }
 
-    /// This run's counters priced by `power` at `op`: bit for bit the
+    /// This run's counts priced by `power` at `op`: bit for bit the
     /// report a run of `power`'s machine at `op` returns, when its
     /// configuration shares this run's
-    /// [`SystemConfig::behaviour`] key at [`RunReport::mode`] and both
-    /// machines run fault-free with soft errors off.
+    /// [`SystemConfig::behaviour`] key at [`RunReport::mode`], both
+    /// machines run fault-free with soft errors off, and their chains
+    /// differ at most in the memory latency. Cycles, stalls and
+    /// `seconds` are re-priced with `power`'s EDC and memory latencies,
+    /// energy with its arrays.
     pub fn priced_by(&self, power: &PowerModel, op: OperatingPoint) -> RunReport {
-        RunReport::priced(self.stats, self.below_pj, self.mode, power, op)
+        RunReport::priced(self.stats, self.counts, self.below_pj, self.mode, power, op)
     }
 
-    /// The one pricing function: `stats` at `mode` priced by `power` at
-    /// `op`, plus the `below_pj` the chain below the L1s spent.
+    /// The one pricing function: the timing fields of `stats` from
+    /// `counts` and `power`'s latencies at `mode` (see the module
+    /// docs), then the energy at `op`, plus the `below_pj` the chain
+    /// below the L1s spent.
     fn priced(
-        stats: RunStats,
+        mut stats: RunStats,
+        counts: TimingCounts,
         below_pj: f64,
         mode: Mode,
         power: &PowerModel,
         op: OperatingPoint,
     ) -> RunReport {
+        let edc = [&power.il1, &power.dl1].map(|l1| u64::from(l1.edc_latency_cycles(mode)));
+        let misses = [stats.il1.misses, stats.dl1.misses];
+        let memory_latency = u64::from(power.memory_latency);
+        let stalls: [u64; 2] = std::array::from_fn(|l1| {
+            let memory = counts.memory_fills[l1] * memory_latency;
+            counts.below[l1].wrapping_add(memory) + misses[l1] * edc[l1]
+        });
+        let bubbles = counts.core.bubbles(edc[1] > 0);
+        stats.il1_stall_cycles = stalls[0];
+        stats.dl1_stall_cycles = stalls[1];
+        stats.edc_stall_cycles = bubbles + misses[0] * edc[0] + misses[1] * edc[1];
+        stats.cycles = stats.instructions + bubbles + stalls[0] + stalls[1];
         let mut energy = power.breakdown_at(&stats, mode, op);
         if below_pj > 0.0 {
             energy.other_pj += below_pj;
@@ -441,6 +539,7 @@ impl RunReport {
             below_pj,
             mode,
             seconds: stats.cycles as f64 * op.cycle_s(),
+            counts,
         }
     }
 }
@@ -684,12 +783,17 @@ impl SystemBuilder {
     /// # Errors
     ///
     /// Everything [`SystemBuilder::build`] rejects, plus
-    /// [`ConfigError::NoCores`] when `cores` is zero and
-    /// [`ConfigError::MissingCache`] (`"l2"`) when a private-L2
-    /// topology is requested without an L2 geometry.
+    /// [`ConfigError::NoCores`] when `cores` is zero,
+    /// [`ConfigError::TooManyCores`] when it exceeds
+    /// [`MAX_CORES`] (both checked before
+    /// anything else), and [`ConfigError::MissingCache`] (`"l2"`) when a
+    /// private-L2 topology is requested without an L2 geometry.
     pub fn build_multi(self, cores: usize) -> Result<MultiCoreSystem, ConfigError> {
         if cores == 0 {
             return Err(ConfigError::NoCores);
+        }
+        if cores > MAX_CORES {
+            return Err(ConfigError::TooManyCores { cores });
         }
         let (config, (rate, seed)) = self.validate()?;
         let cores = (0..cores)

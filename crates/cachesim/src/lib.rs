@@ -73,6 +73,6 @@ pub use config::{
 };
 pub use engine::{RunReport, SimOptions, System, SystemBuilder};
 pub use hierarchy::{AccessRequest, HitDepth, L2Cache, MainMemory, MemoryLevel};
-pub use multicore::{MultiCoreReport, MultiCoreSystem, EPOCH_INSTRUCTIONS};
+pub use multicore::{MultiCoreReport, MultiCoreSystem, EPOCH_INSTRUCTIONS, MAX_CORES};
 pub use power::EnergyBreakdown;
 pub use stats::{CacheStats, RunStats};

@@ -39,16 +39,14 @@
 //! 1. each core runs a whole epoch of its own trace through the one
 //!    in-order core model both engines share (`Core::execute`). The
 //!    closure it hands each miss logs the chain-bound fill request,
-//!    tagged with its round, and charges no stall: the core counts its
-//!    core-local cycles on its own;
+//!    tagged with its round, and charges no stall;
 //! 2. one merge pass replays the logged requests against the chain
 //!    (or every chain, see below) in canonical (round, core, program)
-//!    order (`apply_fill`), charging fill stalls and energy to the
-//!    issuing core's tally on each chain.
+//!    order (`apply_fill`), counting each fill's latency, its depth
+//!    and its energy into the issuing core's tally on each chain.
 //!
-//! A core's report over a chain is its own counters, core-local
-//! cycles included, plus its tally there (`Core::report`, as in the
-//! single-core engine). A core pulls entries from its source directly
+//! A core's report over a chain is its own counts plus its tally
+//! there, priced (`Core::report`, as in the single-core engine). A core pulls entries from its source directly
 //! and never polls it again after its first `None`, since
 //! [`TraceSource`] is not fused.
 //!
@@ -149,6 +147,11 @@ use std::sync::{Mutex, PoisonError};
 /// cache-resident. Results do not depend on this value — the merge
 /// replays the canonical order exactly at any epoch length.
 pub const EPOCH_INSTRUCTIONS: usize = 4096;
+
+/// The most cores [`SystemBuilder::build_multi`](crate::engine::SystemBuilder::build_multi)
+/// builds: each is an L1 pair, and each epoch of a run may start a
+/// helper thread per core. 16 times the widest machine `run-all` runs.
+pub const MAX_CORES: usize = 1024;
 
 /// The chain below the L1s of a multi-core machine: one shared chain
 /// (the default topology), or a private L2 per core.
@@ -630,8 +633,8 @@ impl MultiCoreSystem {
 
 /// The merge of one epoch: replays every core's logged requests
 /// against the lanes in canonical (round, core, program) order,
-/// charging each fill and its stall to the issuing core's tally on
-/// every lane whose width takes the core in. `order` is the sort
+/// counting each fill into the issuing core's tally on every lane
+/// whose width takes the core in. `order` is the sort
 /// buffer, reused across epochs. Returns whether every source is
 /// drained.
 fn merge<const K: usize>(
@@ -876,6 +879,21 @@ mod tests {
     #[test]
     fn zero_cores_is_rejected() {
         assert_eq!(builder().build_multi(0).unwrap_err(), ConfigError::NoCores);
+    }
+
+    #[test]
+    fn core_counts_above_the_cap_are_rejected_before_any_core_is_built() {
+        // A builder without L1s builds no core at any count, and the
+        // cap is checked before the L1s are.
+        let cores = MAX_CORES + 1;
+        assert_eq!(
+            System::builder().build_multi(cores).unwrap_err(),
+            ConfigError::TooManyCores { cores }
+        );
+        assert_eq!(
+            System::builder().build_multi(MAX_CORES).unwrap_err(),
+            ConfigError::MissingCache { cache: "il1" }
+        );
     }
 
     #[test]

@@ -376,7 +376,9 @@ impl UncorePower {
     }
 }
 
-/// Full-system power model.
+/// Full-system power model, and the constants a run's cycles are
+/// priced with: each L1's EDC latency
+/// ([`CachePower::edc_latency_cycles`]) and the memory latency.
 #[derive(Debug)]
 pub struct PowerModel {
     /// IL1 array models.
@@ -385,6 +387,10 @@ pub struct PowerModel {
     pub dl1: CachePower,
     /// Non-L1 structures.
     pub uncore: UncorePower,
+    /// Main-memory latency, cycles
+    /// ([`SystemConfig::memory_latency`]): the price of every L1 fill
+    /// that memory serves.
+    pub memory_latency: u32,
 }
 
 impl PowerModel {
@@ -396,6 +402,7 @@ impl PowerModel {
             il1: CachePower::new(&config.il1, config.tech),
             dl1: CachePower::new(&config.dl1, config.tech),
             uncore: UncorePower::new(config.uncore_ten_t_sizing, config.tech),
+            memory_latency: config.memory_latency,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Scenario and design-point definitions, and the mapping from the
 //! methodology outputs to a simulatable system configuration.
 
-use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
+use crate::methodology::{design_ule_way, l1_8kb_geometry, MethodologyInputs, UleWayDesign};
 use hyvec_cachesim::config::{ConfigError, SystemConfig, WaySpec};
 use hyvec_edc::Protection;
 use hyvec_sram::cell::CellKind;
@@ -192,13 +192,7 @@ impl Architecture {
         // Way counts change the per-way word counts: recompute the
         // methodology over the actual ULE-way geometry.
         let total_ways = hp_ways + ule_ways;
-        let sets = 8 * 1024 / 32 / total_ways as u64;
-        let line_words = 32 * 8 / 32;
-        let inputs = MethodologyInputs {
-            data_words: sets * line_words,
-            tag_words: sets,
-            ..*inputs
-        };
+        let inputs = inputs.over_way_of(&l1_8kb_geometry(total_ways));
         let design = design_ule_way(scenario, model, &inputs)?;
 
         let hp_prot = scenario.hp_way_protection();

@@ -23,25 +23,26 @@
 //!
 //! # One simulation per behaviour
 //!
-//! Baseline against proposal, 7+1 ways against 6+2, and the ULE-voltage
-//! sweep change cells, sizings and operating points. In a fault-free
-//! run those only price the counters. So [`fig3_hp_epi`],
-//! [`fig4_ule_epi`], [`ule_performance`], [`ablation_ways`],
-//! [`ablation_voltage`], [`ablation_memory_latency`] and
-//! [`ablation_l2`] hand their design points to one helper. It
+//! Baseline against proposal, 7+1 ways against 6+2, the ULE-voltage
+//! sweep and the memory-latency sweep change codes, cells, sizings,
+//! operating points and the memory latency. In a fault-free run those
+//! only price the counters, time as well as energy. So
+//! [`fig3_hp_epi`], [`fig4_ule_epi`], [`ule_performance`],
+//! [`ablation_ways`], [`ablation_voltage`], [`ablation_memory_latency`]
+//! and [`ablation_l2`] hand their design points to one helper. It
 //! simulates one machine per distinct [`SystemConfig::behaviour`] key
-//! at the run's mode, each L1 pass priced against every chain the
-//! experiment puts below the L1s (its own memory, the latency sweep's
-//! four memories or the L2 sweep's four hierarchies), and re-prices
-//! that machine's runs under each design point's power model and
-//! operating point ([`RunReport::priced_by`]).
-//! At HP the baseline and proposal of either scenario behave alike,
-//! and so do both way splits; at ULE the voltage sweep's baselines
-//! behave alike at every supply, and so do its proposals. The
-//! experiments that install stuck bits or soft errors ([`reliability`],
-//! [`soft_error_study`]) and those that run several cores or the
-//! zoo's replayed traces ([`ablation_cores`], [`ablation_workloads`])
-//! build their own machines.
+//! at the run's mode (a geometry and its enabled ways), each L1 pass
+//! priced against every chain the experiment puts below the L1s (its
+//! own memory, or the L2 sweep's four hierarchies), and re-prices that
+//! machine's runs under each design point's power model and operating
+//! point ([`RunReport::priced_by`]).
+//! At HP every design point of one way split behaves alike, and so do
+//! both splits; at ULE the baseline and proposal of one split behave
+//! alike, at every supply of the voltage sweep. The experiments that
+//! install stuck bits or soft errors ([`reliability`],
+//! [`soft_error_study`]) and those that run several cores or the zoo's
+//! replayed traces ([`ablation_cores`], [`ablation_workloads`]) build
+//! their own machines.
 
 use crate::architecture::{Architecture, DesignPoint, Scenario};
 use crate::methodology::{design_ule_way, MethodologyInputs, UleWayDesign};
@@ -664,8 +665,9 @@ fn voltage_points(scenario: Scenario) -> Vec<(f64, OperatingPoint, [Architecture
 /// cell-delay model so each point stays timing-feasible.
 ///
 /// The voltage changes the cells' sizings and the operating point,
-/// never what the L1s do, so all the baselines share one simulation
-/// and all the proposals another, each priced at every supply.
+/// and the design point the cell and the code, never what the L1s do,
+/// so every design point shares one simulation, priced at every
+/// supply.
 ///
 /// The paper fixes 350mV ("our architecture is not limited to any
 /// particular Vcc level"); this sweep substantiates that sentence.
@@ -820,9 +822,9 @@ fn way_split_points(scenario: Scenario) -> Vec<Architecture> {
 }
 
 /// Compares 7+1 against 6+2 (paper: "did not provide further
-/// insights"). At HP every way of either split is on and HP-coded, so
-/// the four design points share one simulation of BigBench; at ULE
-/// each runs SmallBench on its own.
+/// insights"). At HP every way of either split is on, so the four
+/// design points share one simulation of BigBench; at ULE each split's
+/// baseline and proposal share one simulation of SmallBench.
 pub fn ablation_ways(
     scenario: Scenario,
     params: ExperimentParams,
@@ -869,10 +871,10 @@ pub struct MemLatRow {
 const MEMLAT_LATENCIES: [u32; 4] = [10, 20, 40, 80];
 
 /// The memory-latency ablation's design points: the 7+1 baseline and
-/// proposal, built for the sweep's first latency (the chains below set
-/// the rest).
-fn memlat_points(scenario: Scenario) -> [Architecture; 2] {
-    DesignPoint::ALL.map(|point| {
+/// proposal at each latency of [`MEMLAT_LATENCIES`], in that order.
+/// The latency only reaches the memory, so the two are sized once.
+fn memlat_points(scenario: Scenario) -> Vec<Architecture> {
+    let pair = DesignPoint::ALL.map(|point| {
         Architecture::build_with(
             scenario,
             point,
@@ -884,14 +886,26 @@ fn memlat_points(scenario: Scenario) -> [Architecture; 2] {
         )
         // hyvec-lint: allow(no-panic, "the 7+1 split sizes with default models at any latency (the latency only reaches the memory); the sweep itself is the regression test")
         .expect("ablation arch")
-    })
+    });
+    MEMLAT_LATENCIES
+        .iter()
+        .flat_map(|&memory_latency| {
+            pair.iter().map(move |arch| Architecture {
+                config: SystemConfig {
+                    memory_latency,
+                    ..arch.config.clone()
+                },
+                ..arch.clone()
+            })
+        })
+        .collect()
 }
 
 /// Sweeps the memory latency (paper: "other memory latencies do not
-/// change the trends"). The latency lives in the chain alone, and at
-/// HP the baseline's and proposal's L1s behave alike, so one L1 pass
-/// per benchmark is priced against all four memories and both power
-/// models.
+/// change the trends"). The latency only prices the fills memory
+/// serves, and at HP the baseline's and proposal's L1s behave alike,
+/// so one L1 pass per benchmark over one flat memory is priced at all
+/// four latencies under both power models.
 pub fn ablation_memory_latency(
     scenario: Scenario,
     params: ExperimentParams,
@@ -899,18 +913,20 @@ pub fn ablation_memory_latency(
 ) -> Vec<MemLatRow> {
     let archs = memlat_points(scenario);
     let points = points_at(&archs, Mode::Hp.operating_point());
-    let chains = |_: &SystemConfig| {
-        MEMLAT_LATENCIES.map(|lat| -> Box<dyn MemoryLevel> {
-            Box::new(MainMemory::new(MemoryConfig::with_latency(lat)))
-        })
-    };
-    let runs = price_points(&points, &Benchmark::BIG, Mode::Hp, params, options, chains);
+    let runs = price_points(
+        &points,
+        &Benchmark::BIG,
+        Mode::Hp,
+        params,
+        options,
+        own_memory,
+    );
     MEMLAT_LATENCIES
         .iter()
-        .zip(runs[0].iter().zip(&runs[1]))
-        .map(|(&latency, (base, prop))| MemLatRow {
+        .zip(runs.chunks(2))
+        .map(|(&latency, pair)| MemLatRow {
             latency,
-            hp_saving: epi_saving(base, prop),
+            hp_saving: epi_saving(&pair[0][0], &pair[1][0]),
         })
         .collect()
 }
@@ -1926,6 +1942,7 @@ pub static ARTIFACTS: &[Artifact] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methodology::l1_8kb_geometry;
 
     fn quick() -> ExperimentParams {
         ExperimentParams {
@@ -1983,23 +2000,50 @@ mod tests {
             let pinned = pinned_pair(s);
             // fig3 (12): baseline and proposal alike at HP.
             assert_eq!(passes(&pinned, Mode::Hp, &Benchmark::BIG), 6, "{s}");
-            // fig4 and performance (8 each): the ULE ways' codes differ.
-            assert_eq!(passes(&pinned, Mode::Ule, &Benchmark::SMALL), 8, "{s}");
-            // ablation-ways (40): one HP machine for both splits.
+            // fig4 and performance (8 each): the ULE ways' codes only
+            // price the counts, so baseline and proposal are alike.
+            assert_eq!(passes(&pinned, Mode::Ule, &Benchmark::SMALL), 4, "{s}");
+            // ablation-ways (40): one HP machine for both splits, and
+            // one ULE machine per split.
             let ways = way_split_points(s);
             assert_eq!(ways.len(), 4);
             assert_eq!(passes(&ways, Mode::Hp, &Benchmark::BIG), 6, "{s}");
-            assert_eq!(passes(&ways, Mode::Ule, &Benchmark::SMALL), 16, "{s}");
-            // ablation-voltage (32): a baseline and a proposal machine.
+            assert_eq!(passes(&ways, Mode::Ule, &Benchmark::SMALL), 8, "{s}");
+            // ablation-voltage (32): one machine for every supply.
             let voltage: Vec<Architecture> = voltage_points(s)
                 .into_iter()
                 .flat_map(|(_, _, archs)| archs)
                 .collect();
             assert_eq!(voltage.len(), 8, "{s}: every supply sizes");
-            assert_eq!(passes(&voltage, Mode::Ule, &Benchmark::SMALL), 8, "{s}");
-            // ablation-memlat (12): one HP machine for all four memories.
+            assert_eq!(passes(&voltage, Mode::Ule, &Benchmark::SMALL), 4, "{s}");
+            // ablation-memlat (48): one HP machine over one flat memory
+            // for all four latencies.
             let memlat = memlat_points(s);
+            assert_eq!(memlat.len(), 8);
             assert_eq!(passes(&memlat, Mode::Hp, &Benchmark::BIG), 6, "{s}");
+        }
+    }
+
+    #[test]
+    fn way_splits_size_over_the_built_dl1_words() {
+        // The methodology sizes each split's cells over the words of
+        // one way of the DL1 the split builds.
+        let model = FailureModel::default();
+        for s in Scenario::ALL {
+            let splits = WAY_SPLITS.iter().flat_map(|&split| [split; 2]);
+            for (arch, (hp, ule)) in way_split_points(s).iter().zip(splits) {
+                let dl1 = &arch.config.dl1;
+                assert_eq!(dl1.ways.len(), hp + ule, "{s}");
+                let inputs = MethodologyInputs::default().over_way_of(&l1_8kb_geometry(hp + ule));
+                assert_eq!(
+                    inputs.data_words,
+                    dl1.data_words_per_way(),
+                    "{s} {hp}+{ule}"
+                );
+                assert_eq!(inputs.tag_words, dl1.tag_words_per_way(), "{s} {hp}+{ule}");
+                let design = design_ule_way(s, &model, &inputs).expect("sizes");
+                assert_eq!(arch.design, design, "{s} {hp}+{ule}");
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 
 use crate::architecture::{DesignPoint, Scenario};
 use hyvec_cachemodel::OperatingPoint;
+use hyvec_cachesim::config::{CacheConfig, WaySpec};
 use hyvec_edc::Protection;
 use hyvec_sram::cell::{CellKind, SizedCell};
 use hyvec_sram::failure::{FailureModel, SizingError, SIZING_STEP};
@@ -33,9 +34,11 @@ pub struct MethodologyInputs {
     pub hp_vdd: f64,
     /// ULE supply voltage (0.35 V).
     pub ule_vdd: f64,
-    /// Data words per ULE way (`DW`): 256 for the 8KB 7+1 geometry.
+    /// Data words per ULE way (`DW`): 256 for the 8KB 7+1 geometry
+    /// ([`CacheConfig::data_words_per_way`]).
     pub data_words: u64,
-    /// Tag words per ULE way (`TW`): 32.
+    /// Tag words per ULE way (`TW`): 32
+    /// ([`CacheConfig::tag_words_per_way`]).
     pub tag_words: u64,
     /// Data word width (32).
     pub word_bits: u32,
@@ -44,18 +47,37 @@ pub struct MethodologyInputs {
 }
 
 impl Default for MethodologyInputs {
+    /// The paper's inputs, over a way of its 8KB 7+1 L1.
     fn default() -> Self {
+        let l1 = l1_8kb_geometry(8);
         MethodologyInputs {
             target_yield: 0.99,
             anchor_bits: 8192,
             hp_vdd: OperatingPoint::hp().vdd,
             ule_vdd: OperatingPoint::ule().vdd,
-            data_words: 256,
-            tag_words: 32,
-            word_bits: 32,
-            tag_bits: 26,
+            data_words: l1.data_words_per_way(),
+            tag_words: l1.tag_words_per_way(),
+            word_bits: l1.word_bits,
+            tag_bits: l1.tag_bits,
         }
     }
+}
+
+impl MethodologyInputs {
+    /// These inputs over a way of `l1`: its data and tag words per way.
+    pub(crate) fn over_way_of(self, l1: &CacheConfig) -> MethodologyInputs {
+        MethodologyInputs {
+            data_words: l1.data_words_per_way(),
+            tag_words: l1.tag_words_per_way(),
+            ..self
+        }
+    }
+}
+
+/// The geometry of the paper's 8KB L1 ([`CacheConfig::l1_8kb`]) split
+/// into `ways` ways, whatever the ways hold.
+pub(crate) fn l1_8kb_geometry(ways: usize) -> CacheConfig {
+    CacheConfig::l1_8kb(vec![WaySpec::hp_way(1.0, Protection::None); ways])
 }
 
 /// The outcome of the Fig. 2 methodology for one scenario.

@@ -19,7 +19,7 @@
 //! | Endpoint | Meaning |
 //! |---|---|
 //! | `GET /experiments` | machine-readable registry index (identical bytes to `hyvec list --format json`) |
-//! | `GET /report/<artifact>/<scenario>?seed=&instructions=&format=` | one experiment's report, `text`/`json`/`csv` |
+//! | `GET /report/<artifact>/<scenario>?seed=&instructions=&format=` | one experiment's report, `text`/`json`/`csv`; `instructions` at most [`MAX_REPORT_INSTRUCTIONS`] |
 //! | `GET /healthz` | liveness probe |
 //! | `GET /stats` | request/response/cache counters + uptime |
 //! | `POST /shutdown` | graceful stop |
@@ -39,4 +39,4 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{report_fingerprint, RenderSet, ResultCache, CONFIG_REVISION};
-pub use server::{ServeConfig, ServeError, SweepServer, SERVE_USAGE};
+pub use server::{ServeConfig, ServeError, SweepServer, MAX_REPORT_INSTRUCTIONS, SERVE_USAGE};

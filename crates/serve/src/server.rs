@@ -44,6 +44,11 @@ pub const SERVE_USAGE: &str =
 /// Most requests served on one keep-alive connection.
 const MAX_REQUESTS_PER_CONNECTION: usize = 1000;
 
+/// The largest `instructions=` budget `GET /report` accepts: 100 times
+/// the default budget. A larger one is answered 400 before any
+/// simulation starts, so one request cannot hold a worker for hours.
+pub const MAX_REPORT_INSTRUCTIONS: u64 = 10_000_000;
+
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -360,6 +365,12 @@ impl SweepServer {
                     .map(|s| params.seed = s)
                     .map_err(|e| format!("bad seed {value:?}: {e}")),
                 "instructions" => ExperimentParams::parse_instructions(value)
+                    .and_then(|n| match n {
+                        ..=MAX_REPORT_INSTRUCTIONS => Ok(n),
+                        _ => Err(format!(
+                            "above the cap of {MAX_REPORT_INSTRUCTIONS} instructions"
+                        )),
+                    })
                     .map(|n| params.instructions = n)
                     .map_err(|e| format!("bad instructions {value:?}: {e}")),
                 "format" => value.parse().map(|f| format = f),

@@ -18,7 +18,7 @@ use hyvec_core::experiments::ExperimentParams;
 use hyvec_core::registry::Registry;
 use hyvec_core::render::{render, Format};
 use hyvec_core::sweep::SweepBuilder;
-use hyvec_serve::{ServeConfig, SweepServer};
+use hyvec_serve::{ServeConfig, SweepServer, MAX_REPORT_INSTRUCTIONS};
 
 /// Keeps the sweeps fast; every request in this file pins it
 /// explicitly so the bytes are comparable across tests.
@@ -297,6 +297,31 @@ fn errors_are_clean_http_responses() {
     // And no rejected request computed or cached a report.
     assert_eq!(stat(&stats, "misses"), 0);
     assert_eq!(stat(&stats, "entries"), 0);
+    server.stop();
+    join_within_bound(handle);
+}
+
+#[test]
+fn a_budget_above_the_cap_is_refused_before_it_runs() {
+    let (server, handle) = start(test_config());
+    let over = MAX_REPORT_INSTRUCTIONS + 1;
+    let (status, _, body) = get(&server, &format!("/report/fig3/A?instructions={over}"));
+    assert_eq!(status, 400);
+    let body = String::from_utf8_lossy(&body);
+    assert!(
+        body.contains(&MAX_REPORT_INSTRUCTIONS.to_string()),
+        "the 400 names the cap: {body}"
+    );
+    // Refused before the cache or the sweep engine saw it.
+    let (_, _, stats) = get(&server, "/stats");
+    assert_eq!(stat(&stats, "misses"), 0);
+    assert_eq!(stat(&stats, "entries"), 0);
+
+    let (status, _, _) = get(
+        &server,
+        &format!("/report/fig3/A?instructions={INSTRUCTIONS}"),
+    );
+    assert_eq!(status, 200, "a small budget still runs");
     server.stop();
     join_within_bound(handle);
 }
